@@ -29,8 +29,9 @@ def main():
         print(f"  {action.anchor}{target} {action.delimiter} {action.new_value}")
 
     report = generate(config, out_dir)
-    print(f"\n{report.to_text()} into {out_dir} "
-          f"({report.elapsed_seconds * 1000:.1f} ms)")
+    print(f"\n{report.to_text()} into {out_dir}")
+    print(f"generation took {report.elapsed_seconds * 1000:.1f} ms",
+          file=sys.stderr)
 
     print("\nLines that differ from the templates:")
     for name in sorted(p.name for p in out_dir.glob("*.vhd")):

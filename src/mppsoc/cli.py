@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from mppsoc.config import ConfigError, MppSoCConfig, parse_config
+from mppsoc.config import ConfigError, CostModel, parse_config
 from mppsoc.errors import MppSocError
 from mppsoc.rewrite import (
     TEMPLATE_FILES,
@@ -22,7 +22,6 @@ from mppsoc.rewrite import (
 )
 from mppsoc.rules import validate
 from mppsoc.simulator import (
-    CostModel,
     SimMachine,
     SimulationError,
     load_program,
@@ -34,38 +33,37 @@ _GEN_REPORT_NAME = "generation-report.kv"
 _SIM_REPORT_NAME = "simulation-report.kv"
 
 
-def _load_config(path_text: str) -> MppSoCConfig:
+def _load(path_text: str, parse):
+    """Read a ``key = value`` file (configuration or cost model) and parse
+    it, prefixing every problem with ``path:line``."""
     path = Path(path_text)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"cannot read {path}: {err}") from err
+    except (OSError, UnicodeError) as err:
+        raise ConfigError(f"{path}: cannot read: {err}") from err
     try:
-        return parse_config(text)
+        return parse(text)
     except ConfigError as err:
         location = f"{path}:{err.line}" if err.line else str(path)
         raise ConfigError(f"{location}: {err}") from err
 
 
 def _parse_values(spec: str, count: int) -> list[int]:
-    if spec.startswith("@"):
-        tokens = Path(spec[1:]).read_text(encoding="utf-8").split()
-        values = [int(t, 0) for t in tokens if not t.startswith("#")]
-    elif ".." in spec:
-        lo, hi = spec.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(t, 0) for t in spec.split(",") if t.strip()]
+    try:
+        if spec.startswith("@"):
+            tokens = Path(spec[1:]).read_text(encoding="utf-8").split()
+            values = [int(t, 0) for t in tokens if not t.startswith("#")]
+        elif ".." in spec:
+            lo, hi = spec.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(t, 0) for t in spec.split(",") if t.strip()]
+    except ValueError as err:
+        raise SimulationError(f"--values {spec!r}: {err}") from None
     if len(values) != count:
         raise SimulationError(
             f"--values supplied {len(values)} values, the array has {count} PEs")
     return values
-
-
-def _cost_model(args) -> CostModel:
-    if getattr(args, "cost_model", None):
-        return CostModel.from_file(args.cost_model)
-    return CostModel()
 
 
 def _emit(args, text_form: str, kv_form: str):
@@ -73,14 +71,14 @@ def _emit(args, text_form: str, kv_form: str):
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args.config)
+    config = _load(args.config, parse_config)
     report = validate(config)
     print(report)
     return 0 if report.is_valid else 1
 
 
 def _cmd_generate(args) -> int:
-    config = _load_config(args.config)
+    config = _load(args.config, parse_config)
     report = validate(config)
     if not report.is_valid:
         print(report, file=sys.stderr)
@@ -108,12 +106,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = _load(args.config, parse_config)
     report = validate(config)
     if not report.is_valid:
         print(report, file=sys.stderr)
         return 1
-    cost = _cost_model(args)
+    cost = (_load(args.cost_model, CostModel.from_text) if args.cost_model
+            else CostModel())
 
     if args.app == "reduce" or args.app is None:
         values = (_parse_values(args.values, config.n_pes) if args.values

@@ -1,16 +1,21 @@
 """Machine configuration model.
 
 Defines the architecture description (PE grid, memory sizes, network
-choices), the line-oriented ``key = value`` configuration file format, and
-memory geometry derivation (word count and address width).
+choices), the per-operation cycle charges (CostModel), the line-oriented
+``key = value`` file format both are read from, and memory geometry
+derivation (word count and address width).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from mppsoc.errors import MppSocError
+
+if TYPE_CHECKING:
+    from mppsoc.mpnoc import MpNocNetwork
 
 # All supported processor IPs are 32-bit machines.
 WORD_BYTES = 4
@@ -174,14 +179,30 @@ _ENUM_KEYS = {
 }
 
 
-def _parse_positive_int(key: str, token: str, line: int) -> int:
+def _kv_lines(text: str):
+    """Yield (lineno, key, value) for each ``key = value`` line.
+
+    Blank lines and ``#`` comments are skipped; whitespace around key and
+    value is dropped.  Raises BadValue for a line without ``=`` or with an
+    empty key.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise BadValue(line.split()[0], line, lineno,
+                           "expected 'key = value'")
+        yield lineno, key, value.strip()
+
+
+def _parse_int(key: str, token: str, line: int) -> int:
     try:
-        value = int(token, 10)
+        return int(token, 10)
     except ValueError:
         raise BadValue(key, token, line, "expected an integer") from None
-    if value < 1:
-        raise BadValue(key, token, line, "must be >= 1")
-    return value
 
 
 def _parse_enum(key: str, token: str, line: int, enum_cls):
@@ -202,18 +223,11 @@ def parse_config(text: str) -> MppSoCConfig:
     Raises UnknownKey, BadValue, MissingRequiredKey or NoNetworkSelected.
     """
     seen: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not eq or not key:
-            raise BadValue(line.split()[0], raw.strip(), lineno,
-                           "expected 'key = value'")
+    for lineno, key, value in _kv_lines(text):
         if key in _INT_KEYS:
-            seen[key] = _parse_positive_int(key, value, lineno)
+            seen[key] = _parse_int(key, value, lineno)
+            if seen[key] < 1:
+                raise BadValue(key, value, lineno, "must be >= 1")
         elif key in _ENUM_KEYS:
             seen[key] = _parse_enum(key, value, lineno, _ENUM_KEYS[key])
         elif key == "mem_init":
@@ -229,6 +243,54 @@ def parse_config(text: str) -> MppSoCConfig:
     if "neighborhood" not in seen and "mpnoc" not in seen:
         raise NoNetworkSelected()
     return MppSoCConfig(**seen)  # type: ignore[arg-type]
+
+
+@dataclass
+class CostModel:
+    """Per-operation cycle charges.  Every field is overridable through a
+    ``key = value`` file (see from_text)."""
+
+    issue_cycles: int = 1        # every broadcast instruction
+    op_cycles: int = 1           # ADD / LD / ST execute stage
+    hop_cycles: int = 1          # one parallel neighbour hop
+    noc_pass_base: int = 4       # per routing stage of one router pass
+    bus_pass_cycles: int = 1     # one shared-bus grant
+    noc_config_cycles: int = 1   # router mode switch per transfer
+    boundary_value: int = 0      # received at array edges on non-wrapping nets
+
+    def __post_init__(self):
+        # Negative charges would let the cycle counter run backwards.
+        for f in fields(self):
+            if f.name != "boundary_value" and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
+
+    @classmethod
+    def from_text(cls, text: str) -> "CostModel":
+        """Parse ``key = value`` lines; unset keys keep their defaults.
+
+        Raises UnknownKey or BadValue, both with the line number.
+        """
+        names = {f.name for f in fields(cls)}
+        values = {}
+        for lineno, key, token in _kv_lines(text):
+            if key not in names:
+                raise UnknownKey(key, lineno)
+            value = _parse_int(key, token, lineno)
+            try:
+                cls(**{key: value})  # __post_init__ holds the range rule
+            except ValueError as err:
+                raise BadValue(key, token, lineno, str(err)) from None
+            values[key] = value
+        return cls(**values)
+
+    def noc_pass_cycles(self, net: MpNocNetwork) -> int:
+        """Transit cycles of one router pass: noc_pass_base per routing
+        stage (delta stage count, or the equivalent arbitration depth of
+        the crossbar).  The shared bus charges per grant instead."""
+        if net.kind is MpNocKind.SHARED_BUS:
+            return self.bus_pass_cycles
+        depth = max(1, (net.ports - 1).bit_length())
+        return self.noc_pass_base * depth
 
 
 def serialize_config(config: MppSoCConfig) -> str:

@@ -26,16 +26,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from mppsoc.config import DELTA_KINDS, MpNocKind
+from mppsoc.config import DELTA_KINDS, CostModel, MpNocKind
 from mppsoc.errors import MppSocError
 
 # Distinguished injection ports for the two non-PE endpoints.
 ACU_PORT = -1
 DEVICE_PORT = -2
-
-_DEFAULT_PASS_BASE = 4  # cycles per routing stage of a crossbar/delta pass
-_DEFAULT_BUS_PASS = 1   # cycles per bus grant
-_DEFAULT_CONFIG = 1     # cycles to switch the router mode
 
 
 class MpNocMode(enum.Enum):
@@ -163,15 +159,6 @@ class MpNocNetwork:
         self._path_cache[key] = result
         return result
 
-    def pass_cycles(self, base: int = _DEFAULT_PASS_BASE) -> int:
-        """Transit cycles of one pass: base cycles per routing stage
-        (delta stage count, or the equivalent arbitration depth of the
-        crossbar).  The shared bus charges per grant instead."""
-        if self.kind is MpNocKind.SHARED_BUS:
-            return _DEFAULT_BUS_PASS
-        depth = max(1, (self.ports - 1).bit_length())
-        return base * depth
-
 
 def build_network(kind: MpNocKind, ports: int) -> MpNocNetwork:
     """Construct a router network; delta kinds require ports = 2^n, n >= 1."""
@@ -265,12 +252,13 @@ def _check_endpoint(net: MpNocNetwork, mode: MpNocMode, src: int, dst: int):
 
 def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
              pass_cycles: int | None = None,
-             config_cycles: int = _DEFAULT_CONFIG) -> TransferResult:
+             config_cycles: int | None = None) -> TransferResult:
     """Deliver (src, dst, payload) messages in one configured mode.
 
     The ACU and device endpoints use the sentinel ports ACU_PORT and
     DEVICE_PORT; internally they inject through port 0.  Latency is
-    passes * pass_cycles plus one mode-configuration charge.  Identical
+    passes * pass_cycles plus one mode-configuration charge; either
+    charge left as None comes from a default CostModel.  Identical
     words from one source may fan out in a single pass (multicast);
     everything else serializes per the network's contention rules.
     """
@@ -278,7 +266,9 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
     for src, dst, _payload in msgs:
         _check_endpoint(net, mode, src, dst)
     if pass_cycles is None:
-        pass_cycles = net.pass_cycles()
+        pass_cycles = CostModel().noc_pass_cycles(net)
+    if config_cycles is None:
+        config_cycles = CostModel().noc_config_cycles
 
     def port_of(endpoint: int) -> int:
         return 0 if endpoint in (ACU_PORT, DEVICE_PORT) else endpoint

@@ -317,11 +317,11 @@ def generate_in_memory(config: MppSoCConfig,
         template = _load_template(directory, name)
         actions = plan.get(name)
         if actions:
-            result, _counts = apply_to_file(template, actions)
-            # A line touched by several actions still counts once.
-            rewritten += sum(
-                1 for line in template.lines
-                if any(rewrite_line(line, action)[1] for action in actions))
+            result, counts = apply_to_file(template, actions)
+            # Exact line count: no plan repeats an (anchor, target) pair
+            # and a rewrite keeps a line's first two tokens, so at most
+            # one action applies to any line.
+            rewritten += sum(counts)
             outputs[name] = result.to_text()
         else:
             outputs[name] = template.to_text()

@@ -51,7 +51,7 @@ def _is_power_of_two(n: int) -> bool:
 def validate(config: MppSoCConfig) -> ValidationReport:
     """Check a configuration against rules R1-R3."""
     violations: list[RuleViolation] = []
-    n_pes = config.rows * config.cols
+    n_pes = config.n_pes
 
     if config.mpnoc in DELTA_KINDS and not _is_power_of_two(n_pes):
         violations.append(RuleViolation(

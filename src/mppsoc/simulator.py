@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
-from mppsoc.config import MppSoCConfig
+from mppsoc.config import CostModel, MppSoCConfig
 from mppsoc.errors import MppSocError
 from mppsoc.mpnoc import (
     ACU_PORT,
@@ -94,61 +93,6 @@ class NoTransportAvailable(SimulationError):
                          "global router, the configuration has neither")
 
 
-@dataclass
-class CostModel:
-    """Per-operation cycle charges.  All values are overridable through a
-    ``key = value`` file (see from_file)."""
-
-    issue_cycles: int = 1        # every broadcast instruction
-    op_cycles: int = 1           # ADD / LD / ST execute stage
-    hop_cycles: int = 1          # one parallel neighbour hop
-    noc_pass_base: int = 4       # per routing stage of one router pass
-    bus_pass_cycles: int = 1     # one shared-bus grant
-    noc_config_cycles: int = 1   # router mode switch per transfer
-    boundary_value: int = 0      # received at array edges on non-wrapping nets
-
-    _KEYS = ("issue_cycles", "op_cycles", "hop_cycles", "noc_pass_base",
-             "bus_pass_cycles", "noc_config_cycles", "boundary_value")
-
-    def __post_init__(self):
-        # Negative charges would let the cycle counter run backwards.
-        for key in self._KEYS:
-            if key != "boundary_value" and getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0")
-
-    @classmethod
-    def from_text(cls, text: str) -> "CostModel":
-        from mppsoc.config import BadValue, UnknownKey
-        values = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq:
-                raise BadValue(line.split()[0], raw.strip(), lineno,
-                               "expected 'key = value'")
-            if key not in cls._KEYS:
-                raise UnknownKey(key, lineno)
-            try:
-                values[key] = int(value, 10)
-            except ValueError:
-                raise BadValue(key, value, lineno, "expected an integer") from None
-        return cls(**values)
-
-    @classmethod
-    def from_file(cls, path) -> "CostModel":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
-
-    def noc_pass_cycles(self, net: MpNocNetwork) -> int:
-        from mppsoc.config import MpNocKind
-        if net.kind is MpNocKind.SHARED_BUS:
-            return self.bus_pass_cycles
-        depth = max(1, (net.ports - 1).bit_length())
-        return self.noc_pass_base * depth
-
-
 @dataclass(frozen=True)
 class Instruction:
     op: str
@@ -166,11 +110,11 @@ class SimProgram:
 
 _REG_RE = re.compile(r"^r([0-7])$", re.IGNORECASE)
 _DST_EXPR_RE = re.compile(r"^idx([+-]\d+)?$|^-?\d+$", re.IGNORECASE)
-_MASK_PREDICATES = ("all", "none", "even", "odd")
+_PREDICATE_RE = re.compile(r"^(all|none|even|odd|(lt|ge):\d+|mod:(\d+):\d+)$")
 
 
 def _parse_register(token: str, line: int) -> int:
-    match = _REG_RE.match(token.strip())
+    match = _REG_RE.match(token)
     if not match:
         raise BadOperand(f"expected a register r0..r7, got {token!r}", line)
     return int(match.group(1))
@@ -178,17 +122,54 @@ def _parse_register(token: str, line: int) -> int:
 
 def _parse_int(token: str, line: int) -> int:
     try:
-        return int(token.strip(), 10)
+        return int(token, 10)
     except ValueError:
         raise BadOperand(f"expected an integer, got {token!r}", line) from None
 
 
-def _split_operands(rest: str, count: int, line: int) -> list[str]:
-    parts = [p.strip() for p in rest.split(",")] if rest else []
-    if len(parts) != count or any(not p for p in parts):
-        raise BadOperand(f"expected {count} comma-separated operands, "
-                         f"got {rest!r}", line)
-    return parts
+def _parse_direction(token: str, line: int) -> str:
+    direction = token.upper()
+    if direction not in OPPOSITE:
+        raise BadOperand(f"unknown direction {direction!r}", line)
+    return direction
+
+
+def _parse_mode(token: str, line: int) -> MpNocMode:
+    try:
+        return MpNocMode(token.lower())
+    except ValueError:
+        raise BadOperand(f"unknown mode {token!r} (pe, acu or dev)",
+                         line) from None
+
+
+def _parse_dst_expr(token: str, line: int) -> str:
+    if not _DST_EXPR_RE.match(token):
+        raise BadOperand(f"bad destination expression {token!r}", line)
+    return token.lower()
+
+
+def _parse_predicate(token: str, line: int) -> str:
+    pred = token.lower()
+    match = _PREDICATE_RE.match(pred)
+    if not match:
+        raise BadOperand(f"bad predicate {token!r}", line)
+    if match.group(3) is not None and int(match.group(3)) < 1:
+        raise BadOperand(f"bad predicate {token!r} (modulus must be >= 1)", line)
+    return pred
+
+
+# Mnemonic -> one parser per comma-separated operand, in order.
+_OPERAND_PARSERS = {
+    "HALT": (),
+    "UNMASK": (),
+    "LDI": (_parse_register, _parse_int),
+    "LD": (_parse_register, _parse_int),
+    "ST": (_parse_register, _parse_int),
+    "ADD": (_parse_register, _parse_register, _parse_register),
+    "MOVD": (_parse_register, _parse_direction),
+    "NOCSEND": (_parse_mode, _parse_dst_expr, _parse_register),
+    "MASK": (_parse_predicate,),
+}
 
 
 def load_program(text: str) -> SimProgram:
@@ -204,58 +185,16 @@ def load_program(text: str) -> SimProgram:
             continue
         mnemonic, _, rest = line.partition(" ")
         op = mnemonic.upper()
-        rest = rest.strip()
-
-        if op == "HALT":
-            if rest:
-                raise BadOperand("HALT takes no operands", lineno)
-            instructions.append(Instruction("HALT", (), lineno))
-        elif op == "UNMASK":
-            if rest:
-                raise BadOperand("UNMASK takes no operands", lineno)
-            instructions.append(Instruction("UNMASK", (), lineno))
-        elif op == "LDI":
-            reg, imm = _split_operands(rest, 2, lineno)
-            instructions.append(Instruction(
-                "LDI", (_parse_register(reg, lineno), _parse_int(imm, lineno)),
-                lineno))
-        elif op in ("LD", "ST"):
-            reg, addr = _split_operands(rest, 2, lineno)
-            instructions.append(Instruction(
-                op, (_parse_register(reg, lineno), _parse_int(addr, lineno)),
-                lineno))
-        elif op == "ADD":
-            dst, a, b = _split_operands(rest, 3, lineno)
-            instructions.append(Instruction(
-                "ADD", (_parse_register(dst, lineno), _parse_register(a, lineno),
-                        _parse_register(b, lineno)), lineno))
-        elif op == "MOVD":
-            reg, direction = _split_operands(rest, 2, lineno)
-            direction = direction.upper()
-            if direction not in OPPOSITE:
-                raise BadOperand(f"unknown direction {direction!r}", lineno)
-            instructions.append(Instruction(
-                "MOVD", (_parse_register(reg, lineno), direction), lineno))
-        elif op == "NOCSEND":
-            mode, dst, reg = _split_operands(rest, 3, lineno)
-            try:
-                noc_mode = MpNocMode(mode.lower())
-            except ValueError:
-                raise BadOperand(f"unknown mode {mode!r} (pe, acu or dev)",
-                                 lineno) from None
-            if not _DST_EXPR_RE.match(dst):
-                raise BadOperand(f"bad destination expression {dst!r}", lineno)
-            instructions.append(Instruction(
-                "NOCSEND", (noc_mode, dst.lower(), _parse_register(reg, lineno)),
-                lineno))
-        elif op == "MASK":
-            pred = rest.lower()
-            if pred not in _MASK_PREDICATES and not re.match(
-                    r"^(lt|ge):\d+$|^mod:\d+:\d+$", pred):
-                raise BadOperand(f"bad predicate {rest!r}", lineno)
-            instructions.append(Instruction("MASK", (pred,), lineno))
-        else:
+        parsers = _OPERAND_PARSERS.get(op)
+        if parsers is None:
             raise UnknownMnemonic(mnemonic, lineno)
+        rest = rest.strip()
+        tokens = [t.strip() for t in rest.split(",")] if rest else []
+        if len(tokens) != len(parsers) or not all(tokens):
+            raise BadOperand(f"{op} takes {len(parsers)} comma-separated "
+                             f"operands, got {rest!r}", lineno)
+        args = tuple(parse(token, lineno) for parse, token in zip(parsers, tokens))
+        instructions.append(Instruction(op, args, lineno))
 
     if not instructions or instructions[-1].op != "HALT":
         raise MissingHalt()
@@ -302,11 +241,6 @@ class SimMachine:
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
         self.reset()
-
-    @classmethod
-    def from_config(cls, config: MppSoCConfig,
-                    cost: CostModel | None = None) -> "SimMachine":
-        return cls(config, cost)
 
     def reset(self):
         self.pe_regs = [[0] * _REGISTER_COUNT for _ in range(self.n_pes)]

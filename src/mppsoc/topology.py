@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mppsoc.config import Neighborhood
+from mppsoc.config import ONE_D_NEIGHBORHOODS, TWO_D_NEIGHBORHOODS, Neighborhood
 from mppsoc.errors import MppSocError
 
 # Direction label -> (row delta, col delta).  N decreases the row index.
@@ -123,9 +123,9 @@ def build_topology(kind: Neighborhood, rows: int, cols: int) -> TopologyGraph:
     """
     if rows < 1 or cols < 1:
         raise DimensionMismatch(kind, rows, cols, "dimensions must be >= 1")
-    if kind in (Neighborhood.LINEAR, Neighborhood.RING) and rows != 1:
+    if kind in ONE_D_NEIGHBORHOODS and rows != 1:
         raise DimensionMismatch(kind, rows, cols, "1D topologies need rows = 1")
-    if kind in (Neighborhood.MESH2D, Neighborhood.TORUS2D, Neighborhood.XNET) and rows < 2:
+    if kind in TWO_D_NEIGHBORHOODS and rows < 2:
         raise DimensionMismatch(kind, rows, cols, "2D topologies need rows > 1")
     if kind is Neighborhood.RING and cols < 3:
         raise DimensionMismatch(kind, rows, cols, "ring needs cols >= 3")

@@ -178,6 +178,52 @@ def test_simulate_cost_model_override(cfg, tmp_path, capsys):
     assert "cycles=" in base
 
 
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    return lines[0]
+
+
+@pytest.mark.parametrize("text", ["hop_cycles = -1\n", "warp_speed = 9\n",
+                                  "# costs\n = 5\n"])
+def test_simulate_bad_cost_file_is_config_error(cfg, tmp_path, capsys, text):
+    costs = tmp_path / "costs.cfg"
+    costs.write_text(text)
+    line = text.count("\n")
+    assert main(["simulate", str(cfg), "--cost-model", str(costs),
+                 "-o", str(tmp_path / "out")]) == 1
+    assert single_error_line(capsys).startswith(f"error: {costs}:{line}: ")
+
+
+@pytest.mark.parametrize("content", [None, b"hop_cycles = \xff\n"])
+def test_simulate_unreadable_cost_file_is_config_error(cfg, tmp_path, capsys,
+                                                       content):
+    costs = tmp_path / "costs.cfg"
+    if content is not None:
+        costs.write_bytes(content)
+    assert main(["simulate", str(cfg), "--cost-model", str(costs),
+                 "-o", str(tmp_path / "out")]) == 1
+    assert single_error_line(capsys).startswith(f"error: {costs}: cannot read")
+
+
+def test_simulate_mask_modulus_zero_is_load_error(cfg, tmp_path, capsys):
+    program = tmp_path / "prog.asm"
+    program.write_text("MASK mod:0:1\nHALT\n")
+    assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+                 "-o", str(tmp_path / "out")]) == 3
+    assert single_error_line(capsys).endswith("(line 1)")
+
+
+@pytest.mark.parametrize("spec", ["abc", "0..x", "@values.txt"])
+def test_simulate_malformed_values(cfg, tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "values.txt").write_text("1 2 three\n")
+    assert main(["simulate", str(cfg), "--values", spec,
+                 "-o", str(tmp_path / "out")]) == 3
+    assert single_error_line(capsys).startswith(f"error: --values {spec!r}")
+
+
 def test_report_reprints_last_runs(cfg, tmp_path, capsys):
     out = tmp_path / "out"
     main(["generate", str(cfg), "-o", str(out)])

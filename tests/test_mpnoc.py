@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from delta_oracle import assert_pass_conflict_free, oracle_path
-from mppsoc.config import MpNocKind
+from mppsoc.config import CostModel, MpNocKind
 from mppsoc.mpnoc import (
     ACU_PORT,
     DEVICE_PORT,
@@ -162,6 +162,10 @@ def test_transfer_conservation_and_payload_integrity():
             (dst, payload) for dst, items in result.delivered.items()
             for payload in items)
         assert delivered == sorted((dst, payload) for _, dst, payload in messages)
+        # Omitted charges come from the default cost model.
+        default = CostModel()
+        assert result.latency == (result.passes * default.noc_pass_cycles(net)
+                                  + default.noc_config_cycles)
 
 
 def test_duplicate_destination_serializes_on_crossbar():

@@ -1,11 +1,13 @@
+import dataclasses
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sampling import extract_value, planned_line_indices, random_valid_config
-from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
+from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood, parse_config
 from mppsoc.rewrite import (
     TEMPLATE_FILES,
     AnchorNeverMatched,
@@ -23,6 +25,8 @@ from mppsoc.rewrite import (
     rewrite_line,
     tokenize_line,
 )
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 CONST_ACTION = RewriteAction("constant", ":=", "8", target_name="sl_nb_rows")
 
@@ -186,6 +190,22 @@ def test_plan_actions_flat_covers_all_files():
     assert anchors.count("constant") == 5
     assert anchors.count("init_file") == 2
     assert anchors.count("numwords_a") == 2
+
+
+def test_plans_never_repeat_an_anchor_target():
+    # generate_in_memory counts rewritten lines as the sum of per-action
+    # counts, which is exact only while no two actions of one file can
+    # match the same line.
+    for name in ("mesh16.cfg", "delta8.cfg", "linear64.cfg"):
+        base = parse_config((DEMOS / name).read_text())
+        for neighborhood in Neighborhood:
+            for mem_init in (None, "img.hex"):
+                config = dataclasses.replace(base, neighborhood=neighborhood,
+                                             mem_init=mem_init)
+                for actions in plan_actions_by_file(config).values():
+                    keys = [(a.anchor, (a.target_name or "").lower())
+                            for a in actions]
+                    assert len(keys) == len(set(keys)), (name, keys)
 
 
 def read_outputs(directory):

@@ -14,6 +14,7 @@ from mppsoc.simulator import (
     NotPowerOfTwo,
     SimMachine,
     UnknownMnemonic,
+    _OPERAND_PARSERS,
     load_program,
     reduce_sum,
     run,
@@ -59,6 +60,19 @@ def test_load_bad_operands():
         load_program("MASK sometimes\nHALT")
     with pytest.raises(BadOperand):
         load_program("NOCSEND warp,idx,r0\nHALT")
+    with pytest.raises(BadOperand) as err:
+        load_program("LDI r0,1\nMASK mod:0:0\nHALT")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("op", sorted(_OPERAND_PARSERS))
+def test_load_rejects_wrong_operand_count(op):
+    count = len(_OPERAND_PARSERS[op])
+    for wrong in {count + 1, max(count - 1, 0)} - {count}:
+        operands = ",".join(["r0"] * wrong)
+        with pytest.raises(BadOperand) as err:
+            load_program(f"LDI r0,1\n{op} {operands}\nHALT")
+        assert err.value.line == 2
 
 
 def test_load_accepts_comments_and_case():
@@ -225,6 +239,13 @@ def test_cost_model_rejects_bad_keys_and_values():
         CostModel.from_text("warp_speed = 9\n")
     with pytest.raises(BadValue):
         CostModel.from_text("hop_cycles = fast\n")
+    with pytest.raises(BadValue) as err:
+        CostModel.from_text("op_cycles = 2\nhop_cycles = -1\n")
+    assert err.value.line == 2
+    with pytest.raises(BadValue):
+        CostModel.from_text(" = 5\n")
+    with pytest.raises(ValueError):
+        CostModel(hop_cycles=-1)
 
 
 # -- built-in reduction ------------------------------------------------------
