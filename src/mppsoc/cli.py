@@ -121,7 +121,12 @@ def _cmd_simulate(args) -> int:
         _emit(args, outcome.to_text(), outcome.to_kv().rstrip("\n"))
         kv = outcome.to_kv()
     elif args.app.startswith("asm:"):
-        program = load_program(Path(args.app[4:]).read_text(encoding="utf-8"))
+        path = Path(args.app[4:])
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeError as err:
+            raise OSError(f"{path}: cannot read: {err}") from err
+        program = load_program(text)
         machine = SimMachine(config, cost)
         if args.values:
             machine.set_values(_parse_values(args.values, config.n_pes))
@@ -205,7 +210,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SimulationError as err:
-        location = f" (line {err.line})" if getattr(err, "line", None) else ""
+        location = f" (line {err.line})" if err.line else ""
         print(f"error: {err}{location}", file=sys.stderr)
         return 3
     except MppSocError as err:

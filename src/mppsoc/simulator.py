@@ -6,6 +6,11 @@ moves, local loads/stores, adds, single-hop neighbour shifts (MOVD) and
 global-router sends (NOCSEND).  reduce_sum ships the recursive-doubling
 reduction as the built-in application.
 
+The machine state is stored as columns (one list of N words per
+register and per touched memory word), so each instruction is one
+whole-column operation over the array, the way the SIMD hardware
+applies it, rather than a loop over PEs.
+
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  Nothing else advances the clock.
 """
@@ -13,15 +18,20 @@ charge from the CostModel.  Nothing else advances the clock.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, itemgetter
 
 from mppsoc.config import CostModel, MppSoCConfig
 from mppsoc.errors import MppSocError
 from mppsoc.mpnoc import (
     ACU_PORT,
     DEVICE_PORT,
+    ModeMismatch,
     MpNocMode,
     MpNocNetwork,
+    PortOutOfRange,
     build_network,
     transfer,
 )
@@ -35,19 +45,17 @@ def _wrap(value: int) -> int:
     return value & _WORD_MASK
 
 
-def _signed(value: int) -> int:
-    value &= _WORD_MASK
-    return value - (1 << 32) if value >> 31 else value
-
-
 class SimulationError(MppSocError):
-    pass
+    """A program that cannot be loaded or run; ``line`` is the source
+    line of the instruction at fault, when there is one."""
 
-
-class ProgramError(SimulationError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
+
+
+class ProgramError(SimulationError):
+    pass
 
 
 class UnknownMnemonic(ProgramError):
@@ -201,33 +209,44 @@ def load_program(text: str) -> SimProgram:
     return SimProgram(instructions=tuple(instructions))
 
 
-def _evaluate_mask(pred: str, idx: int) -> bool:
-    if pred == "all":
-        return True
-    if pred == "none":
-        return False
-    if pred == "even":
-        return idx % 2 == 0
-    if pred == "odd":
-        return idx % 2 == 1
-    head, _, rest = pred.partition(":")
-    if head == "lt":
-        return idx < int(rest)
-    if head == "ge":
-        return idx >= int(rest)
-    modulus, remainder = rest.split(":")
-    return idx % int(modulus) == int(remainder)
+# MASK predicates that are spelled as another one.
+_PREDICATE_ALIASES = {"all": "ge:0", "none": "lt:0",
+                      "even": "mod:2:0", "odd": "mod:2:1"}
 
 
-def _evaluate_dst(expr: str, idx: int) -> int:
-    if expr.startswith("idx"):
-        return idx + (int(expr[3:]) if len(expr) > 3 else 0)
-    return int(expr)
+def _mask_vector(pred: str, n: int) -> list[bool]:
+    """Activity flag per PE for one MASK predicate.  Every predicate
+    selects one slice of the PE indices: a prefix, a suffix or every
+    m-th PE from r on."""
+    head, _, rest = _PREDICATE_ALIASES.get(pred, pred).partition(":")
+    if head == "mod":
+        modulus, remainder = map(int, rest.split(":"))
+        vector = [False] * n
+        if remainder < modulus:
+            vector[remainder::modulus] = [True] * len(range(remainder, n, modulus))
+        return vector
+    split = min(int(rest), n)
+    return [head == "lt"] * split + [head == "ge"] * (n - split)
+
+
+def _signed_column(column: list[int]) -> list[int]:
+    if max(column) >> 31 == 0:
+        return column
+    return [v - (1 << 32) if v >> 31 else v for v in column]
 
 
 class SimMachine:
-    """Mutable machine state: PE registers, local memories, activity
-    flags, the ACU memory and the configured networks."""
+    """Mutable machine state, stored as one column per register and per
+    memory word, plus the configured networks.
+
+    ``regs[r][pe]`` is register r of PE pe.  ``mem[addr][pe]`` is the
+    word at byte address ``addr`` of PE pe's local memory; a column is
+    created by the first store to its address and absent words read 0,
+    so memory costs nothing until it is used.  ``active[pe]`` is PE pe's
+    activity flag, ``all_active`` says every flag is set and ``mask`` is
+    the predicate that set them.  Mask vectors and MOVD sender tables
+    are built on first use and kept for the machine's life.
+    """
 
     def __init__(self, config: MppSoCConfig, cost: CostModel | None = None):
         self.config = config
@@ -240,41 +259,95 @@ class SimMachine:
         self.mpnoc: MpNocNetwork | None = None
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
+        self._mask_vectors: dict[str, tuple[list[bool], bool]] = {}
+        self._gathers: dict[tuple[str, str], Callable] = {}
         self.reset()
 
     def reset(self):
-        self.pe_regs = [[0] * _REGISTER_COUNT for _ in range(self.n_pes)]
-        self.pe_mem = [bytearray(self.config.pe_mem_bytes)
-                       for _ in range(self.n_pes)]
-        self.pe_active = [True] * self.n_pes
-        self.acu_mem = bytearray(self.config.acu_mem_bytes)
-        self.acu_regs = [0] * _REGISTER_COUNT
+        self.regs = [[0] * self.n_pes for _ in range(_REGISTER_COUNT)]
+        self.mem: dict[int, list[int]] = {}
+        self.set_mask("all")
         self.acu_mailbox: list[int] = []
         self.device_sink: list[int] = []
         self.cycles = 0
 
-    # -- PE memory helpers (word-aligned byte addressing) ----------------
+    def set_mask(self, pred: str):
+        """Make the PEs that satisfy a (loaded) MASK predicate active."""
+        entry = self._mask_vectors.get(pred)
+        if entry is None:
+            vector = _mask_vector(pred, self.n_pes)
+            entry = self._mask_vectors[pred] = (vector, all(vector))
+        self.mask = pred
+        self.active, self.all_active = entry
+
+    def _movd_gather(self, direction: str) -> Callable:
+        """Gather for MOVD in one direction under the current mask.
+
+        Applied to a register column with the boundary value appended
+        (slot ``n_pes``), it returns the column after the move: an
+        active PE reads its active sender's word, or the boundary slot
+        when the sender is missing or inactive; an inactive PE reads its
+        own word.
+        """
+        key = (direction, "all" if self.all_active else self.mask)
+        gather = self._gathers.get(key)
+        if gather is None:
+            n, active = self.n_pes, self.active
+            incoming_from = OPPOSITE[direction]
+            table = []
+            for pe, ports in enumerate(self.topology.adjacency):
+                sender = ports.get(incoming_from, n)
+                if not active[pe]:
+                    sender = pe
+                elif sender < n and not active[sender]:
+                    sender = n
+                table.append(sender)
+            gather = (itemgetter(*table) if n > 1
+                      else lambda column: (column[table[0]],))
+            self._gathers[key] = gather
+        return gather
+
+    def _masked(self, new: list[int], old: list[int]) -> list[int]:
+        """A column holding ``new`` on the active PEs and ``old`` elsewhere."""
+        if self.all_active:
+            return new
+        return [n if a else o for n, o, a in zip(new, old, self.active)]
+
+    # -- PE memory (word-aligned byte addressing) -------------------------
 
     def read_word(self, pe: int, addr: int) -> int:
         self._check_addr(pe, addr)
-        return int.from_bytes(self.pe_mem[pe][addr:addr + 4], "little")
+        column = self.mem.get(addr)
+        return column[pe] if column is not None else 0
 
     def write_word(self, pe: int, addr: int, value: int):
         self._check_addr(pe, addr)
-        self.pe_mem[pe][addr:addr + 4] = _wrap(value).to_bytes(4, "little")
+        column = self.mem.get(addr)
+        if column is None:
+            column = self.mem[addr] = [0] * self.n_pes
+        column[pe] = _wrap(value)
 
     def _check_addr(self, pe: int, addr: int):
         if addr < 0 or addr % 4 != 0 or addr + 4 > self.config.pe_mem_bytes:
             raise MemoryOutOfBounds(pe, addr)
+
+    def _word_access(self, addr: int) -> bool:
+        """Whether the active PEs access the word at ``addr``: False when
+        no PE is active; an illegal address raises for the first active
+        PE."""
+        if True not in self.active:
+            return False
+        self._check_addr(self.active.index(True), addr)
+        return True
 
     def set_values(self, values):
         """Preload r0 and local word 0 of each PE, one value per PE."""
         values = list(values)
         if len(values) != self.n_pes:
             raise ValueError(f"expected {self.n_pes} values, got {len(values)}")
-        for pe, value in enumerate(values):
-            self.pe_regs[pe][0] = _wrap(value)
-            self.write_word(pe, 0, value)
+        self._check_addr(0, 0)
+        self.regs[0] = [_wrap(v) for v in values]
+        self.mem[0] = list(self.regs[0])
 
 
 @dataclass(frozen=True)
@@ -301,118 +374,132 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
+# -- one whole-column body per opcode ------------------------------------
+
+
+def _op_mask(machine: SimMachine, pred: str = "all"):
+    machine.set_mask(pred)
+
+
+def _op_ldi(machine: SimMachine, reg: int, imm: int):
+    column = [_wrap(imm)] * machine.n_pes
+    machine.regs[reg] = machine._masked(column, machine.regs[reg])
+
+
+def _op_ld(machine: SimMachine, reg: int, addr: int):
+    machine.cycles += machine.cost.op_cycles
+    if machine._word_access(addr):
+        column = machine.mem.get(addr)
+        column = list(column) if column is not None else [0] * machine.n_pes
+        machine.regs[reg] = machine._masked(column, machine.regs[reg])
+
+
+def _op_st(machine: SimMachine, reg: int, addr: int):
+    machine.cycles += machine.cost.op_cycles
+    if machine._word_access(addr):
+        old = machine.mem.get(addr) or [0] * machine.n_pes
+        machine.mem[addr] = machine._masked(list(machine.regs[reg]), old)
+
+
+def _op_add(machine: SimMachine, dst: int, a: int, b: int):
+    machine.cycles += machine.cost.op_cycles
+    regs = machine.regs
+    sums = list(map(add, regs[a], regs[b]))
+    if max(sums) > _WORD_MASK:
+        sums = [v & _WORD_MASK for v in sums]
+    regs[dst] = machine._masked(sums, regs[dst])
+
+
+def _op_movd(machine: SimMachine, reg: int, direction: str):
+    graph = machine.topology
+    if graph is None or direction not in graph.directions:
+        kind = graph.kind.value if graph else "a machine with no neighbourhood"
+        raise DirectionUnavailable(direction, kind)
+    machine.cycles += machine.cost.hop_cycles
+    source = machine.regs[reg] + [_wrap(machine.cost.boundary_value)]
+    machine.regs[reg] = list(machine._movd_gather(direction)(source))
+
+
+def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
+    net = machine.mpnoc
+    if net is None:
+        raise NocUnavailable()
+    n = machine.n_pes
+    if mode is MpNocMode.ACU_TO_PE:
+        destinations = repeat(ACU_PORT)
+    elif mode is MpNocMode.DEVICE_TO_PE:
+        destinations = repeat(DEVICE_PORT)
+    elif dst_expr.startswith("idx"):
+        offset = int(dst_expr[3:] or 0)
+        destinations = range(offset, offset + n)
+    else:
+        destinations = repeat(int(dst_expr))
+    column = machine.regs[reg]
+    messages = zip(range(n), destinations, column)
+    if not machine.all_active:
+        messages = compress(messages, machine.active)
+    result = transfer(net, mode, list(messages),
+                      pass_cycles=machine.cost.noc_pass_cycles(net),
+                      config_cycles=machine.cost.noc_config_cycles)
+    machine.cycles += result.latency
+    for dst, payloads in sorted(result.delivered.items()):
+        if dst == ACU_PORT:
+            machine.acu_mailbox.extend(payloads)
+        elif dst == DEVICE_PORT:
+            machine.device_sink.extend(payloads)
+        elif machine.active[dst]:
+            column[dst] = payloads[-1]
+
+
+_EXECUTE = {
+    "MASK": _op_mask,
+    "UNMASK": _op_mask,
+    "LDI": _op_ldi,
+    "LD": _op_ld,
+    "ST": _op_st,
+    "ADD": _op_add,
+    "MOVD": _op_movd,
+    "NOCSEND": _op_nocsend,
+}
+
+
 def run(machine: SimMachine, program: SimProgram,
         snapshot_memory: bool = False) -> SimReport:
     """Execute a program to its HALT in lock-step broadcast semantics.
 
     Every instruction applies simultaneously to all active PEs; inactive
-    PEs keep their state, including dropped router deliveries.
+    PEs keep their state, including dropped router deliveries.  An error
+    raised while an instruction executes is a ``SimulationError`` whose
+    ``line`` is that instruction's source line.  ``snapshot_memory``
+    adds every whole word of each PE's local memory to the report.
     """
     cost = machine.cost
     executed = 0
     for instr in program.instructions:
         machine.cycles += cost.issue_cycles
         executed += 1
-        op = instr.op
-        if op == "HALT":
+        if instr.op == "HALT":
             break
-        if op == "MASK":
-            (pred,) = instr.args
-            machine.pe_active = [_evaluate_mask(pred, idx)
-                                 for idx in range(machine.n_pes)]
-        elif op == "UNMASK":
-            machine.pe_active = [True] * machine.n_pes
-        elif op == "LDI":
-            reg, imm = instr.args
-            for pe in range(machine.n_pes):
-                if machine.pe_active[pe]:
-                    machine.pe_regs[pe][reg] = _wrap(imm)
-        elif op == "LD":
-            reg, addr = instr.args
-            machine.cycles += cost.op_cycles
-            for pe in range(machine.n_pes):
-                if machine.pe_active[pe]:
-                    machine.pe_regs[pe][reg] = machine.read_word(pe, addr)
-        elif op == "ST":
-            reg, addr = instr.args
-            machine.cycles += cost.op_cycles
-            for pe in range(machine.n_pes):
-                if machine.pe_active[pe]:
-                    machine.write_word(pe, addr, machine.pe_regs[pe][reg])
-        elif op == "ADD":
-            dst, a, b = instr.args
-            machine.cycles += cost.op_cycles
-            for pe in range(machine.n_pes):
-                if machine.pe_active[pe]:
-                    machine.pe_regs[pe][dst] = _wrap(
-                        machine.pe_regs[pe][a] + machine.pe_regs[pe][b])
-        elif op == "MOVD":
-            _execute_movd(machine, instr)
-        elif op == "NOCSEND":
-            _execute_nocsend(machine, instr)
-    report = SimReport(
+        try:
+            _EXECUTE[instr.op](machine, *instr.args)
+        except SimulationError as err:
+            err.line = instr.line
+            raise
+        except (PortOutOfRange, ModeMismatch) as err:
+            raise SimulationError(str(err), instr.line) from err
+    memory_words = None
+    if snapshot_memory:
+        zeros = [0] * machine.n_pes
+        columns = [machine.mem.get(addr, zeros)
+                   for addr in range(0, machine.config.pe_mem_bytes - 3, 4)]
+        memory_words = (tuple(zip(*columns)) if columns
+                        else ((),) * machine.n_pes)
+    return SimReport(
         cycles=machine.cycles,
         instructions=executed,
-        registers=tuple(tuple(_signed(v) for v in regs)
-                        for regs in machine.pe_regs),
-        memory_words=tuple(
-            tuple(machine.read_word(pe, a)
-                  for a in range(0, machine.config.pe_mem_bytes, 4))
-            for pe in range(machine.n_pes)) if snapshot_memory else None,
+        registers=tuple(zip(*map(_signed_column, machine.regs))),
+        memory_words=memory_words,
     )
-    return report
-
-
-def _execute_movd(machine: SimMachine, instr: Instruction):
-    reg, direction = instr.args
-    graph = machine.topology
-    if graph is None or direction not in graph.directions:
-        kind = graph.kind.value if graph else "a machine with no neighbourhood"
-        raise DirectionUnavailable(direction, kind)
-    cost = machine.cost
-    machine.cycles += cost.hop_cycles
-    incoming_from = OPPOSITE[direction]
-    updates = {}
-    for pe in range(machine.n_pes):
-        if not machine.pe_active[pe]:
-            continue
-        sender = graph.adjacency[pe].get(incoming_from)
-        if sender is not None and machine.pe_active[sender]:
-            updates[pe] = machine.pe_regs[sender][reg]
-        else:
-            updates[pe] = _wrap(cost.boundary_value)
-    for pe, value in updates.items():
-        machine.pe_regs[pe][reg] = value
-
-
-def _execute_nocsend(machine: SimMachine, instr: Instruction):
-    mode, dst_expr, reg = instr.args
-    net = machine.mpnoc
-    if net is None:
-        raise NocUnavailable()
-    messages = []
-    for pe in range(machine.n_pes):
-        if not machine.pe_active[pe]:
-            continue
-        if mode is MpNocMode.PE_TO_PE:
-            dst = _evaluate_dst(dst_expr, pe)
-        elif mode is MpNocMode.ACU_TO_PE:
-            dst = ACU_PORT
-        else:
-            dst = DEVICE_PORT
-        messages.append((pe, dst, machine.pe_regs[pe][reg]))
-    result = transfer(net, mode, messages,
-                      pass_cycles=machine.cost.noc_pass_cycles(net),
-                      config_cycles=machine.cost.noc_config_cycles)
-    machine.cycles += result.latency
-    for dst, payloads in sorted(result.delivered.items(),
-                                key=lambda item: item[0]):
-        if dst == ACU_PORT:
-            machine.acu_mailbox.extend(payloads)
-        elif dst == DEVICE_PORT:
-            machine.device_sink.extend(payloads)
-        elif machine.pe_active[dst]:
-            machine.pe_regs[dst][reg] = payloads[-1]
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,30 @@ def test_simulate_mask_modulus_zero_is_load_error(cfg, tmp_path, capsys):
     assert single_error_line(capsys).endswith("(line 1)")
 
 
+@pytest.mark.parametrize("source, message", [
+    ("NOCSEND pe,idx+1,r0\nHALT\n", "message 15->16 outside 0..15 (line 1)"),
+    ("LDI r0,1\nMOVD r0,NE\nHALT\n",
+     "direction NE does not exist on mesh2d (line 2)"),
+    ("LDI r0,1\n\nLD r0,1024\nHALT\n",
+     "PE 0: illegal word access at byte address 1024 (line 3)"),
+])
+def test_simulate_runtime_error_names_line(cfg, tmp_path, capsys, source,
+                                           message):
+    program = tmp_path / "prog.asm"
+    program.write_text(source)
+    assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+                 "-o", str(tmp_path / "out")]) == 3
+    assert single_error_line(capsys) == f"error: {message}"
+
+
+def test_simulate_non_utf8_program_is_io_error(cfg, tmp_path, capsys):
+    program = tmp_path / "prog.asm"
+    program.write_bytes(b"LDI r0,\xff\nHALT\n")
+    assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+                 "-o", str(tmp_path / "out")]) == 2
+    assert single_error_line(capsys).startswith(f"error: {program}: cannot read")
+
+
 @pytest.mark.parametrize("spec", ["abc", "0..x", "@values.txt"])
 def test_simulate_malformed_values(cfg, tmp_path, capsys, monkeypatch, spec):
     monkeypatch.chdir(tmp_path)

@@ -1,0 +1,157 @@
+"""Differential test: the column-store ``run`` against the per-PE
+reference interpreter in ``reference_sim``, on random small programs
+over every opcode and predicate, every neighbourhood and every router."""
+
+import dataclasses
+
+import reference_sim as ref
+from hypothesis import given, settings, strategies as st
+
+from mppsoc.config import CostModel, MpNocKind, MppSoCConfig, Neighborhood
+from mppsoc.mpnoc import ModeMismatch, PortOutOfRange
+from mppsoc.simulator import SimMachine, SimulationError, load_program, run
+
+# (rows, cols, neighbourhood, router): every neighbourhood and every
+# router appears, each also without the other network.
+SHAPES = (
+    (1, 1, Neighborhood.LINEAR, MpNocKind.CROSSBAR),
+    (1, 4, Neighborhood.LINEAR, MpNocKind.SHARED_BUS),
+    (1, 5, Neighborhood.RING, None),
+    (1, 4, Neighborhood.RING, MpNocKind.DELTA_OMEGA),
+    (2, 4, Neighborhood.MESH2D, MpNocKind.DELTA_BASELINE),
+    (3, 2, Neighborhood.MESH2D, None),
+    (3, 3, Neighborhood.TORUS2D, MpNocKind.CROSSBAR),
+    (2, 2, Neighborhood.XNET, MpNocKind.DELTA_BUTTERFLY),
+    (2, 3, Neighborhood.XNET, None),
+    (1, 8, None, MpNocKind.DELTA_OMEGA),
+    (3, 1, None, MpNocKind.SHARED_BUS),
+)
+PE_MEM_BYTES = (2, 4, 6, 8, 13, 16)
+DIRECTIONS = ("E", "W", "N", "S", "NE", "NW", "SE", "SW")
+
+regs = st.integers(0, 3).map("r{}".format)
+words = st.integers(-(1 << 33), 1 << 33)
+predicates = st.one_of(
+    st.sampled_from(("all", "none", "even", "odd")),
+    st.builds("{}:{}".format, st.sampled_from(("lt", "ge")), st.integers(0, 10)),
+    st.builds("mod:{}:{}".format, st.integers(1, 5), st.integers(0, 6)),
+)
+costs = st.builds(CostModel, *(st.integers(0, 3) for _ in range(6)),
+                  boundary_value=words)
+
+
+def programs(machine):
+    """Programs for one machine.  Most instructions are legal on it, so
+    runs get long; one branch draws the illegal kinds (bad address,
+    missing direction, missing router, port out of range), and the
+    router branch also sends to ``idx+k`` under a mask that keeps the
+    senders in range while the receivers past it are inactive."""
+    config, n = machine.config, machine.n_pes
+    addresses = st.sampled_from(range(0, config.pe_mem_bytes - 3, 4) or [0])
+    legal = [
+        st.builds("LDI {}, {}".format, regs, words),
+        st.builds("LD {}, {}".format, regs, addresses),
+        st.builds("ST {}, {}".format, regs, addresses),
+        st.builds("ADD {}, {}, {}".format, regs, regs, regs),
+        st.builds("MASK {}".format, predicates),
+        st.just("UNMASK"),
+        st.just("HALT"),
+    ]
+    # MOVD and NOCSEND get two branches each: twice the weight of the others.
+    if machine.topology:
+        legal += 2 * [st.builds("MOVD {}, {}".format, regs, st.sampled_from(
+            sorted(machine.topology.directions)))]
+    if machine.mpnoc:
+        destinations = st.one_of(st.just("idx"),
+                                 st.integers(0, n - 1).map(str))
+        legal += [
+            st.builds("NOCSEND {}, {}, {}".format,
+                      st.sampled_from(("pe", "acu", "dev")), destinations, regs),
+            st.integers(1, 3).flatmap(lambda k: st.builds(
+                "MASK lt:{}\nNOCSEND pe, idx+{}, {}".format,
+                st.integers(0, max(n - k, 0)), st.just(k), regs)),
+        ]
+    illegal = st.one_of(
+        st.builds("{} {}, {}".format, st.sampled_from(("LD", "ST")), regs,
+                  st.sampled_from((-4, 2, config.pe_mem_bytes, 1 << 20))),
+        st.builds("MOVD {}, {}".format, regs, st.sampled_from(DIRECTIONS)),
+        st.builds("NOCSEND {}, {}, {}".format,
+                  st.sampled_from(("pe", "acu", "dev")),
+                  st.sampled_from(("-3", "-2", "-1", str(n), "idx-1", "idx+1")),
+                  regs),
+    )
+    return st.lists(st.one_of(*legal, illegal), min_size=2, max_size=12).map(
+        lambda lines: load_program("\n".join(lines + ["HALT"])))
+
+
+def memory_words(machine, config):
+    return tuple(tuple(machine.read_word(pe, addr)
+                       for addr in range(0, config.pe_mem_bytes - 3, 4))
+                 for pe in range(config.n_pes))
+
+
+def state(machine, config, registers):
+    return (machine.cycles, registers, memory_words(machine, config),
+            machine.acu_mailbox, machine.device_sink)
+
+
+def error_of(err):
+    """Type and message; router errors surface from ``run`` as a
+    ``SimulationError`` with the same message."""
+    if isinstance(err, (PortOutOfRange, ModeMismatch)):
+        return SimulationError, str(err)
+    return type(err), str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SHAPES), pe_mem_bytes=st.sampled_from(PE_MEM_BYTES),
+       cost=costs, data=st.data())
+def test_run_matches_per_pe_reference(shape, pe_mem_bytes, cost, data):
+    rows, cols, neighborhood, router = shape
+    config = MppSoCConfig(rows=rows, cols=cols, acu_mem_bytes=64,
+                          pe_mem_bytes=pe_mem_bytes,
+                          neighborhood=neighborhood, mpnoc=router)
+    machine, oracle = SimMachine(config, cost), ref.SimMachine(config, cost)
+    n = config.n_pes
+    for reg in range(1, 4):
+        column = data.draw(st.lists(words.map(lambda v: v & 0xFFFFFFFF),
+                                    min_size=n, max_size=n))
+        machine.regs[reg] = column
+        for pe, value in enumerate(column):
+            oracle.pe_regs[pe][reg] = value
+    values = data.draw(st.none() | st.lists(words, min_size=n, max_size=n))
+    if values is not None:
+        try:
+            oracle.set_values(values)
+        except Exception as err:  # noqa: BLE001 - compared below
+            expected = error_of(err)
+            try:
+                machine.set_values(values)
+            except Exception as got:  # noqa: BLE001
+                assert error_of(got) == expected
+                return
+            raise AssertionError(f"set_values did not raise {expected}")
+        machine.set_values(values)
+
+    # Programs in a row on one machine: the mask and all state carry
+    # over, also past a program that stopped on an error.
+    for program in data.draw(st.lists(programs(machine), min_size=2, max_size=4)):
+        try:
+            want = ref.run(oracle, program)
+        except Exception as err:  # noqa: BLE001 - compared below
+            expected = error_of(err)
+            try:
+                run(machine, program, snapshot_memory=True)
+            except SimulationError as got:
+                assert error_of(got) == expected
+                assert got.line is not None
+            else:
+                raise AssertionError(f"run did not raise {expected}")
+            assert (state(machine, config, tuple(zip(*machine.regs))) ==
+                    state(oracle, config, tuple(map(tuple, oracle.pe_regs))))
+            continue
+        got = run(machine, program, snapshot_memory=True)
+        assert dataclasses.replace(got, memory_words=None) == want
+        assert got.memory_words == memory_words(oracle, config)
+        assert (state(machine, config, got.registers) ==
+                state(oracle, config, want.registers))

@@ -111,12 +111,15 @@ def test_mask_predicates():
     machine.reset()
     report = run(machine, load_program("MASK lt:3\nLDI r1,5\nHALT"))
     assert [regs[1] for regs in report.registers] == [5, 5, 5, 0, 0, 0, 0, 0]
+    machine.reset()
+    report = run(machine, load_program("MASK mod:3:5\nLDI r2,5\nHALT"))
+    assert [regs[2] for regs in report.registers] == [0] * 8
 
 
 def test_movd_east_on_ring_shifts_from_west_neighbor():
     machine = machine_for(1, 4, neighborhood=Neighborhood.RING)
     for pe in range(4):
-        machine.pe_regs[pe][0] = pe
+        machine.regs[0][pe] = pe
     report = run(machine, load_program("MOVD r0,E\nHALT"))
     # Every PE sends east and receives from its west neighbour.
     assert [regs[0] for regs in report.registers] == [3, 0, 1, 2]
@@ -126,7 +129,7 @@ def test_movd_boundary_value_on_linear_edge():
     cost = CostModel(boundary_value=-1)
     machine = machine_for(1, 3, neighborhood=Neighborhood.LINEAR, cost=cost)
     for pe in range(3):
-        machine.pe_regs[pe][0] = pe + 10
+        machine.regs[0][pe] = pe + 10
     report = run(machine, load_program("MOVD r0,E\nHALT"))
     assert [regs[0] for regs in report.registers] == [-1, 10, 11]
 
@@ -134,7 +137,7 @@ def test_movd_boundary_value_on_linear_edge():
 def test_movd_skips_inactive_senders_and_receivers():
     machine = machine_for(1, 4, neighborhood=Neighborhood.RING)
     for pe in range(4):
-        machine.pe_regs[pe][0] = pe
+        machine.regs[0][pe] = pe
     report = run(machine, load_program("MASK even\nMOVD r0,E\nHALT"))
     # Odd PEs keep their state; even PEs receive the boundary value because
     # their (inactive) west neighbours sent nothing.
@@ -143,12 +146,12 @@ def test_movd_skips_inactive_senders_and_receivers():
 
 def test_whole_run_inactive_pe_keeps_initial_state():
     machine = machine_for(1, 4, neighborhood=Neighborhood.RING)
-    machine.pe_regs[3][2] = 77
+    machine.regs[2][3] = 77
     machine.write_word(3, 8, 123)
     program = load_program(
         "MASK lt:3\nLDI r2,5\nST r2,8\nMOVD r2,E\nUNMASK\nHALT")
     run(machine, program)
-    assert machine.pe_regs[3][2] == 77
+    assert machine.regs[2][3] == 77
     assert machine.read_word(3, 8) == 123
 
 
@@ -175,6 +178,19 @@ def test_memory_bounds_checked():
         run(machine, load_program("LD r0,2\nHALT"))  # misaligned
 
 
+def test_pe_memory_is_allocated_on_first_store():
+    top = (1 << 40) - 4
+    machine = machine_for(1, 4, neighborhood=Neighborhood.LINEAR,
+                          pe_mem_bytes=1 << 40)
+    report = run(machine, load_program(
+        f"LDI r1,-7\nST r1,{top}\nLD r2,{top}\nHALT"))
+    assert [regs[2] for regs in report.registers] == [-7] * 4
+    assert list(machine.mem) == [top]  # one column of N words, nothing else
+    with pytest.raises(MemoryOutOfBounds) as err:
+        run(machine, load_program(f"MASK ge:2\nLD r0,{top + 4}\nHALT"))
+    assert str(err.value) == f"PE 2: illegal word access at byte address {top + 4}"
+
+
 def test_nocsend_requires_router():
     machine = machine_for(1, 4, neighborhood=Neighborhood.LINEAR)
     with pytest.raises(NocUnavailable):
@@ -184,7 +200,7 @@ def test_nocsend_requires_router():
 def test_nocsend_pe_mode_moves_registers():
     machine = machine_for(1, 4, mpnoc=MpNocKind.CROSSBAR)
     for pe in range(4):
-        machine.pe_regs[pe][0] = pe * 100
+        machine.regs[0][pe] = pe * 100
     program = load_program("MASK ge:1\nNOCSEND pe,idx-1,r0\nUNMASK\nHALT")
     report = run(machine, program)
     # PE0 is inactive, so the delivery aimed at it is dropped.
@@ -194,7 +210,7 @@ def test_nocsend_pe_mode_moves_registers():
 def test_nocsend_acu_mode_fills_mailbox():
     machine = machine_for(1, 4, mpnoc=MpNocKind.CROSSBAR)
     for pe in range(4):
-        machine.pe_regs[pe][1] = pe + 1
+        machine.regs[1][pe] = pe + 1
     run(machine, load_program("NOCSEND acu,0,r1\nHALT"))
     assert sorted(machine.acu_mailbox) == [1, 2, 3, 4]
 
@@ -214,13 +230,17 @@ def test_cycle_additivity_matches_hand_sum():
 
 
 def test_set_values_and_snapshot():
-    machine = machine_for(1, 4, neighborhood=Neighborhood.RING, pe_mem_bytes=8)
-    machine.set_values([5, 6, 7, 8])
-    report = run(machine, load_program("HALT"), snapshot_memory=True)
-    assert [regs[0] for regs in report.registers] == [5, 6, 7, 8]
-    assert report.memory_words[2][0] == 7
-    with pytest.raises(ValueError):
-        machine.set_values([1, 2])
+    # 6 bytes: the snapshot covers whole words only, not the partial one.
+    for pe_mem_bytes in (8, 6):
+        machine = machine_for(1, 4, neighborhood=Neighborhood.RING,
+                              pe_mem_bytes=pe_mem_bytes)
+        machine.set_values([5, 6, 7, 8])
+        report = run(machine, load_program("HALT"), snapshot_memory=True)
+        assert [regs[0] for regs in report.registers] == [5, 6, 7, 8]
+        assert report.memory_words[2][0] == 7
+        assert [len(words) for words in report.memory_words] == [pe_mem_bytes // 4] * 4
+        with pytest.raises(ValueError):
+            machine.set_values([1, 2])
 
 
 # -- cost model --------------------------------------------------------------
