@@ -16,9 +16,27 @@ Stage wirings (link index transforms between stages):
   baseline   recursive halving: after stage k, rotate-right of the low
              n-k bits (the top k bits select the sub-block)
 
+A built delta network holds its wiring as data, computed once per
+network from the transforms above: ``input_links[port]`` is the stage-0
+input link an injection port feeds, and ``next_links[k][out]`` the
+link that stage k's output link ``out`` feeds (the output port after
+the last stage).  Each table is a list over the N links.  A message
+entering stage k on link ``l`` with destination bit b leaves on link
+``(l & ~1) | b``, so a whole message set is routed as columns: one list
+per stage of every message's output link, each computed from the
+previous one by one table lookup per message.  ``path`` walks the same
+tables for one message.
+
 Permutation routing is greedy and multi-pass: each pass routes the
 maximal lowest-source-first subset whose switch output ports do not
-collide; blocked messages retry in the next pass.
+collide; blocked messages retry in the next pass.  The scheduler sees a
+message as a tuple of integer resource ids, ``stage * N + out_link``
+for each stage; the shared bus has the single resource 0 and the
+crossbar the destination port.  When no resource column holds a value
+twice, no two messages ever claim one resource, so the greedy routes
+everything in its first pass with no contention; the scheduler returns
+that result directly, and it is exactly what the full greedy would
+compute.
 """
 
 from __future__ import annotations
@@ -40,6 +58,10 @@ class MpNocMode(enum.Enum):
     DEVICE_TO_PE = "dev"
 
 
+_SPECIAL_PORT = {MpNocMode.ACU_TO_PE: ACU_PORT,
+                 MpNocMode.DEVICE_TO_PE: DEVICE_PORT}
+
+
 class PortCountNotPowerOfTwo(MppSocError):
     def __init__(self, kind: MpNocKind, ports: int):
         super().__init__(
@@ -53,7 +75,8 @@ class NotAPermutation(MppSocError):
 
 
 class PortOutOfRange(MppSocError):
-    pass
+    def __init__(self, src: int, dst: int, ports: int):
+        super().__init__(f"message {src}->{dst} outside 0..{ports - 1}")
 
 
 class ModeMismatch(MppSocError):
@@ -80,6 +103,36 @@ class TransferResult:
     latency: int
 
 
+def _wiring(kind: MpNocKind, n: int) -> tuple[list, list]:
+    """Input-link table and per-stage next-link tables of the 2^n-port
+    delta network ``kind`` (see the module docstring)."""
+    ports = 1 << n
+    links = range(ports)
+    outputs = list(links)
+    if kind is MpNocKind.DELTA_OMEGA:
+        # Perfect shuffle (rotate left) in front of every stage.
+        shuffle = [x << 1 & ports - 1 | x >> n - 1 for x in links]
+        return shuffle, [shuffle] * (n - 1) + [outputs]
+    if kind is MpNocKind.DELTA_BUTTERFLY:
+        # Swap bit k with bit 0 in front of stage k >= 1; after the last
+        # stage, reverse bits n-1..1 and keep bit 0.
+        tables = [[x ^ (1 << k | 1) if (x >> k ^ x) & 1 else x for x in links]
+                  for k in range(1, n)]
+        reversed_upper = [0] * (ports >> 1)
+        for upper in range(1, ports >> 1):
+            reversed_upper[upper] = (reversed_upper[upper >> 1] >> 1
+                                     | (upper & 1) << n - 2)
+        tables.append([reversed_upper[x >> 1] << 1 | x & 1 for x in links])
+        return outputs, tables
+    # Baseline: after stage k, rotate right the low n-k bits.
+    tables = []
+    for k in range(n - 1):
+        low = (1 << n - k) - 1
+        tables.append([x & ~low | (x & low) >> 1 | (x & 1) << n - k - 1
+                       for x in links])
+    return outputs, tables + [outputs]
+
+
 class MpNocNetwork:
     """Immutable description of one built router network."""
 
@@ -89,75 +142,40 @@ class MpNocNetwork:
         self.is_delta = kind in DELTA_KINDS
         self.stage_count = ports.bit_length() - 1 if self.is_delta else 0
         self.switches_per_stage = ports // 2 if self.is_delta else 0
-        self._path_cache: dict = {}
+        self.input_links, self.next_links = (
+            _wiring(kind, self.stage_count) if self.is_delta else ([], []))
 
-    # -- link index transforms ------------------------------------------
+    # -- routing over the link tables -----------------------------------
 
-    def _rotl(self, x: int) -> int:
-        n = self.stage_count
-        return ((x << 1) & (self.ports - 1)) | (x >> (n - 1))
-
-    def _rotr_low(self, x: int, m: int) -> int:
-        low_mask = (1 << m) - 1
-        low = x & low_mask
-        return (x & ~low_mask) | (low >> 1) | ((low & 1) << (m - 1))
-
-    def _swap_bit_with_lsb(self, x: int, k: int) -> int:
-        if k == 0:
-            return x
-        if ((x >> k) & 1) != (x & 1):
-            x ^= (1 << k) | 1
-        return x
-
-    def _reverse_upper_bits(self, x: int) -> int:
-        # Reverse bits n-1..1, keep bit 0.
-        n = self.stage_count
-        out = x & 1
-        for j in range(1, n):
-            out |= ((x >> (n - j)) & 1) << j
-        return out
-
-    def input_link(self, port: int) -> int:
-        """Stage-0 input link fed by an injection port."""
-        if self.kind is MpNocKind.DELTA_OMEGA:
-            return self._rotl(port)
-        return port
-
-    def next_link(self, stage: int, out_link: int) -> int:
-        """Map a stage output link to the next stage's input link (or to
-        the final output port after the last stage)."""
-        n = self.stage_count
-        last = stage == n - 1
-        if self.kind is MpNocKind.DELTA_OMEGA:
-            return out_link if last else self._rotl(out_link)
-        if self.kind is MpNocKind.DELTA_BUTTERFLY:
-            if last:
-                return self._reverse_upper_bits(out_link)
-            return self._swap_bit_with_lsb(out_link, stage + 1)
-        # baseline
-        return out_link if last else self._rotr_low(out_link, n - stage)
+    def stage_columns(self, srcs, dsts) -> list[list[int]]:
+        """Output link of every delta stage for each (src, dst) message:
+        one column per stage, aligned with the message sequences."""
+        shift = self.stage_count - 1
+        outs = [link & -2 | dst >> shift & 1
+                for link, dst in zip(map(self.input_links.__getitem__, srcs),
+                                     dsts)]
+        columns = [outs]
+        for table in self.next_links[:-1]:
+            shift -= 1
+            outs = [table[out] & -2 | dst >> shift & 1
+                    for out, dst in zip(outs, dsts)]
+            columns.append(outs)
+        return columns
 
     def path(self, src: int, dst: int) -> tuple:
         """Switch resources ((stage, switch, out_port), ...) used by a
         delta message from src to dst."""
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
         n = self.stage_count
-        link = self.input_link(src)
+        link = self.input_links[src]
         resources = []
-        for stage in range(n):
-            switch = link >> 1
-            out_port = (dst >> (n - 1 - stage)) & 1
-            resources.append((stage, switch, out_port))
-            link = self.next_link(stage, (switch << 1) | out_port)
+        for stage, table in enumerate(self.next_links):
+            out = link & -2 | dst >> (n - 1 - stage) & 1
+            resources.append((stage, out >> 1, out & 1))
+            link = table[out]
         if link != dst:
             raise AssertionError(
                 f"{self.kind.value} wiring failed to deliver {src}->{dst}")
-        result = tuple(resources)
-        self._path_cache[key] = result
-        return result
+        return tuple(resources)
 
 
 def build_network(kind: MpNocKind, ports: int) -> MpNocNetwork:
@@ -169,31 +187,42 @@ def build_network(kind: MpNocKind, ports: int) -> MpNocNetwork:
     return MpNocNetwork(kind, ports)
 
 
-def _greedy_passes(records: list, resources_of) -> tuple[list, int]:
+def _greedy_passes(keys, columns: list, width: int) -> tuple[list, int]:
     """Greedy lowest-source-first multi-pass scheduling.
 
-    ``records`` are (src_port, dst_port, share_key, message) tuples.  Two
-    records may claim the same resource only when they carry the same
-    share key (multicast fan-out of one source word); every other
+    Records are numbered 0..m-1 in priority order.  ``keys[i]`` is
+    record i's share key and ``columns[k][i]`` its resource in column k,
+    an int below ``width``; as an id it becomes ``k * width + value``.
+    Two records may claim the same resource only when they carry the
+    same share key (multicast fan-out of one source word); every other
     collision defers the later record to the next pass and counts one
-    contention.
+    contention.  Returns the passes as lists of record numbers and the
+    contention count.
     """
-    pending = sorted(records, key=lambda r: (r[0], r[1]))
+    m = len(keys)
+    if not m:
+        return [], 0
+    if all(len(set(column)) == m for column in columns):
+        return [list(range(m))], 0
+    rows = list(zip(*([k * width + value for value in column]
+                      for k, column in enumerate(columns))))
+    pending = range(m)
     passes = []
     conflicts = 0
     while pending:
         claimed: dict = {}
         routed = []
         deferred = []
-        for rec in pending:
-            res = resources_of(rec)
-            if any(claimed.get(r, rec[2]) != rec[2] for r in res):
+        for i in pending:
+            res = rows[i]
+            key = keys[i]
+            if not (claimed.keys().isdisjoint(res)
+                    or all(claimed.get(r, key) == key for r in res)):
                 conflicts += 1
-                deferred.append(rec)
+                deferred.append(i)
                 continue
-            for r in res:
-                claimed[r] = rec[2]
-            routed.append(rec)
+            claimed.update(dict.fromkeys(res, key))
+            routed.append(i)
         passes.append(routed)
         pending = deferred
     return passes, conflicts
@@ -211,7 +240,7 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
     if sorted(perm) != list(range(net.ports)):
         raise NotAPermutation(
             f"expected a permutation of 0..{net.ports - 1}, got {perm!r}")
-    pairs = [(src, dst) for src, dst in enumerate(perm)]
+    pairs = list(enumerate(perm))
 
     if net.kind is MpNocKind.CROSSBAR:
         return RoutingResult(passes=1, per_pass=(tuple(pairs),), conflicts=0)
@@ -220,34 +249,40 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
         return RoutingResult(passes=len(pairs), per_pass=per_pass,
                              conflicts=len(pairs) - 1)
 
-    records = [(src, dst, src, (src, dst)) for src, dst in pairs]
+    sources = range(net.ports)
     passes, conflicts = _greedy_passes(
-        records, lambda rec: net.path(rec[0], rec[1]))
-    per_pass = tuple(tuple(rec[3] for rec in p) for p in passes)
+        sources, net.stage_columns(sources, perm), net.ports)
+    per_pass = tuple(tuple(pairs[i] for i in p) for p in passes)
     return RoutingResult(passes=len(passes), per_pass=per_pass,
                          conflicts=conflicts)
 
 
-def _check_endpoint(net: MpNocNetwork, mode: MpNocMode, src: int, dst: int):
-    special = {MpNocMode.ACU_TO_PE: ACU_PORT, MpNocMode.DEVICE_TO_PE: DEVICE_PORT}
-
-    def is_pe(p: int) -> bool:
-        return 0 <= p < net.ports
-
-    if mode is MpNocMode.PE_TO_PE:
-        if src in (ACU_PORT, DEVICE_PORT) or dst in (ACU_PORT, DEVICE_PORT):
-            raise ModeMismatch(f"pe mode cannot carry {src}->{dst}")
-        if not (is_pe(src) and is_pe(dst)):
-            raise PortOutOfRange(f"message {src}->{dst} outside 0..{net.ports - 1}")
+def _check_endpoints(net: MpNocNetwork, mode: MpNocMode, srcs, dsts):
+    """Raise for the first message whose endpoints ``mode`` cannot carry.
+    A range test over the endpoint columns passes a well-formed set
+    without looking at each message."""
+    top = net.ports - 1
+    port = _SPECIAL_PORT.get(mode)
+    if port is None:
+        if min(srcs) >= 0 and min(dsts) >= 0 and max(srcs) <= top \
+                and max(dsts) <= top:
+            return
+    elif any(min(ends) == max(ends) == port and min(pes) >= 0
+             and max(pes) <= top for ends, pes in ((srcs, dsts), (dsts, srcs))):
         return
-    port = special[mode]
-    if (src == port and is_pe(dst)) or (dst == port and is_pe(src)):
-        return
-    if src == port or dst == port:
-        raise PortOutOfRange(f"message {src}->{dst} outside 0..{net.ports - 1}")
-    raise ModeMismatch(
-        f"{mode.value} mode needs the distinguished port as one endpoint, "
-        f"got {src}->{dst}")
+    for src, dst in zip(srcs, dsts):
+        src_is_pe, dst_is_pe = 0 <= src <= top, 0 <= dst <= top
+        if port is None:
+            if src in (ACU_PORT, DEVICE_PORT) or dst in (ACU_PORT, DEVICE_PORT):
+                raise ModeMismatch(f"pe mode cannot carry {src}->{dst}")
+            if not (src_is_pe and dst_is_pe):
+                raise PortOutOfRange(src, dst, net.ports)
+        elif not ((src == port and dst_is_pe) or (dst == port and src_is_pe)):
+            if port in (src, dst):
+                raise PortOutOfRange(src, dst, net.ports)
+            raise ModeMismatch(
+                f"{mode.value} mode needs the distinguished port as one "
+                f"endpoint, got {src}->{dst}")
 
 
 def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
@@ -263,36 +298,44 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
     everything else serializes per the network's contention rules.
     """
     msgs = list(messages)
-    for src, dst, _payload in msgs:
-        _check_endpoint(net, mode, src, dst)
     if pass_cycles is None:
         pass_cycles = CostModel().noc_pass_cycles(net)
     if config_cycles is None:
         config_cycles = CostModel().noc_config_cycles
-
-    def port_of(endpoint: int) -> int:
-        return 0 if endpoint in (ACU_PORT, DEVICE_PORT) else endpoint
-
-    records = [(port_of(src), port_of(dst), (src, payload), (src, dst, payload))
-               for src, dst, payload in msgs]
-
-    if not records:
+    if not msgs:
         return TransferResult(delivered={}, passes=0, latency=config_cycles)
+
+    srcs, dsts, payloads = zip(*msgs)
+    _check_endpoints(net, mode, srcs, dsts)
+    src_ports, dst_ports = srcs, dsts
+    if mode is not MpNocMode.PE_TO_PE:
+        # Checked above: every negative endpoint is the sentinel port.
+        src_ports = [src if src >= 0 else 0 for src in srcs]
+        dst_ports = [dst if dst >= 0 else 0 for dst in dsts]
+    ports = net.ports
+    # Lowest source port first, then lowest destination port; the sort
+    # is stable, so equal pairs keep their order.
+    priority = [src * ports + dst for src, dst in zip(src_ports, dst_ports)]
+    if priority != sorted(priority):
+        order = sorted(range(len(msgs)), key=priority.__getitem__)
+        srcs, dsts, payloads, src_ports, dst_ports = (
+            [column[i] for i in order]
+            for column in (srcs, dsts, payloads, src_ports, dst_ports))
 
     if net.kind is MpNocKind.SHARED_BUS:
         # One bus grant per distinct (source, word); a grant broadcasts.
-        resources_of = lambda rec: (("bus",),)  # noqa: E731
+        columns = [[0] * len(msgs)]
     elif net.kind is MpNocKind.CROSSBAR:
         # Non-blocking fabric: only output ports contend.
-        resources_of = lambda rec: (("out", rec[1]),)  # noqa: E731
+        columns = [dst_ports]
     else:
-        resources_of = lambda rec: net.path(rec[0], rec[1])  # noqa: E731
+        columns = net.stage_columns(src_ports, dst_ports)
 
-    passes, _conflicts = _greedy_passes(records, resources_of)
+    passes, _conflicts = _greedy_passes(list(zip(srcs, payloads)), columns,
+                                        ports)
     delivered: dict = {}
     for routed in passes:
-        for rec in routed:
-            src, dst, payload = rec[3]
-            delivered.setdefault(dst, []).append(payload)
+        for i in routed:
+            delivered.setdefault(dsts[i], []).append(payloads[i])
     latency = len(passes) * pass_cycles + config_cycles
     return TransferResult(delivered=delivered, passes=len(passes), latency=latency)

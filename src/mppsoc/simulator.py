@@ -433,11 +433,20 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
         offset = int(dst_expr[3:] or 0)
         destinations = range(offset, offset + n)
     else:
-        destinations = repeat(int(dst_expr))
+        destinations = [int(dst_expr)] * n
     column = machine.regs[reg]
-    messages = zip(range(n), destinations, column)
+    senders, words = range(n), column
     if not machine.all_active:
-        messages = compress(messages, machine.active)
+        senders, destinations, words = (
+            list(compress(seq, machine.active))
+            for seq in (senders, destinations, words))
+    if mode is MpNocMode.PE_TO_PE and senders and not (
+            min(destinations) >= 0 and max(destinations) < n):
+        # Checked here because -1 and -2 double as the sentinel ports.
+        first = next(i for i, dst in enumerate(destinations)
+                     if not 0 <= dst < n)
+        raise PortOutOfRange(senders[first], destinations[first], n)
+    messages = zip(senders, destinations, words)
     result = transfer(net, mode, list(messages),
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)

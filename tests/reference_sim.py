@@ -2,9 +2,12 @@
 
 This is the simulator's original execution core: one Python loop over
 the PEs for every instruction, registers stored as one list per PE and
-each PE's local memory as its own bytearray.  It is kept unchanged as
-the oracle that ``tests/test_sim_differential.py`` compares the
-column-store ``mppsoc.simulator.run`` against.  Program loading, the
+each PE's local memory as its own bytearray.  It is kept as the oracle
+that ``tests/test_sim_differential.py`` compares the column-store
+``mppsoc.simulator.run`` against.  Its one change since: a PE-mode
+``NOCSEND`` checks each active PE's destination against 0..N-1 before
+routing, so ``idx-1`` from PE 0 is a port out of range, not a mode
+mismatch with the ACU sentinel port -1.  Program loading, the
 error types, the cost model and ``SimReport`` are shared with the
 package; only the execution semantics are restated here.
 
@@ -23,6 +26,7 @@ from mppsoc.mpnoc import (
     DEVICE_PORT,
     MpNocMode,
     MpNocNetwork,
+    PortOutOfRange,
     build_network,
     transfer,
 )
@@ -220,6 +224,8 @@ def _execute_nocsend(machine: SimMachine, instr: Instruction):
             continue
         if mode is MpNocMode.PE_TO_PE:
             dst = _evaluate_dst(dst_expr, pe)
+            if not 0 <= dst < machine.n_pes:
+                raise PortOutOfRange(pe, dst, machine.n_pes)
         elif mode is MpNocMode.ACU_TO_PE:
             dst = ACU_PORT
         else:

@@ -221,6 +221,9 @@ def test_simulate_mask_modulus_zero_is_load_error(cfg, tmp_path, capsys):
      "direction NE does not exist on mesh2d (line 2)"),
     ("LDI r0,1\n\nLD r0,1024\nHALT\n",
      "PE 0: illegal word access at byte address 1024 (line 3)"),
+    # -1 and -2 are also the ACU and device sentinel ports.
+    ("NOCSEND pe,idx-1,r0\nHALT\n", "message 0->-1 outside 0..15 (line 1)"),
+    ("NOCSEND pe,-2,r0\nHALT\n", "message 0->-2 outside 0..15 (line 1)"),
 ])
 def test_simulate_runtime_error_names_line(cfg, tmp_path, capsys, source,
                                            message):

@@ -49,6 +49,17 @@ def test_paths_match_oracle_everywhere():
             for src in range(ports):
                 for dst in range(ports):
                     assert net.path(src, dst) == oracle_path(kind, ports, src, dst)
+    # Large networks: seeded samples, including the corner ports.
+    rng = random.Random(1024)
+    for kind in DELTAS:
+        for ports in (1024, 4096):
+            net = build_network(kind, ports)
+            corners = [(0, 0), (0, ports - 1), (ports - 1, 0),
+                       (ports - 1, ports - 1)]
+            sampled = [(rng.randrange(ports), rng.randrange(ports))
+                       for _ in range(300)]
+            for src, dst in corners + sampled:
+                assert net.path(src, dst) == oracle_path(kind, ports, src, dst)
 
 
 def test_crossbar_single_pass_for_sampled_permutations():
