@@ -1,7 +1,8 @@
 """Command-line driver: validate -> generate -> simulate -> report.
 
 Exit codes: 0 success, 1 invalid configuration (or config/cost file
-problem), 2 I/O or template trouble, 3 simulation runtime errors.
+problem), 2 I/O or template trouble, 3 simulation runtime errors or a
+neighbourhood that cannot be built on the grid.
 Diagnostics, including timings, go to stderr; everything printed to
 stdout is reproducible across identical runs.
 """
@@ -9,6 +10,7 @@ stdout is reproducible across identical runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from mppsoc.simulator import (
     reduce_sum,
     run,
 )
+from mppsoc.topology import check_dimensions
 
 _GEN_REPORT_NAME = "generation-report.kv"
 _SIM_REPORT_NAME = "simulation-report.kv"
@@ -94,6 +97,9 @@ def _cmd_generate(args) -> int:
               f"{rewritten} lines rewritten (report only, nothing written)")
         return 0
 
+    if config.neighborhood is not None:
+        # R1-R3 pass some shapes the neighbourhood cannot be built on.
+        check_dimensions(config.neighborhood, config.rows, config.cols)
     out_dir = Path(args.out)
     gen_report = generate(config, out_dir, template_dir, search_dir)
     _emit(args, gen_report.to_text(), gen_report.to_kv().rstrip("\n"))
@@ -156,7 +162,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``mppsoc`` parser, built on the first ``main`` call and reused
+    by later ones in the same process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mppsoc",
         description="Validate, generate and simulate parametric SIMD SoC "

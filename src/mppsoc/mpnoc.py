@@ -36,7 +36,9 @@ crossbar the destination port.  When no resource column holds a value
 twice, no two messages ever claim one resource, so the greedy routes
 everything in its first pass with no contention; the scheduler returns
 that result directly, and it is exactly what the full greedy would
-compute.
+compute.  With a single resource column (bus, crossbar) the greedy
+also reduces to one linear scan, described at ``_greedy_passes``; delta
+sets that repeat a resource still run the greedy pass by pass.
 """
 
 from __future__ import annotations
@@ -198,12 +200,29 @@ def _greedy_passes(keys, columns: list, width: int) -> tuple[list, int]:
     collision defers the later record to the next pass and counts one
     contention.  Returns the passes as lists of record numbers and the
     contention count.
+
+    With one column (bus, crossbar) the greedy's answer takes one scan:
+    on each resource the distinct share keys, in first-appearance order,
+    go to passes 0, 1, 2, ..., and a record in pass p was deferred p
+    times.
     """
     m = len(keys)
     if not m:
         return [], 0
     if all(len(set(column)) == m for column in columns):
         return [list(range(m))], 0
+    if len(columns) == 1:
+        passes = []
+        conflicts = 0
+        key_passes: dict = {}
+        for i, (value, key) in enumerate(zip(columns[0], keys)):
+            seen = key_passes.setdefault(value, {})
+            p = seen.setdefault(key, len(seen))
+            if p == len(passes):
+                passes.append([])
+            passes[p].append(i)
+            conflicts += p
+        return passes, conflicts
     rows = list(zip(*([k * width + value for value in column]
                       for k, column in enumerate(columns))))
     pending = range(m)

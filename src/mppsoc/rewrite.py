@@ -7,6 +7,12 @@ line on whitespace, finds lines whose first token is a known anchor
 line's delimiter token (``:=``, ``=>``, or ``STD_LOGIC_VECTOR`` for the
 address port range).  Every byte outside the replaced value is
 preserved, so regenerating over generated output is a no-op.
+
+A file's plan is grouped by anchor once.  Each line's first token then
+selects the only actions that can touch it, and its second token those
+of them that name a constant, so ``rewrite_line`` tokenizes just the
+lines it rewrites.  A rewrite never changes a line's first token, so
+the grouping stays exact while a line's actions run one after another.
 """
 
 from __future__ import annotations
@@ -185,21 +191,38 @@ def rewrite_line(line: str, action: RewriteAction) -> tuple[str, bool]:
 
 def apply_to_file(template: TemplateFile,
                   actions: list[RewriteAction]) -> tuple[TemplateFile, list[int]]:
-    """Run every action over every line, in order.
+    """Apply each action to the lines whose first token is its anchor
+    (and whose second token is its target name, when it has one).
 
-    Returns the rewritten file and the per-action applied counts.
-    Raises AnchorNeverMatched when an action applied zero times (the
-    template and the plan disagree, which is fatal for generation).
+    A line's actions run in plan order, each on the previous one's
+    output; lines no action selects are kept as they are.  Returns the
+    rewritten file and the per-action applied counts.  Raises
+    AnchorNeverMatched when an action applied zero times (the template
+    and the plan disagree, which is fatal for generation).
     """
+    by_anchor: dict[str, list] = {}
+    for position, action in enumerate(actions):
+        target = action.target_name
+        by_anchor.setdefault(action.anchor, []).append(
+            (position, action, None if target is None else target.lower()))
     counts = [0] * len(actions)
     new_lines = []
     for line in template.lines:
-        current = line
-        for position, action in enumerate(actions):
-            current, applied = rewrite_line(current, action)
-            if applied:
-                counts[position] += 1
-        new_lines.append(current)
+        first = _TOKEN_RE.search(line)
+        candidates = by_anchor.get(first.group()) if first else None
+        if candidates:
+            second = _TOKEN_RE.search(line, first.end())
+            for position, action, target in candidates:
+                if target is not None and (
+                        second is None or second.group().lower() != target):
+                    continue
+                line, applied = rewrite_line(line, action)
+                if applied:
+                    counts[position] += 1
+                    # A value spliced right after the anchor (the anchor
+                    # is also the delimiter) replaces the second token.
+                    second = _TOKEN_RE.search(line, first.end())
+        new_lines.append(line)
     for action, count in zip(actions, counts):
         if count == 0:
             raise AnchorNeverMatched(action, template.name)

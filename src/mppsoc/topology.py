@@ -114,8 +114,9 @@ class TopologyGraph:
         return "\n".join(f"{u} {v} {label}" for u, v, label in self.edges()) + "\n"
 
 
-def build_topology(kind: Neighborhood, rows: int, cols: int) -> TopologyGraph:
-    """Construct the PE graph for one topology.
+def check_dimensions(kind: Neighborhood, rows: int, cols: int) -> None:
+    """Raise DimensionMismatch unless ``kind`` can be built on a
+    rows x cols grid, without building it.
 
     Preconditions mirror rules R2/R3: 1D kinds need rows == 1, 2D kinds
     need rows > 1.  Ring additionally needs cols >= 3 and torus2d needs
@@ -132,6 +133,11 @@ def build_topology(kind: Neighborhood, rows: int, cols: int) -> TopologyGraph:
     if kind is Neighborhood.TORUS2D and (rows < 3 or cols < 3):
         raise DimensionMismatch(kind, rows, cols, "torus2d needs rows >= 3 and cols >= 3")
 
+
+def build_topology(kind: Neighborhood, rows: int, cols: int) -> TopologyGraph:
+    """Construct the PE graph for one topology; raises DimensionMismatch
+    where ``check_dimensions`` does."""
+    check_dimensions(kind, rows, cols)
     wrap = kind in _WRAPPING_KINDS
     adjacency = []
     for index in range(rows * cols):

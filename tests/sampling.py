@@ -6,7 +6,7 @@ import re
 from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
 from mppsoc.rewrite import tokenize_line
 from mppsoc.rules import validate
-from mppsoc.topology import DimensionMismatch, build_topology
+from mppsoc.topology import DimensionMismatch, check_dimensions
 
 MEM_CHOICES = (4, 64, 256, 1024, 4096, 65536)
 
@@ -31,7 +31,7 @@ def random_valid_config(rng, with_mem_init=True):
             continue
         if config.neighborhood is not None:
             try:
-                build_topology(config.neighborhood, rows, cols)
+                check_dimensions(config.neighborhood, rows, cols)
             except DimensionMismatch:
                 continue
         return config

@@ -1,8 +1,9 @@
+import shutil
 from pathlib import Path
 
 import pytest
 
-from mppsoc.cli import main
+from mppsoc.cli import _build_parser, main
 from mppsoc.rewrite import TEMPLATE_FILES
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -274,6 +275,64 @@ def test_simulate_unbuildable_topology_is_runtime_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     assert main(["simulate", str(path), "-o", str(tmp_path / "out")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [
+    "rows = 1\ncols = 2\nneighborhood = ring\n",
+    "rows = 2\ncols = 2\nneighborhood = torus2d\n",
+], ids=["ring1x2", "torus2x2"])
+def test_generate_unbuildable_topology_is_runtime_error(tmp_path, capsys,
+                                                        shape):
+    # Both pass R1-R3; generate refuses them as simulate does.
+    path = tmp_path / "unbuildable.cfg"
+    path.write_text(shape + "acu_mem_bytes = 64\npe_mem_bytes = 64\n")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(path), "-o", str(tmp_path / "sim")]) == 3
+    simulate_error = single_error_line(capsys)
+    out = tmp_path / "out"
+    manifest = tmp_path / "files.lst"
+    assert main(["generate", str(path), "-o", str(out),
+                 "--manifest", str(manifest)]) == 3
+    assert single_error_line(capsys) == simulate_error
+    assert not out.exists() and not manifest.exists()
+
+
+def test_parser_carries_no_state_between_calls(cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    manifest = tmp_path / "files.lst"
+    generate = ["generate", str(cfg), "-o", str(out)]
+    calls = [
+        generate + ["--force-report-only"], generate,
+        generate + ["--report", "kv"], generate,
+        generate + ["--manifest", str(manifest)], generate,
+        generate + ["--report", "xml"], ["simulate"], ["simulate"],
+    ]
+
+    def call(argv):
+        shutil.rmtree(out, ignore_errors=True)
+        manifest.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse's usage error
+            code = exit_.code
+        stdout, stderr = capsys.readouterr()
+        written = {path.relative_to(tmp_path): path.read_bytes()
+                   for path in (*out.glob("*"), manifest) if path.is_file()}
+        if code == 2:
+            assert stderr.startswith("usage: mppsoc")
+            return code, stdout, stderr, written
+        # The timing on stderr differs from run to run.
+        return code, stdout, written
+
+    first = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        first.append(call(argv))
+    assert [entry[0] for entry in first] == [0] * 6 + [2] * 3
+    _build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == first
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_shipped_demo_configs_are_usable(tmp_path, capsys):

@@ -4,8 +4,9 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import mppsoc.rewrite as rewrite_module
 from sampling import extract_value, planned_line_indices, random_valid_config
 from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood, parse_config
 from mppsoc.rewrite import (
@@ -15,6 +16,7 @@ from mppsoc.rewrite import (
     GenReport,
     MemoryImageError,
     RewriteAction,
+    RewriteError,
     TemplateFile,
     TemplateMissing,
     apply_to_file,
@@ -298,3 +300,139 @@ def test_random_sample_diff_extract_idempotence(tmp_path):
         again = tmp_path / f"again{index}"
         generate(config, again, template_dir=out, mem_search_dir=tmp_path)
         assert read_outputs(out) == read_outputs(again)
+
+
+# -- differential: anchor dispatch against every action over every line ------
+
+
+def apply_to_file_reference(template, actions):
+    """Test oracle: the rewriter without anchor dispatch, running every
+    action over every line, in order."""
+    counts = [0] * len(actions)
+    new_lines = []
+    for line in template.lines:
+        current = line
+        for position, action in enumerate(actions):
+            current, applied = rewrite_line(current, action)
+            if applied:
+                counts[position] += 1
+        new_lines.append(current)
+    for action, count in zip(actions, counts):
+        if count == 0:
+            raise AnchorNeverMatched(action, template.name)
+    return TemplateFile(name=template.name, lines=tuple(new_lines)), counts
+
+
+BUNDLED_LINES = {
+    name: TemplateFile.from_text(
+        name, (bundled_template_dir() / name).read_text()).lines
+    for name in TEMPLATE_FILES}
+ANCHORS = ("constant", "init_file", "numwords_a", "widthad_a", "address")
+CONSTANT_NAMES = ("sl_nb_rows", "SL_NB_ROWS", "Sl_Nb_Column", "ms_add_width",
+                  "SL_ADD_WIDTH", "TOPOLOGY", "sl_nb_rows2", "width")
+
+odd_lines = st.one_of(
+    # An anchor alone, with no delimiter, or with nothing after it.
+    st.sampled_from(ANCHORS),
+    st.builds("{} {}".format, st.sampled_from(ANCHORS), st.sampled_from(
+        ("sl_nb_rows : integer = 4;", "topology : net_topology :=",
+         "=> 3", "=>", "STD_LOGIC_VECTOR", ": in STD_LOGIC_VECTOR",
+         ":= ;", "", "sl_nb_rows := 1 := 2;"))),
+    # An anchor as the second token.
+    st.builds("signal {} {} 7;".format, st.sampled_from(ANCHORS),
+              st.sampled_from((":=", "=>", "STD_LOGIC_VECTOR"))),
+    # Constants with other names or other letter case.
+    st.builds("{} {} : integer := {};".format,
+              st.sampled_from(("constant", "CONSTANT", "Constant")),
+              st.sampled_from(CONSTANT_NAMES), st.integers(0, 99)),
+    st.sampled_from(("", " ", "\t", "\f constant sl_nb_rows := 1;")),
+)
+
+# Actions no plan holds, and lines for them.  Each action's anchor is
+# also its delimiter, so the value it splices in replaces the constant
+# name the next action reads: on ``:= old := 1;`` they run in turn,
+# through ``sl_nb_rows`` and ``new`` to a value with a space in it.
+ODD_LINES = (":= old := 1;", ":= sl_nb_rows => 2, := 3", ":= OLD")
+ODD_ACTIONS = (
+    RewriteAction(":=", ":=", "sl_nb_rows", target_name="old"),
+    RewriteAction(":=", ":=", "new", target_name="SL_NB_ROWS"),
+    RewriteAction(":=", ":=", "1 2", target_name="new"),
+    RewriteAction(":=", ":=", "x"),
+)
+
+
+@st.composite
+def template_lines(draw, name):
+    """The bundled template ``name`` shuffled, with other templates'
+    lines and odd lines mixed in, sometimes cut short."""
+    lines = list(draw(st.permutations(BUNDLED_LINES[name])))
+    pool = [line for lines_ in BUNDLED_LINES.values() for line in lines_]
+    extra = draw(st.lists(st.one_of(st.sampled_from(pool), odd_lines),
+                          max_size=12))
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if draw(st.integers(0, 4)) == 0:
+        lines = lines[:draw(st.integers(0, len(lines)))]
+    return lines
+
+
+@st.composite
+def templates_and_plans(draw):
+    """A template and a plan from a random configuration: mostly the
+    plan for that template's file, on some draws with ODD_ACTIONS mixed
+    in; sometimes the whole flat plan or a shuffled part of it."""
+    config = random_valid_config(random.Random(draw(st.integers(0, 2**32))))
+    if draw(st.booleans()):
+        config = dataclasses.replace(config, mem_init="image.hex")
+    by_file = plan_actions_by_file(config)
+    name = draw(st.sampled_from([*by_file, *TEMPLATE_FILES]))
+    actions = by_file.get(name, [])
+    choice = draw(st.integers(0, 7))
+    if choice == 0:
+        actions = plan_actions(config)
+    elif choice == 1:
+        actions = draw(st.permutations(plan_actions(config)))
+        actions = actions[:draw(st.integers(0, len(actions)))]
+    lines = draw(template_lines(name))
+    if choice in (2, 3, 4):
+        # ODD_ACTIONS keep their order, so a rename precedes its reader.
+        actions = list(actions)
+        at = sorted(draw(st.lists(st.integers(0, len(actions)),
+                                  min_size=len(ODD_ACTIONS),
+                                  max_size=len(ODD_ACTIONS))))
+        for offset, (place, action) in enumerate(zip(at, ODD_ACTIONS)):
+            actions.insert(place + offset, action)
+        for line in ODD_LINES * draw(st.integers(1, 2)):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    indents = st.sampled_from(("", "", "  ", "\t", " \t "))
+    newlines = st.sampled_from(("\n", "\n", "\r\n"))
+    text = "".join(draw(indents) + line + draw(newlines) for line in lines)
+    return TemplateFile.from_text(name, text), list(actions)
+
+
+def rewrite_outcome(apply, template, actions):
+    try:
+        return apply(template, actions)
+    except RewriteError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=templates_and_plans())
+def test_apply_to_file_matches_every_action_over_every_line(case):
+    template, actions = case
+    applied = []
+
+    def counted(line, action):
+        result = rewrite_line(line, action)
+        applied.append(result[1])
+        return result
+
+    rewrite_module.rewrite_line = counted
+    try:
+        got = rewrite_outcome(apply_to_file, template, actions)
+    finally:
+        rewrite_module.rewrite_line = rewrite_line
+    assert got == rewrite_outcome(apply_to_file_reference, template, actions)
+    # The dispatch calls rewrite_line only where it rewrites (or raises).
+    assert all(applied)

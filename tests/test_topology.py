@@ -7,6 +7,7 @@ from mppsoc.topology import (
     OPPOSITE,
     DimensionMismatch,
     build_topology,
+    check_dimensions,
     route_distance,
 )
 
@@ -96,8 +97,11 @@ def test_pe_indexing():
     (N.TORUS2D, 2, 4, "dims"),
 ])
 def test_dimension_preconditions(kind, rows, cols, why):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch) as built:
         build_topology(kind, rows, cols)
+    with pytest.raises(DimensionMismatch) as checked:
+        check_dimensions(kind, rows, cols)
+    assert str(checked.value) == str(built.value)
 
 
 def test_route_distance_examples():
