@@ -290,7 +290,15 @@ def _load_template(directory: Path, name: str) -> TemplateFile:
     path = directory / name
     if not path.is_file():
         raise TemplateMissing(name, directory)
-    return TemplateFile.from_text(name, path.read_text(encoding="utf-8"))
+    return TemplateFile.from_text(name, _read_text(path, RewriteError))
+
+
+def _read_text(path: Path, error: type[RewriteError]) -> str:
+    """The UTF-8 text of ``path``; ``error`` when it does not decode."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeError as err:
+        raise error(f"{path}: cannot read: {err}") from err
 
 
 def check_memory_image(path: Path, max_words: int) -> int:
@@ -299,8 +307,9 @@ def check_memory_image(path: Path, max_words: int) -> int:
     word count."""
     if not path.is_file():
         raise MemoryImageError(f"memory image {path} does not exist")
+    text = _read_text(path, MemoryImageError)
     words = 0
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -320,8 +329,9 @@ def generate_in_memory(config: MppSoCConfig,
     """Produce the output file set without touching the filesystem.
 
     Returns (name -> file text, rewritten line count).  Raises
-    TemplateMissing, MemoryImageError or AnchorNeverMatched; nothing is
-    ever partially emitted.
+    TemplateMissing, MemoryImageError or AnchorNeverMatched, or
+    RewriteError for a template that is not UTF-8; nothing is ever
+    partially emitted.
     """
     directory = Path(template_dir) if template_dir else bundled_template_dir()
     plan = plan_actions_by_file(config)

@@ -9,7 +9,10 @@ reduction as the built-in application.
 The machine state is stored as columns (one list of N words per
 register and per touched memory word), so each instruction is one
 whole-column operation over the array, the way the SIMD hardware
-applies it, rather than a loop over PEs.
+applies it, rather than a loop over PEs.  Every MASK predicate selects
+one slice of the PE indices, so the activity mask is a ``range`` and an
+instruction reads and writes only that slice of its columns.  MOVD is
+the topology's grid shift of one column.
 
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  Nothing else advances the clock.
@@ -18,10 +21,9 @@ charge from the CostModel.  Nothing else advances the clock.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add, itemgetter
+from itertools import repeat
+from operator import add
 
 from mppsoc.config import CostModel, MppSoCConfig
 from mppsoc.errors import MppSocError
@@ -214,19 +216,21 @@ _PREDICATE_ALIASES = {"all": "ge:0", "none": "lt:0",
                       "even": "mod:2:0", "odd": "mod:2:1"}
 
 
-def _mask_vector(pred: str, n: int) -> list[bool]:
-    """Activity flag per PE for one MASK predicate.  Every predicate
+def _active_range(pred: str, n: int) -> range:
+    """The PEs that one MASK predicate makes active.  Every predicate
     selects one slice of the PE indices: a prefix, a suffix or every
     m-th PE from r on."""
     head, _, rest = _PREDICATE_ALIASES.get(pred, pred).partition(":")
     if head == "mod":
         modulus, remainder = map(int, rest.split(":"))
-        vector = [False] * n
-        if remainder < modulus:
-            vector[remainder::modulus] = [True] * len(range(remainder, n, modulus))
-        return vector
+        return range(remainder, n, modulus) if remainder < modulus else range(0)
     split = min(int(rest), n)
-    return [head == "lt"] * split + [head == "ge"] * (n - split)
+    return range(split) if head == "lt" else range(split, n)
+
+
+def _lanes(active: range) -> slice:
+    """The slice of a column that ``active`` selects."""
+    return slice(active.start, active.stop, active.step)
 
 
 def _signed_column(column: list[int]) -> list[int]:
@@ -242,10 +246,9 @@ class SimMachine:
     ``regs[r][pe]`` is register r of PE pe.  ``mem[addr][pe]`` is the
     word at byte address ``addr`` of PE pe's local memory; a column is
     created by the first store to its address and absent words read 0,
-    so memory costs nothing until it is used.  ``active[pe]`` is PE pe's
-    activity flag, ``all_active`` says every flag is set and ``mask`` is
-    the predicate that set them.  Mask vectors and MOVD sender tables
-    are built on first use and kept for the machine's life.
+    so memory costs nothing until it is used.  ``active`` is the range
+    of PE indices that the last MASK made active; instructions touch
+    only that slice of a column.
     """
 
     def __init__(self, config: MppSoCConfig, cost: CostModel | None = None):
@@ -259,8 +262,6 @@ class SimMachine:
         self.mpnoc: MpNocNetwork | None = None
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
-        self._mask_vectors: dict[str, tuple[list[bool], bool]] = {}
-        self._gathers: dict[tuple[str, str], Callable] = {}
         self.reset()
 
     def reset(self):
@@ -273,45 +274,7 @@ class SimMachine:
 
     def set_mask(self, pred: str):
         """Make the PEs that satisfy a (loaded) MASK predicate active."""
-        entry = self._mask_vectors.get(pred)
-        if entry is None:
-            vector = _mask_vector(pred, self.n_pes)
-            entry = self._mask_vectors[pred] = (vector, all(vector))
-        self.mask = pred
-        self.active, self.all_active = entry
-
-    def _movd_gather(self, direction: str) -> Callable:
-        """Gather for MOVD in one direction under the current mask.
-
-        Applied to a register column with the boundary value appended
-        (slot ``n_pes``), it returns the column after the move: an
-        active PE reads its active sender's word, or the boundary slot
-        when the sender is missing or inactive; an inactive PE reads its
-        own word.
-        """
-        key = (direction, "all" if self.all_active else self.mask)
-        gather = self._gathers.get(key)
-        if gather is None:
-            n, active = self.n_pes, self.active
-            incoming_from = OPPOSITE[direction]
-            table = []
-            for pe, ports in enumerate(self.topology.adjacency):
-                sender = ports.get(incoming_from, n)
-                if not active[pe]:
-                    sender = pe
-                elif sender < n and not active[sender]:
-                    sender = n
-                table.append(sender)
-            gather = (itemgetter(*table) if n > 1
-                      else lambda column: (column[table[0]],))
-            self._gathers[key] = gather
-        return gather
-
-    def _masked(self, new: list[int], old: list[int]) -> list[int]:
-        """A column holding ``new`` on the active PEs and ``old`` elsewhere."""
-        if self.all_active:
-            return new
-        return [n if a else o for n, o, a in zip(new, old, self.active)]
+        self.active = _active_range(pred, self.n_pes)
 
     # -- PE memory (word-aligned byte addressing) -------------------------
 
@@ -335,9 +298,9 @@ class SimMachine:
         """Whether the active PEs access the word at ``addr``: False when
         no PE is active; an illegal address raises for the first active
         PE."""
-        if True not in self.active:
+        if not self.active:
             return False
-        self._check_addr(self.active.index(True), addr)
+        self._check_addr(self.active[0], addr)
         return True
 
     def set_values(self, values):
@@ -382,71 +345,78 @@ def _op_mask(machine: SimMachine, pred: str = "all"):
 
 
 def _op_ldi(machine: SimMachine, reg: int, imm: int):
-    column = [_wrap(imm)] * machine.n_pes
-    machine.regs[reg] = machine._masked(column, machine.regs[reg])
+    machine.regs[reg][_lanes(machine.active)] = [_wrap(imm)] * len(machine.active)
 
 
 def _op_ld(machine: SimMachine, reg: int, addr: int):
     machine.cycles += machine.cost.op_cycles
     if machine._word_access(addr):
-        column = machine.mem.get(addr)
-        column = list(column) if column is not None else [0] * machine.n_pes
-        machine.regs[reg] = machine._masked(column, machine.regs[reg])
+        lanes, column = _lanes(machine.active), machine.mem.get(addr)
+        machine.regs[reg][lanes] = (column[lanes] if column is not None
+                                    else [0] * len(machine.active))
 
 
 def _op_st(machine: SimMachine, reg: int, addr: int):
     machine.cycles += machine.cost.op_cycles
     if machine._word_access(addr):
-        old = machine.mem.get(addr) or [0] * machine.n_pes
-        machine.mem[addr] = machine._masked(list(machine.regs[reg]), old)
+        column = machine.mem.get(addr)
+        if column is None:
+            column = machine.mem[addr] = [0] * machine.n_pes
+        lanes = _lanes(machine.active)
+        column[lanes] = machine.regs[reg][lanes]
 
 
 def _op_add(machine: SimMachine, dst: int, a: int, b: int):
     machine.cycles += machine.cost.op_cycles
-    regs = machine.regs
-    sums = list(map(add, regs[a], regs[b]))
-    if max(sums) > _WORD_MASK:
+    regs, lanes = machine.regs, _lanes(machine.active)
+    sums = list(map(add, regs[a][lanes], regs[b][lanes]))
+    if max(sums, default=0) > _WORD_MASK:
         sums = [v & _WORD_MASK for v in sums]
-    regs[dst] = machine._masked(sums, regs[dst])
+    regs[dst][lanes] = sums
 
 
 def _op_movd(machine: SimMachine, reg: int, direction: str):
+    """Active PEs take their sender's word, or the boundary value when
+    the sender is missing or inactive; inactive PEs keep their own."""
     graph = machine.topology
     if graph is None or direction not in graph.directions:
         kind = graph.kind.value if graph else "a machine with no neighbourhood"
         raise DirectionUnavailable(direction, kind)
     machine.cycles += machine.cost.hop_cycles
-    source = machine.regs[reg] + [_wrap(machine.cost.boundary_value)]
-    machine.regs[reg] = list(machine._movd_gather(direction)(source))
+    boundary = _wrap(machine.cost.boundary_value)
+    column, n = machine.regs[reg], machine.n_pes
+    if len(machine.active) == n:  # no lane to keep: skip both masked copies
+        machine.regs[reg] = graph.shift(column, direction, boundary)
+        return
+    lanes = _lanes(machine.active)
+    source = [boundary] * n
+    source[lanes] = column[lanes]
+    column[lanes] = graph.shift(source, direction, boundary)[lanes]
 
 
 def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     net = machine.mpnoc
     if net is None:
         raise NocUnavailable()
-    n = machine.n_pes
+    n, senders = machine.n_pes, machine.active
     if mode is MpNocMode.ACU_TO_PE:
         destinations = repeat(ACU_PORT)
     elif mode is MpNocMode.DEVICE_TO_PE:
         destinations = repeat(DEVICE_PORT)
     elif dst_expr.startswith("idx"):
         offset = int(dst_expr[3:] or 0)
-        destinations = range(offset, offset + n)
+        destinations = range(senders.start + offset, senders.stop + offset,
+                             senders.step)
     else:
-        destinations = [int(dst_expr)] * n
+        destinations = [int(dst_expr)] * len(senders)
     column = machine.regs[reg]
-    senders, words = range(n), column
-    if not machine.all_active:
-        senders, destinations, words = (
-            list(compress(seq, machine.active))
-            for seq in (senders, destinations, words))
     if mode is MpNocMode.PE_TO_PE and senders and not (
             min(destinations) >= 0 and max(destinations) < n):
         # Checked here because -1 and -2 double as the sentinel ports.
         first = next(i for i, dst in enumerate(destinations)
                      if not 0 <= dst < n)
         raise PortOutOfRange(senders[first], destinations[first], n)
-    messages = zip(senders, destinations, words)
+    messages = zip(senders, destinations, column[_lanes(senders)])
     result = transfer(net, mode, list(messages),
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
@@ -456,7 +426,7 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
             machine.acu_mailbox.extend(payloads)
         elif dst == DEVICE_PORT:
             machine.device_sink.extend(payloads)
-        elif machine.active[dst]:
+        elif dst in senders:
             column[dst] = payloads[-1]
 
 

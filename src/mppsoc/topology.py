@@ -1,15 +1,20 @@
-"""Neighbourhood network topologies as explicit PE graphs.
+"""Neighbourhood network topologies as index arithmetic on a PE grid.
 
-Builds the five supported topologies (linear, ring, mesh2d, torus2d,
+Covers the five supported topologies (linear, ring, mesh2d, torus2d,
 xnet) over a rows x cols grid with row-major PE numbering, and answers
 neighbour and shortest-path queries.  Direction labels are fixed so
 programs can name ports: E/W along rows, N/S along columns, plus the
 four diagonals for xnet.
+
+A graph stores only its kind and shape.  ``TopologyGraph.shift`` moves
+a whole column of per-PE words one hop (MOVD) by list slicing, and
+``adjacency`` is a lazy view: that shift of the PE indices, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from mppsoc.config import ONE_D_NEIGHBORHOODS, TWO_D_NEIGHBORHOODS, Neighborhood
 from mppsoc.errors import MppSocError
@@ -63,19 +68,17 @@ class PeId:
 
 
 class TopologyGraph:
-    """Immutable adjacency of one built topology.
+    """One buildable topology: its kind and grid shape.
 
     ``adjacency[i]`` maps direction label -> neighbour linear index for
-    PE ``i``.  Graphs are undirected: every edge appears from both ends
-    with opposite labels.
+    PE ``i``; it is derived from ``shift`` on first access.  Graphs are
+    undirected: every edge appears from both ends with opposite labels.
     """
 
-    def __init__(self, kind: Neighborhood, rows: int, cols: int,
-                 adjacency: tuple[dict, ...]):
+    def __init__(self, kind: Neighborhood, rows: int, cols: int):
         self.kind = kind
         self.rows = rows
         self.cols = cols
-        self.adjacency = adjacency
         self.directions = frozenset(_DIRECTIONS_BY_KIND[kind])
 
     @property
@@ -92,6 +95,39 @@ class TopologyGraph:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise IndexError(f"PE ({row},{col}) out of range")
         return PeId(row=row, col=col, linear_index=row * self.cols + col)
+
+    def shift(self, column: list, direction: str, fill=None) -> list:
+        """``column`` after one hop towards ``direction``: each PE takes
+        the word of its neighbour on the opposite side, or ``fill`` when
+        it has none there.
+
+        The hop is a flat move by ``dr * cols + dc`` positions.  That is
+        right for every PE except those in the edge column that the move
+        vacates (the seam), which one strided slice then fixes: ``fill``
+        on a mesh, or on a ring or torus the opposite edge column (these
+        two have no diagonal moves, so the seam stays in its rows).
+        """
+        dr, dc = DIRECTION_DELTAS[direction]
+        cols = self.cols
+        step = dr * cols + dc
+        if self.kind in _WRAPPING_KINDS:
+            out = column[-step:] + column[:-step]
+            seam = column[cols - 1 if dc > 0 else 0::cols]
+        else:
+            out = ([fill] * step + column[:-step] if step > 0
+                   else column[-step:] + [fill] * -step)
+            seam = [fill] * self.rows
+        if dc:
+            out[0 if dc > 0 else cols - 1::cols] = seam
+        return out
+
+    @cached_property
+    def adjacency(self) -> tuple[dict, ...]:
+        pes = list(range(self.n_pes))
+        senders = [(label, self.shift(pes, OPPOSITE[label]))
+                   for label in _DIRECTIONS_BY_KIND[self.kind]]
+        return tuple({label: column[pe] for label, column in senders
+                      if column[pe] is not None} for pe in pes)
 
     def neighbors(self, pe) -> dict:
         """Direction -> neighbour index map for one PE."""
@@ -135,27 +171,10 @@ def check_dimensions(kind: Neighborhood, rows: int, cols: int) -> None:
 
 
 def build_topology(kind: Neighborhood, rows: int, cols: int) -> TopologyGraph:
-    """Construct the PE graph for one topology; raises DimensionMismatch
-    where ``check_dimensions`` does."""
+    """The graph of one topology; raises DimensionMismatch where
+    ``check_dimensions`` does.  Nothing per PE is built here."""
     check_dimensions(kind, rows, cols)
-    wrap = kind in _WRAPPING_KINDS
-    adjacency = []
-    for index in range(rows * cols):
-        row, col = divmod(index, cols)
-        ports = {}
-        for label in _DIRECTIONS_BY_KIND[kind]:
-            dr, dc = DIRECTION_DELTAS[label]
-            nr, nc = row + dr, col + dc
-            if wrap:
-                nr %= rows
-                nc %= cols
-            elif not (0 <= nr < rows and 0 <= nc < cols):
-                continue
-            neighbor = nr * cols + nc
-            if neighbor != index:
-                ports[label] = neighbor
-        adjacency.append(ports)
-    return TopologyGraph(kind, rows, cols, tuple(adjacency))
+    return TopologyGraph(kind, rows, cols)
 
 
 def route_distance(graph: TopologyGraph, src, dst) -> int:

@@ -9,7 +9,9 @@ that ``tests/test_sim_differential.py`` compares the column-store
 routing, so ``idx-1`` from PE 0 is a port out of range, not a mode
 mismatch with the ACU sentinel port -1.  Program loading, the
 error types, the cost model and ``SimReport`` are shared with the
-package; only the execution semantics are restated here.
+package; only the execution semantics are restated here.  MOVD walks
+the per-PE adjacency dicts of ``topology_reference``, not the package's
+grid shift, so the two share no neighbour arithmetic.
 
 Known differences from ``mppsoc.simulator.run``, both intended:
 router errors (``PortOutOfRange``, ``ModeMismatch``) propagate as they
@@ -39,6 +41,7 @@ from mppsoc.simulator import (
     SimReport,
 )
 from mppsoc.topology import OPPOSITE, TopologyGraph, build_topology
+from topology_reference import reference_adjacency
 
 _WORD_MASK = 0xFFFFFFFF
 _REGISTER_COUNT = 8
@@ -89,6 +92,8 @@ class SimMachine:
         if config.neighborhood is not None:
             self.topology = build_topology(config.neighborhood,
                                            config.rows, config.cols)
+            self.adjacency = reference_adjacency(config.neighborhood,
+                                                 config.rows, config.cols)
         self.mpnoc: MpNocNetwork | None = None
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
@@ -204,7 +209,7 @@ def _execute_movd(machine: SimMachine, instr: Instruction):
     for pe in range(machine.n_pes):
         if not machine.pe_active[pe]:
             continue
-        sender = graph.adjacency[pe].get(incoming_from)
+        sender = machine.adjacency[pe].get(incoming_from)
         if sender is not None and machine.pe_active[sender]:
             updates[pe] = machine.pe_regs[sender][reg]
         else:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from mppsoc.cli import _build_parser, main
-from mppsoc.rewrite import TEMPLATE_FILES
+from mppsoc.rewrite import TEMPLATE_FILES, bundled_template_dir
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -114,6 +114,25 @@ def test_generate_missing_template_dir(cfg, tmp_path, capsys):
     empty.mkdir()
     assert main(["generate", str(cfg), "-o", str(tmp_path / "out"),
                  "--templates", str(empty)]) == 2
+
+
+def test_generate_non_utf8_input_is_io_error(cfg, tmp_path, capsys):
+    """A template or memory image that is not UTF-8 ends in one
+    ``error:`` line with exit 2, and no traceback."""
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    for name in TEMPLATE_FILES:
+        (templates / name).write_bytes(
+            (bundled_template_dir() / name).read_bytes() + b"-- \xff\xfe\n")
+    image_cfg = tmp_path / "image.cfg"
+    image_cfg.write_text(VALID_CFG + "mem_init = data.hex\n")
+    (tmp_path / "data.hex").write_bytes(b"cafef00d\n\xff\n")
+    for argv in (["generate", str(cfg), "--templates", str(templates)],
+                 ["generate", str(image_cfg)]):
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot read" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_generate_resolves_mem_init_next_to_config(tmp_path):

@@ -274,6 +274,10 @@ def test_generate_validates_memory_image(tmp_path):
     with pytest.raises(MemoryImageError):
         generate(config, tmp_path / "out3", mem_search_dir=tmp_path)
 
+    image.write_bytes(b"cafef00d\n\xff\n")  # not UTF-8
+    with pytest.raises(MemoryImageError, match="cannot read"):
+        generate(config, tmp_path / "out4", mem_search_dir=tmp_path)
+
 
 def test_random_sample_diff_extract_idempotence(tmp_path):
     rng = random.Random(2024)

@@ -12,7 +12,9 @@ from mppsoc.mpnoc import ModeMismatch, PortOutOfRange
 from mppsoc.simulator import SimMachine, SimulationError, load_program, run
 
 # (rows, cols, neighbourhood, router): every neighbourhood and every
-# router appears, each also without the other network.
+# router appears, each also without the other network.  The last six
+# have MOVD seams that do not span the whole grid: non-square torus and
+# xnet, a mesh taller than wide, a one-column mesh, longer 1D arrays.
 SHAPES = (
     (1, 1, Neighborhood.LINEAR, MpNocKind.CROSSBAR),
     (1, 4, Neighborhood.LINEAR, MpNocKind.SHARED_BUS),
@@ -25,17 +27,31 @@ SHAPES = (
     (2, 3, Neighborhood.XNET, None),
     (1, 8, None, MpNocKind.DELTA_OMEGA),
     (3, 1, None, MpNocKind.SHARED_BUS),
+    (4, 5, Neighborhood.TORUS2D, None),
+    (3, 4, Neighborhood.XNET, MpNocKind.CROSSBAR),
+    (4, 3, Neighborhood.MESH2D, None),
+    (2, 1, Neighborhood.MESH2D, MpNocKind.SHARED_BUS),
+    (1, 6, Neighborhood.RING, None),
+    (1, 7, Neighborhood.LINEAR, None),
 )
 PE_MEM_BYTES = (2, 4, 6, 8, 13, 16)
 DIRECTIONS = ("E", "W", "N", "S", "NE", "NW", "SE", "SW")
 
 regs = st.integers(0, 3).map("r{}".format)
 words = st.integers(-(1 << 33), 1 << 33)
-predicates = st.one_of(
-    st.sampled_from(("all", "none", "even", "odd")),
-    st.builds("{}:{}".format, st.sampled_from(("lt", "ge")), st.integers(0, 10)),
-    st.builds("mod:{}:{}".format, st.integers(1, 5), st.integers(0, 6)),
-)
+
+
+def predicates(n):
+    """Every predicate kind, with bounds reaching past the N PEs."""
+    return st.one_of(
+        st.sampled_from(("all", "none", "even", "odd")),
+        st.builds("{}:{}".format, st.sampled_from(("lt", "ge")),
+                  st.integers(0, max(10, n + 2))),
+        st.builds("mod:{}:{}".format, st.integers(1, max(5, n + 2)),
+                  st.integers(0, max(6, n + 2))),
+    )
+
+
 costs = st.builds(CostModel, *(st.integers(0, 3) for _ in range(6)),
                   boundary_value=words)
 
@@ -45,7 +61,8 @@ def programs(machine):
     runs get long; one branch draws the illegal kinds (bad address,
     missing direction, missing router, port out of range), and the
     router branch also sends to ``idx+k`` under a mask that keeps the
-    senders in range while the receivers past it are inactive."""
+    senders in range while the receivers past it are inactive, and to
+    ``idx`` under any mask."""
     config, n = machine.config, machine.n_pes
     addresses = st.sampled_from(range(0, config.pe_mem_bytes - 3, 4) or [0])
     legal = [
@@ -53,7 +70,7 @@ def programs(machine):
         st.builds("LD {}, {}".format, regs, addresses),
         st.builds("ST {}, {}".format, regs, addresses),
         st.builds("ADD {}, {}, {}".format, regs, regs, regs),
-        st.builds("MASK {}".format, predicates),
+        st.builds("MASK {}".format, predicates(n)),
         st.just("UNMASK"),
         st.just("HALT"),
     ]
@@ -70,6 +87,8 @@ def programs(machine):
             st.integers(1, 3).flatmap(lambda k: st.builds(
                 "MASK lt:{}\nNOCSEND pe, idx+{}, {}".format,
                 st.integers(0, max(n - k, 0)), st.just(k), regs)),
+            st.builds("MASK {}\nNOCSEND pe, idx, {}".format,
+                      predicates(n), regs),
         ]
     illegal = st.one_of(
         st.builds("{} {}, {}".format, st.sampled_from(("LD", "ST")), regs,

@@ -207,6 +207,16 @@ def test_nocsend_pe_mode_moves_registers():
     assert [regs[0] for regs in report.registers] == [0, 200, 300, 300]
 
 
+def test_nocsend_under_strided_mask_pairs_each_sender_with_its_destination():
+    machine = machine_for(1, 8, mpnoc=MpNocKind.CROSSBAR)
+    machine.regs[0] = [pe * 100 for pe in range(8)]
+    program = load_program("MASK mod:2:0\nNOCSEND pe,idx,r0\n"
+                           "NOCSEND pe,idx+1,r0\nUNMASK\nHALT")
+    report = run(machine, program)
+    # Each even PE sends to itself, then to the inactive odd PE above it.
+    assert [regs[0] for regs in report.registers] == [pe * 100 for pe in range(8)]
+
+
 def test_nocsend_acu_mode_fills_mailbox():
     machine = machine_for(1, 4, mpnoc=MpNocKind.CROSSBAR)
     for pe in range(4):

@@ -1,8 +1,13 @@
+import time
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference_sim import _evaluate_mask
+from topology_reference import reference_adjacency
 
-from mppsoc.config import Neighborhood
+from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
+from mppsoc.simulator import SimMachine, load_program, run
 from mppsoc.topology import (
     OPPOSITE,
     DimensionMismatch,
@@ -164,3 +169,68 @@ def test_build_is_deterministic():
 def test_edge_list_text():
     graph = build_topology(N.LINEAR, 1, 3)
     assert graph.edge_list_text() == "0 1 E\n1 2 E\n"
+
+
+def buildable(kind, rows, cols):
+    try:
+        check_dimensions(kind, rows, cols)
+    except DimensionMismatch:
+        return False
+    return True
+
+
+# Every kind on every buildable shape up to 7x7.
+SMALL_SHAPES = tuple((kind, rows, cols) for kind in N
+                     for rows in range(1, 8) for cols in range(1, 8)
+                     if buildable(kind, rows, cols))
+
+
+def test_lazy_adjacency_matches_per_pe_builder():
+    for kind, rows, cols in SMALL_SHAPES:
+        assert (build_topology(kind, rows, cols).adjacency ==
+                reference_adjacency(kind, rows, cols)), (kind, rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(SMALL_SHAPES), data=st.data())
+def test_shift_and_masked_movd_match_dict_walk(shape, data):
+    """``shift`` and a masked MOVD against a gather that walks the
+    per-PE adjacency dicts: an active PE takes its active sender's word,
+    or the boundary value; an inactive PE keeps its own word."""
+    kind, rows, cols = shape
+    n = rows * cols
+    graph = build_topology(kind, rows, cols)
+    adjacency = reference_adjacency(kind, rows, cols)
+    assert graph.adjacency == adjacency
+    direction = data.draw(st.sampled_from(sorted(graph.directions)))
+    words = st.integers(0, 0xFFFFFFFF)
+    column = data.draw(st.lists(words, min_size=n, max_size=n))
+    boundary = data.draw(words)
+    senders = [ports.get(OPPOSITE[direction]) for ports in adjacency]
+    assert graph.shift(column, direction, boundary) == [
+        boundary if s is None else column[s] for s in senders]
+
+    pred = data.draw(st.one_of(
+        st.sampled_from(("all", "none", "even", "odd")),
+        st.builds("{}:{}".format, st.sampled_from(("lt", "ge")),
+                  st.integers(0, n + 2)),
+        st.builds("mod:{}:{}".format, st.integers(1, n + 2),
+                  st.integers(0, n + 2))))
+    config = MppSoCConfig(rows=rows, cols=cols, acu_mem_bytes=64,
+                          pe_mem_bytes=4, neighborhood=kind)
+    machine = SimMachine(config, CostModel(boundary_value=boundary))
+    machine.regs[1] = list(column)
+    run(machine, load_program(f"MASK {pred}\nMOVD r1, {direction}\nHALT"))
+    active = [_evaluate_mask(pred, pe) for pe in range(n)]
+    assert machine.regs[1] == [
+        column[pe] if not active[pe]
+        else column[s] if s is not None and active[s] else boundary
+        for pe, s in enumerate(senders)]
+
+
+@pytest.mark.parametrize("kind", [N.MESH2D, N.TORUS2D])
+def test_build_does_no_per_pe_work(kind):
+    started = time.perf_counter()
+    graph = build_topology(kind, 4096, 4096)
+    assert time.perf_counter() - started < 0.5
+    assert graph.n_pes == 4096 * 4096
