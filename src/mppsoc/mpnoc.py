@@ -27,18 +27,17 @@ per stage of every message's output link, each computed from the
 previous one by one table lookup per message.  ``path`` walks the same
 tables for one message.
 
-Permutation routing is greedy and multi-pass: each pass routes the
-maximal lowest-source-first subset whose switch output ports do not
-collide; blocked messages retry in the next pass.  The scheduler sees a
-message as a tuple of integer resource ids, ``stage * N + out_link``
-for each stage; the shared bus has the single resource 0 and the
-crossbar the destination port.  When no resource column holds a value
-twice, no two messages ever claim one resource, so the greedy routes
-everything in its first pass with no contention; the scheduler returns
-that result directly, and it is exactly what the full greedy would
-compute.  With a single resource column (bus, crossbar) the greedy
-also reduces to one linear scan, described at ``_greedy_passes``; delta
-sets that repeat a resource still run the greedy pass by pass.
+Routing is multi-pass and first-fit in priority order (lowest source
+first): each message goes to the lowest pass in which no earlier
+message holds one of its resources under a different share key, and
+every pass it skips counts one conflict, so ``conflicts`` is the sum of
+the messages' pass indices.  The scheduler sees a message as a tuple of
+integer resource ids, ``stage * N + out_link`` for each stage; the
+shared bus has the single resource 0 and the crossbar the destination
+port.  When no resource column holds a value twice, no two messages
+claim one resource, so every message lands in the first pass with no
+conflict; the scheduler returns that result directly, without the
+first-fit loop.
 """
 
 from __future__ import annotations
@@ -149,9 +148,15 @@ class MpNocNetwork:
 
     # -- routing over the link tables -----------------------------------
 
-    def stage_columns(self, srcs, dsts) -> list[list[int]]:
-        """Output link of every delta stage for each (src, dst) message:
-        one column per stage, aligned with the message sequences."""
+    def resource_columns(self, srcs, dsts) -> list:
+        """Resources each (src, dst) message claims, as columns aligned
+        with the message sequences: the shared bus is one resource, a
+        crossbar's are its output ports, and a delta network's are the
+        output link of every stage, one column per stage."""
+        if self.kind is MpNocKind.SHARED_BUS:
+            return [[0] * len(dsts)]
+        if not self.is_delta:
+            return [dsts]
         shift = self.stage_count - 1
         outs = [link & -2 | dst >> shift & 1
                 for link, dst in zip(map(self.input_links.__getitem__, srcs),
@@ -190,70 +195,70 @@ def build_network(kind: MpNocKind, ports: int) -> MpNocNetwork:
 
 
 def _greedy_passes(keys, columns: list, width: int) -> tuple[list, int]:
-    """Greedy lowest-source-first multi-pass scheduling.
+    """First-fit scheduling in priority order.
 
     Records are numbered 0..m-1 in priority order.  ``keys[i]`` is
     record i's share key and ``columns[k][i]`` its resource in column k,
     an int below ``width``; as an id it becomes ``k * width + value``.
-    Two records may claim the same resource only when they carry the
-    same share key (multicast fan-out of one source word); every other
-    collision defers the later record to the next pass and counts one
-    contention.  Returns the passes as lists of record numbers and the
-    contention count.
+    Record i goes to the lowest pass in which no earlier record holds
+    one of its resources under a different share key (records with one
+    key share resources: multicast fan-out of one source word).  Every
+    pass a record skips counts one contention.  Returns the passes as
+    lists of record numbers and the contention count, the sum of the
+    records' pass indices.
 
-    With one column (bus, crossbar) the greedy's answer takes one scan:
-    on each resource the distinct share keys, in first-appearance order,
-    go to passes 0, 1, 2, ..., and a record in pass p was deferred p
-    times.
+    Every pass below ``free[r]`` has claimed resource r (a claim in
+    pass ``free[r]`` raises it by one), so a pass below the highest
+    ``free`` of a record's resources can take the record only if it
+    already holds the record's key.  The search therefore starts there,
+    or at ``lowest[key]``, the lowest pass holding the key, when that is
+    lower (a repeated key: multicast).
     """
     m = len(keys)
     if not m:
         return [], 0
     if all(len(set(column)) == m for column in columns):
         return [list(range(m))], 0
-    if len(columns) == 1:
-        passes = []
-        conflicts = 0
-        key_passes: dict = {}
-        for i, (value, key) in enumerate(zip(columns[0], keys)):
-            seen = key_passes.setdefault(value, {})
-            p = seen.setdefault(key, len(seen))
-            if p == len(passes):
-                passes.append([])
-            passes[p].append(i)
-            conflicts += p
-        return passes, conflicts
-    rows = list(zip(*([k * width + value for value in column]
-                      for k, column in enumerate(columns))))
-    pending = range(m)
-    passes = []
+    rows = zip(*([k * width + value for value in column]
+                 for k, column in enumerate(columns)))
+    free = [0] * (len(columns) * width)
+    claims: list = []   # per pass: resource -> share key
+    passes: list = []
+    lowest: dict = {}   # share key -> lowest pass holding it
     conflicts = 0
-    while pending:
-        claimed: dict = {}
-        routed = []
-        deferred = []
-        for i in pending:
-            res = rows[i]
-            key = keys[i]
-            if not (claimed.keys().isdisjoint(res)
-                    or all(claimed.get(r, key) == key for r in res)):
-                conflicts += 1
-                deferred.append(i)
-                continue
-            claimed.update(dict.fromkeys(res, key))
-            routed.append(i)
-        passes.append(routed)
-        pending = deferred
+    for i, (key, res) in enumerate(zip(keys, rows)):
+        p = max(map(free.__getitem__, res))
+        low = lowest.get(key)
+        if low is not None and low < p:
+            p = low
+        for p in range(p, len(claims)):
+            claim = claims[p]
+            if claim.keys().isdisjoint(res) or low is not None and all(
+                    claim.get(r, key) == key for r in res):
+                break
+        else:
+            p = len(claims)
+            claim = {}
+            claims.append(claim)
+            passes.append([])
+        claim.update(dict.fromkeys(res, key))
+        passes[p].append(i)
+        if low is None or p < low:
+            lowest[key] = p
+        conflicts += p
+        for r in res:
+            if free[r] == p:
+                free[r] = p + 1
     return passes, conflicts
 
 
 def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
     """Route a full permutation of the ports.
 
-    Crossbar: always one pass, no conflicts.  Shared bus: one message
-    per pass (serialization; conflicts = N-1 by convention).  Delta:
-    greedy multi-pass destination-tag routing, deterministic with
-    lowest-source-first priority.
+    Shared bus: one message per pass (serialization; conflicts = N-1
+    by convention).  Crossbar and delta: first-fit multi-pass routing
+    with lowest-source-first priority (see the module docstring); a
+    crossbar permutation never collides, so it takes one pass.
     """
     perm = list(perm)
     if sorted(perm) != list(range(net.ports)):
@@ -261,8 +266,6 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
             f"expected a permutation of 0..{net.ports - 1}, got {perm!r}")
     pairs = list(enumerate(perm))
 
-    if net.kind is MpNocKind.CROSSBAR:
-        return RoutingResult(passes=1, per_pass=(tuple(pairs),), conflicts=0)
     if net.kind is MpNocKind.SHARED_BUS:
         per_pass = tuple((pair,) for pair in pairs)
         return RoutingResult(passes=len(pairs), per_pass=per_pass,
@@ -270,8 +273,8 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
 
     sources = range(net.ports)
     passes, conflicts = _greedy_passes(
-        sources, net.stage_columns(sources, perm), net.ports)
-    per_pass = tuple(tuple(pairs[i] for i in p) for p in passes)
+        sources, net.resource_columns(sources, perm), net.ports)
+    per_pass = tuple(tuple(map(pairs.__getitem__, p)) for p in passes)
     return RoutingResult(passes=len(passes), per_pass=per_pass,
                          conflicts=conflicts)
 
@@ -340,18 +343,9 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
         srcs, dsts, payloads, src_ports, dst_ports = (
             [column[i] for i in order]
             for column in (srcs, dsts, payloads, src_ports, dst_ports))
-
-    if net.kind is MpNocKind.SHARED_BUS:
-        # One bus grant per distinct (source, word); a grant broadcasts.
-        columns = [[0] * len(msgs)]
-    elif net.kind is MpNocKind.CROSSBAR:
-        # Non-blocking fabric: only output ports contend.
-        columns = [dst_ports]
-    else:
-        columns = net.stage_columns(src_ports, dst_ports)
-
-    passes, _conflicts = _greedy_passes(list(zip(srcs, payloads)), columns,
-                                        ports)
+    passes, _conflicts = _greedy_passes(
+        list(zip(srcs, payloads)), net.resource_columns(src_ports, dst_ports),
+        ports)
     delivered: dict = {}
     for routed in passes:
         for i in routed:

@@ -1,10 +1,12 @@
 """Differential test: the column-wise router in ``mppsoc.mpnoc`` against
 a per-message reference greedy scheduler driven by the independent
-stage-walk oracle, on random message sets and permutations over every
-router kind, port counts 1-64 and every transfer mode."""
+stage-walk oracle, on random message sets, hot spots and permutations
+over every router kind, port counts 1-64 and every transfer mode; and
+the first-fit scheduler itself against the same reference."""
 
 from functools import cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from delta_oracle import oracle_path
@@ -18,6 +20,7 @@ from mppsoc.mpnoc import (
     PortOutOfRange,
     RoutingResult,
     TransferResult,
+    _greedy_passes,
     build_network,
     route_permutation,
     transfer,
@@ -128,14 +131,16 @@ def ref_transfer(kind, ports, mode, messages, pass_cycles, config_cycles):
 # -- strategies ----------------------------------------------------------------
 
 
+def port_counts(kind):
+    if kind in (MpNocKind.SHARED_BUS, MpNocKind.CROSSBAR):
+        return st.integers(1, 64)
+    return st.integers(1, 6).map(lambda n: 1 << n)
+
+
 @st.composite
 def networks(draw):
     kind = draw(st.sampled_from(list(MpNocKind)))
-    if kind in (MpNocKind.SHARED_BUS, MpNocKind.CROSSBAR):
-        ports = draw(st.integers(1, 64))
-    else:
-        ports = 1 << draw(st.integers(1, 6))
-    return kind, ports
+    return kind, draw(port_counts(kind))
 
 
 @st.composite
@@ -157,6 +162,51 @@ def message_sets(draw, ports, mode):
             shapes if draw(st.integers(0, 3)) == 0 else [])
     size = draw(st.integers(0, min(3 * ports, 60)))
     return draw(st.lists(st.one_of(*shapes), min_size=size, max_size=size))
+
+
+@st.composite
+def hot_spot_sets(draw, ports, mode):
+    """Distinct senders aimed at one to three destinations, so share
+    keys never repeat and every message to one destination contends for
+    its output.  In the ACU and device modes either distinct PEs send to
+    the sentinel port, or the sentinel port sends distinct words to one
+    to three PEs."""
+    pes = st.integers(0, ports - 1)
+    targets = st.sampled_from(draw(st.lists(pes, min_size=1, max_size=3)))
+    word = st.integers(0, 1000)
+    if mode is not MpNocMode.PE_TO_PE:
+        port = SPECIAL[mode]
+        if draw(st.booleans()):
+            words = draw(st.lists(word, min_size=1, max_size=ports,
+                                  unique=True))
+            return [(port, draw(targets), w) for w in words]
+        targets = st.just(port)
+    sources = draw(st.lists(pes, min_size=1, max_size=ports, unique=True))
+    return [(src, draw(targets), draw(word)) for src in sources]
+
+
+@st.composite
+def schedules(draw):
+    """Share keys and resource columns for ``_greedy_passes``: one or
+    several columns 2-64 wide, keys from a small pool (so multicast keys
+    repeat) or all distinct, and some columns holding a single value
+    (all-to-one)."""
+    width = draw(st.integers(2, 64))
+    m = draw(st.integers(0, 80))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    else:
+        keys = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m,
+                             unique=True))
+    columns = []
+    for _ in range(draw(st.one_of(st.just(1), st.integers(2, 6)))):
+        if draw(st.integers(0, 3)) == 0:
+            columns.append([draw(st.integers(0, width - 1))] * m)
+        else:
+            spread = draw(st.integers(1, width))
+            columns.append(draw(st.lists(st.integers(0, spread - 1),
+                                         min_size=m, max_size=m)))
+    return keys, columns, width
 
 
 def outcome(call):
@@ -198,6 +248,28 @@ def test_transfer_matches_per_message_reference(net, mode, cost, data):
             variant[i] = tuple(bad if j == end else v
                                for j, v in enumerate(messages[i]))
             assert_transfer_matches(kind, ports, mode, variant, cost)
+
+
+@pytest.mark.parametrize("mode", list(MpNocMode))
+@pytest.mark.parametrize("kind", list(MpNocKind))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transfer_matches_per_message_reference_on_hot_spots(kind, mode, data):
+    ports = data.draw(port_counts(kind))
+    messages = data.draw(hot_spot_sets(ports, mode))
+    assert_transfer_matches(kind, ports, mode, messages, CostModel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=schedules())
+def test_greedy_passes_matches_per_record_reference(schedule):
+    keys, columns, width = schedule
+    records = [(i, 0, key, i) for i, key in enumerate(keys)]
+    passes, conflicts = ref_greedy_passes(
+        records, lambda rec: [(k, column[rec[0]])
+                              for k, column in enumerate(columns)])
+    assert _greedy_passes(keys, columns, width) == (
+        [[rec[3] for rec in routed] for routed in passes], conflicts)
 
 
 @settings(max_examples=150, deadline=None)

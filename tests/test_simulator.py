@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -223,6 +224,25 @@ def test_nocsend_acu_mode_fills_mailbox():
         machine.regs[1][pe] = pe + 1
     run(machine, load_program("NOCSEND acu,0,r1\nHALT"))
     assert sorted(machine.acu_mailbox) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("mode", ["acu", "pe"])
+@pytest.mark.parametrize("kind", list(MpNocKind))
+def test_nocsend_all_to_one_on_1024_pes_takes_one_pass_per_sender(kind, mode):
+    machine = machine_for(1, 1024, mpnoc=kind)
+    values = [pe * 3 + 1 for pe in range(1024)]
+    machine.set_values(values)
+    started = time.perf_counter()
+    report = run(machine, load_program(f"NOCSEND {mode},0,r0\nHALT"))
+    elapsed = time.perf_counter() - started
+    # Every sender contends for the one destination: 1024 passes.
+    assert report.cycles == (1027 if kind is MpNocKind.SHARED_BUS else 40963)
+    if mode == "acu":
+        assert machine.acu_mailbox == values
+    else:
+        assert machine.acu_mailbox == []
+        assert report.registers[0][0] == values[-1]
+    assert elapsed < 1.0
 
 
 def test_run_is_deterministic():
