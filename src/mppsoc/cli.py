@@ -26,6 +26,7 @@ from mppsoc.rules import validate
 from mppsoc.simulator import (
     SimMachine,
     SimulationError,
+    check_pe_count,
     load_program,
     reduce_sum,
     run,
@@ -119,6 +120,7 @@ def _cmd_simulate(args) -> int:
         return 1
     cost = (_load(args.cost_model, CostModel.from_text) if args.cost_model
             else CostModel())
+    check_pe_count(config.n_pes)
 
     if args.app == "reduce" or args.app is None:
         values = (_parse_values(args.values, config.n_pes) if args.values

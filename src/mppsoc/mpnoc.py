@@ -16,23 +16,26 @@ Stage wirings (link index transforms between stages):
   baseline   recursive halving: after stage k, rotate-right of the low
              n-k bits (the top k bits select the sub-block)
 
-A built delta network holds its wiring as data, computed once per
-network from the transforms above: ``input_links[port]`` is the stage-0
-input link an injection port feeds, and ``next_links[k][out]`` the
-link that stage k's output link ``out`` feeds (the output port after
-the last stage).  Each table is a list over the N links.  A message
-entering stage k on link ``l`` with destination bit b leaves on link
-``(l & ~1) | b``, so a whole message set is routed as columns: one list
-per stage of every message's output link, each computed from the
-previous one by one table lookup per message.  ``path`` walks the same
-tables for one message.
+The scheduler never sees link numbers.  Under destination-tag routing
+the stage-k output link of a message from s to d is a one-to-one
+function of the n-bit window ``tag >> (n-1-k) & (N-1)`` of its tag
+``sigma(s) << n | d``, where sigma is the identity for omega (the
+window is then the link itself) and the n-bit reversal for baseline
+and butterfly, which are topologically equivalent to omega (Wu & Feng,
+"On a Class of Multistage Interconnection Networks", IEEE TC 1980).
+Two messages share a stage-k link exactly when they share that window,
+so a delta network keeps only ``source_tags[s] = sigma(s) << n``.  The
+link tables, which only ``path`` walks, are built on its first call:
+``input_links[port]`` is the stage-0 input link an injection port
+feeds, and ``next_links[k][out]`` the link that stage k's output link
+``out`` feeds (the output port after the last stage).
 
 Routing is multi-pass and first-fit in priority order (lowest source
 first): each message goes to the lowest pass in which no earlier
 message holds one of its resources under a different share key, and
 every pass it skips counts one conflict, so ``conflicts`` is the sum of
 the messages' pass indices.  The scheduler sees a message as a tuple of
-integer resource ids, ``stage * N + out_link`` for each stage; the
+integer resource ids, ``stage * N + window`` for each stage; the
 shared bus has the single resource 0 and the crossbar the destination
 port.  When no resource column holds a value twice, no two messages
 claim one resource, so every message lands in the first pass with no
@@ -43,7 +46,9 @@ first-fit loop.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from operator import lt, or_
 
 from mppsoc.config import DELTA_KINDS, CostModel, MpNocKind
 from mppsoc.errors import MppSocError
@@ -141,33 +146,41 @@ class MpNocNetwork:
         self.kind = kind
         self.ports = ports
         self.is_delta = kind in DELTA_KINDS
-        self.stage_count = ports.bit_length() - 1 if self.is_delta else 0
+        n = self.stage_count = ports.bit_length() - 1 if self.is_delta else 0
         self.switches_per_stage = ports // 2 if self.is_delta else 0
-        self.input_links, self.next_links = (
-            _wiring(kind, self.stage_count) if self.is_delta else ([], []))
+        # sigma(s) << n per port; the n-bit reversal is built by doubling.
+        if kind is MpNocKind.DELTA_OMEGA:
+            sigma = range(ports)
+        else:
+            sigma = [0] if self.is_delta else []
+            for _ in range(n):
+                sigma = [t << 1 for t in sigma] + [t << 1 | 1 for t in sigma]
+        self.source_tags = [t << n for t in sigma]
 
-    # -- routing over the link tables -----------------------------------
+    @functools.cached_property
+    def _tables(self) -> tuple[list, list]:
+        return _wiring(self.kind, self.stage_count) if self.is_delta else ([], [])
+
+    input_links = property(lambda self: self._tables[0])
+    next_links = property(lambda self: self._tables[1])
+
+    # -- routing --------------------------------------------------------
 
     def resource_columns(self, srcs, dsts) -> list:
         """Resources each (src, dst) message claims, as columns aligned
         with the message sequences: the shared bus is one resource, a
-        crossbar's are its output ports, and a delta network's are the
-        output link of every stage, one column per stage."""
+        crossbar's are its output ports, and a delta network's are, per
+        stage k, the window ``tag >> (n-1-k) & (N-1)`` of the message's
+        tag ``source_tags[src] | dst``.  A window names the stage's link
+        one to one (see the module docstring), so no link table is read."""
         if self.kind is MpNocKind.SHARED_BUS:
             return [[0] * len(dsts)]
         if not self.is_delta:
             return [dsts]
-        shift = self.stage_count - 1
-        outs = [link & -2 | dst >> shift & 1
-                for link, dst in zip(map(self.input_links.__getitem__, srcs),
-                                     dsts)]
-        columns = [outs]
-        for table in self.next_links[:-1]:
-            shift -= 1
-            outs = [table[out] & -2 | dst >> shift & 1
-                    for out, dst in zip(outs, dsts)]
-            columns.append(outs)
-        return columns
+        low = self.ports - 1
+        tags = list(map(or_, map(self.source_tags.__getitem__, srcs), dsts))
+        return [[tag >> shift & low for tag in tags]
+                for shift in range(self.stage_count - 1, -1, -1)]
 
     def path(self, src: int, dst: int) -> tuple:
         """Switch resources ((stage, switch, out_port), ...) used by a
@@ -197,9 +210,10 @@ def build_network(kind: MpNocKind, ports: int) -> MpNocNetwork:
 def _greedy_passes(keys, columns: list, width: int) -> tuple[list, int]:
     """First-fit scheduling in priority order.
 
-    Records are numbered 0..m-1 in priority order.  ``keys[i]`` is
-    record i's share key and ``columns[k][i]`` its resource in column k,
-    an int below ``width``; as an id it becomes ``k * width + value``.
+    Records are numbered 0..m-1 in priority order.  ``columns[k][i]``
+    is record i's resource in column k, an int below ``width``; as an
+    id it becomes ``k * width + value``.  ``keys`` yields the share
+    keys in record order; only the first-fit loop reads it.
     Record i goes to the lowest pass in which no earlier record holds
     one of its resources under a different share key (records with one
     key share resources: multicast fan-out of one source word).  Every
@@ -214,7 +228,7 @@ def _greedy_passes(keys, columns: list, width: int) -> tuple[list, int]:
     or at ``lowest[key]``, the lowest pass holding the key, when that is
     lower (a repeated key: multicast).
     """
-    m = len(keys)
+    m = len(columns[0])
     if not m:
         return [], 0
     if all(len(set(column)) == m for column in columns):
@@ -336,16 +350,16 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
         dst_ports = [dst if dst >= 0 else 0 for dst in dsts]
     ports = net.ports
     # Lowest source port first, then lowest destination port; the sort
-    # is stable, so equal pairs keep their order.
-    priority = [src * ports + dst for src, dst in zip(src_ports, dst_ports)]
-    if priority != sorted(priority):
+    # is stable, so equal pairs keep their order.  Strictly increasing
+    # sources are in that order already.
+    if not all(map(lt, src_ports, src_ports[1:])):
+        priority = [src * ports + dst for src, dst in zip(src_ports, dst_ports)]
         order = sorted(range(len(msgs)), key=priority.__getitem__)
         srcs, dsts, payloads, src_ports, dst_ports = (
             [column[i] for i in order]
             for column in (srcs, dsts, payloads, src_ports, dst_ports))
     passes, _conflicts = _greedy_passes(
-        list(zip(srcs, payloads)), net.resource_columns(src_ports, dst_ports),
-        ports)
+        zip(srcs, payloads), net.resource_columns(src_ports, dst_ports), ports)
     delivered: dict = {}
     for routed in passes:
         for i in routed:

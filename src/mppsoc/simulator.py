@@ -41,6 +41,7 @@ from mppsoc.topology import OPPOSITE, TopologyGraph, build_topology
 
 _WORD_MASK = 0xFFFFFFFF
 _REGISTER_COUNT = 8
+MAX_PES = 1 << 20  # eight register columns of 2^20 words: ~64 MiB
 
 
 def _wrap(value: int) -> int:
@@ -95,6 +96,12 @@ class MemoryOutOfBounds(SimulationError):
 class NotPowerOfTwo(SimulationError):
     def __init__(self, n: int):
         super().__init__(f"reduction needs a power-of-two PE count, got {n}")
+
+
+def check_pe_count(n: int):  # called before anything is allocated
+    if n > MAX_PES:
+        raise SimulationError(
+            f"{n} PEs exceed the simulator's limit of {MAX_PES} PEs")
 
 
 class NoTransportAvailable(SimulationError):
@@ -252,6 +259,7 @@ class SimMachine:
     """
 
     def __init__(self, config: MppSoCConfig, cost: CostModel | None = None):
+        check_pe_count(config.n_pes)
         self.config = config
         self.cost = cost or CostModel()
         self.n_pes = config.n_pes
@@ -410,8 +418,9 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     else:
         destinations = [int(dst_expr)] * len(senders)
     column = machine.regs[reg]
+    # Both destination kinds ascend, so their ends bound them.
     if mode is MpNocMode.PE_TO_PE and senders and not (
-            min(destinations) >= 0 and max(destinations) < n):
+            destinations[0] >= 0 and destinations[-1] < n):
         # Checked here because -1 and -2 double as the sentinel ports.
         first = next(i for i, dst in enumerate(destinations)
                      if not 0 <= dst < n)
@@ -421,7 +430,17 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
-    for dst, payloads in sorted(result.delivered.items()):
+    if isinstance(destinations, range):
+        # Distinct destinations: each active one gets exactly one word.
+        # There are none unless the offset is a multiple of the step.
+        step = senders.step
+        receivers = range(max(senders.start, destinations.start),
+                          min(senders.stop, destinations.stop), step)
+        if receivers and offset % step == 0:
+            column[_lanes(receivers)] = column[
+                receivers.start - offset:receivers.stop - offset:step]
+        return
+    for dst, payloads in result.delivered.items():
         if dst == ACU_PORT:
             machine.acu_mailbox.extend(payloads)
         elif dst == DEVICE_PORT:
@@ -522,6 +541,7 @@ def reduce_sum(config: MppSoCConfig, values,
     instead).  Without one, the global router carries the step's
     messages in PE-PE mode.
     """
+    check_pe_count(config.n_pes)
     cost = cost or CostModel()
     values = [int(v) for v in values]
     n = config.n_pes

@@ -1,10 +1,12 @@
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
 from mppsoc.cli import _build_parser, main
 from mppsoc.rewrite import TEMPLATE_FILES, bundled_template_dir
+from mppsoc.simulator import MAX_PES
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -315,6 +317,31 @@ def test_generate_unbuildable_topology_is_runtime_error(tmp_path, capsys,
                  "--manifest", str(manifest)]) == 3
     assert single_error_line(capsys) == simulate_error
     assert not out.exists() and not manifest.exists()
+
+
+@pytest.mark.parametrize("shape", [
+    "rows = 1024\ncols = 2048\nneighborhood = mesh2d\n",
+    "rows = 2048\ncols = 2048\nmpnoc = delta-omega\n",
+], ids=["mesh1024x2048", "omega2048x2048"])
+@pytest.mark.parametrize("extra", [[], ["--values", "0..3"],
+                                   ["--app", "asm:prog.asm"]],
+                         ids=["reduce", "values", "asm"])
+def test_simulate_refuses_arrays_above_the_pe_ceiling(tmp_path, capsys,
+                                                      monkeypatch, shape,
+                                                      extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prog.asm").write_text("HALT\n")
+    path = tmp_path / "huge.cfg"
+    path.write_text(shape + "acu_mem_bytes = 64\npe_mem_bytes = 64\n")
+    n_pes = 1024 * 2048 if "mesh2d" in shape else 2048 * 2048
+    assert main(["validate", str(path)]) == 0
+    assert main(["generate", str(path), "--force-report-only"]) == 0
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert main(["simulate", str(path), *extra, "-o", "out"]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert single_error_line(capsys) == (
+        f"error: {n_pes} PEs exceed the simulator's limit of {MAX_PES} PEs")
 
 
 def test_parser_carries_no_state_between_calls(cfg, tmp_path, capsys):

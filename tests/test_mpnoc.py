@@ -62,6 +62,57 @@ def test_paths_match_oracle_everywhere():
                 assert net.path(src, dst) == oracle_path(kind, ports, src, dst)
 
 
+def same_partition(ids, resources):
+    """Whether equal ids and equal resources pair up one to one."""
+    forward, backward = {}, {}
+    return all(forward.setdefault(i, r) == r and backward.setdefault(r, i) == i
+               for i, r in zip(ids, resources))
+
+
+def window_ids_match_links(net, pairs):
+    """Whether, at every stage, the window ids that ``resource_columns``
+    gives the pairs partition them as the oracle's stage resources do."""
+    columns = net.resource_columns([s for s, _ in pairs], [d for _, d in pairs])
+    paths = [oracle_path(net.kind, net.ports, s, d) for s, d in pairs]
+    return len(columns) == net.stage_count and all(
+        same_partition(column, [path[stage] for path in paths])
+        for stage, column in enumerate(columns))
+
+
+def window_pairs(ports, rng):
+    if ports <= 64:
+        return [(s, d) for s in range(ports) for d in range(ports)]
+    return [(rng.randrange(ports), rng.randrange(ports)) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("kind", DELTAS)
+def test_window_ids_name_the_stage_links_one_to_one(kind):
+    rng = random.Random(4096)
+    for ports in (2, 4, 8, 16, 32, 64, 1024, 4096):
+        net = build_network(kind, ports)
+        assert window_ids_match_links(net, window_pairs(ports, rng))
+        # The scheduler's ids need no link table.
+        assert "_tables" not in vars(net)
+
+
+@pytest.mark.parametrize("kind", [MpNocKind.DELTA_BASELINE,
+                                  MpNocKind.DELTA_BUTTERFLY])
+def test_window_ids_need_the_bit_reversal_on_baseline_and_butterfly(kind):
+    rng = random.Random(4096)
+    for ports in (8, 64, 1024):
+        net = build_network(kind, ports)
+        n = net.stage_count
+        net.source_tags = [s << n for s in range(ports)]
+        assert not window_ids_match_links(net, window_pairs(ports, rng))
+
+
+def test_link_tables_are_built_on_first_path():
+    net = build_network(MpNocKind.DELTA_BUTTERFLY, 16)
+    assert "_tables" not in vars(net)
+    assert net.path(3, 12) == oracle_path(MpNocKind.DELTA_BUTTERFLY, 16, 3, 12)
+    assert len(net.input_links) == 16 and len(net.next_links) == 4
+
+
 def test_crossbar_single_pass_for_sampled_permutations():
     net = build_network(MpNocKind.CROSSBAR, 8)
     rng = random.Random(7)

@@ -62,7 +62,7 @@ def programs(machine):
     missing direction, missing router, port out of range), and the
     router branch also sends to ``idx+k`` under a mask that keeps the
     senders in range while the receivers past it are inactive, and to
-    ``idx`` under any mask."""
+    ``idx`` and to ``idx+K``/``idx-K`` (K up to N) under any mask."""
     config, n = machine.config, machine.n_pes
     addresses = st.sampled_from(range(0, config.pe_mem_bytes - 3, 4) or [0])
     legal = [
@@ -89,6 +89,11 @@ def programs(machine):
                 st.integers(0, max(n - k, 0)), st.just(k), regs)),
             st.builds("MASK {}\nNOCSEND pe, idx, {}".format,
                       predicates(n), regs),
+            # Shifts by 0..N either way under every mask kind: offsets
+            # off the mask's stride and past either end of the array.
+            st.builds("MASK {}\nNOCSEND pe, idx{}{}, {}".format,
+                      predicates(n), st.sampled_from("+-"),
+                      st.integers(0, n), regs),
         ]
     illegal = st.one_of(
         st.builds("{} {}, {}".format, st.sampled_from(("LD", "ST")), regs,

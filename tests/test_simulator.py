@@ -3,8 +3,10 @@ import time
 
 import pytest
 
+import reference_sim as ref
 from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
 from mppsoc.simulator import (
+    MAX_PES,
     BadOperand,
     CostModel,
     DirectionUnavailable,
@@ -14,6 +16,7 @@ from mppsoc.simulator import (
     NoTransportAvailable,
     NotPowerOfTwo,
     SimMachine,
+    SimulationError,
     UnknownMnemonic,
     _OPERAND_PARSERS,
     load_program,
@@ -245,6 +248,22 @@ def test_nocsend_all_to_one_on_1024_pes_takes_one_pass_per_sender(kind, mode):
     assert elapsed < 1.0
 
 
+def test_machine_and_reduction_refuse_arrays_above_the_pe_ceiling():
+    config = MppSoCConfig(rows=1024, cols=1025, acu_mem_bytes=64,
+                          pe_mem_bytes=64, mpnoc=MpNocKind.CROSSBAR)
+    message = (f"{1024 * 1025} PEs exceed the simulator's limit of "
+               f"{MAX_PES} PEs")
+    with pytest.raises(SimulationError, match=message):
+        SimMachine(config)
+
+    def values():
+        raise AssertionError("values read before the PE check")
+        yield
+
+    with pytest.raises(SimulationError, match=message):
+        reduce_sum(config, values())
+
+
 def test_run_is_deterministic():
     program = load_program("LDI r0,3\nMOVD r0,E\nADD r1,r0,r0\nHALT")
     first = run(machine_for(1, 4, neighborhood=Neighborhood.RING), program)
@@ -384,3 +403,36 @@ def test_reduce_matches_sequential_fold_everywhere():
                 report = reduce_sum(config, values)
                 assert report.result == sum(values)
                 assert report.transfer_add_steps == n.bit_length() - 1
+
+
+NOC_SHIFTS = (1, 2, 4, 8, 16, 32, 64, 128)
+
+
+def shift_program(n):
+    """The router benchmark's program: every PE adds the words shifted
+    in from K PEs below it, for K = 1, 2, ..., 128, twice."""
+    lines = ["LD r0, 0", "LDI r1, 0"]
+    for _ in range(2):
+        for k in NOC_SHIFTS:
+            lines += [f"MASK lt:{n - k}", f"NOCSEND pe, idx+{k}, r0",
+                      "ADD r1, r1, r0"]
+    return load_program("\n".join(lines + ["UNMASK", "ST r1, 4", "HALT"]))
+
+
+@pytest.mark.parametrize("kind, cycles", [
+    (MpNocKind.DELTA_OMEGA, 727),
+    (MpNocKind.DELTA_BASELINE, 18087),
+    (MpNocKind.DELTA_BUTTERFLY, 18087),
+])
+def test_shift_program_on_every_delta_wiring_matches_reference(kind, cycles):
+    config = MppSoCConfig(rows=32, cols=32, acu_mem_bytes=1024,
+                          pe_mem_bytes=64, mpnoc=kind)
+    rng = random.Random(1024)
+    values = [rng.randrange(-(1 << 31), 1 << 31) for _ in range(1024)]
+    program = shift_program(1024)
+    machine, oracle = SimMachine(config), ref.SimMachine(config)
+    machine.set_values(values)
+    oracle.set_values(values)
+    report = run(machine, program, snapshot_memory=True)
+    assert report.cycles == cycles
+    assert report == ref.run(oracle, program, snapshot_memory=True)
