@@ -59,15 +59,19 @@ def _parse_values(spec: str, count: int) -> list[int]:
             values = [int(t, 0) for t in tokens if not t.startswith("#")]
         elif ".." in spec:
             lo, hi = spec.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
             values = [int(t, 0) for t in spec.split(",") if t.strip()]
     except ValueError as err:
         raise SimulationError(f"--values {spec!r}: {err}") from None
-    if len(values) != count:
+    # A range is counted before it is listed, so a wide one costs nothing
+    # (and ``len`` would overflow past sys.maxsize).
+    supplied = (max(values.stop - values.start, 0)
+                if isinstance(values, range) else len(values))
+    if supplied != count:
         raise SimulationError(
-            f"--values supplied {len(values)} values, the array has {count} PEs")
-    return values
+            f"--values supplied {supplied} values, the array has {count} PEs")
+    return list(values)
 
 
 def _emit(args, text_form: str, kv_form: str):

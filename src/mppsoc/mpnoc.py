@@ -7,28 +7,16 @@ log2(N) stages of N/2 two-by-two switches with destination-tag
 self-routing: the switch at stage k forwards a message on the output
 port given by destination bit n-1-k.
 
-Stage wirings (link index transforms between stages):
-
-  omega      perfect shuffle (rotate-left) in front of every stage
-  butterfly  swap of bit k with bit 0 in front of stage k, plus an
-             output-side reversal of bits n-1..1 that the tag order
-             requires for delivery
-  baseline   recursive halving: after stage k, rotate-right of the low
-             n-k bits (the top k bits select the sub-block)
-
 The scheduler never sees link numbers.  Under destination-tag routing
 the stage-k output link of a message from s to d is a one-to-one
 function of the n-bit window ``tag >> (n-1-k) & (N-1)`` of its tag
-``sigma(s) << n | d``, where sigma is the identity for omega (the
-window is then the link itself) and the n-bit reversal for baseline
-and butterfly, which are topologically equivalent to omega (Wu & Feng,
-"On a Class of Multistage Interconnection Networks", IEEE TC 1980).
-Two messages share a stage-k link exactly when they share that window,
-so a delta network keeps only ``source_tags[s] = sigma(s) << n``.  The
-link tables, which only ``path`` walks, are built on its first call:
-``input_links[port]`` is the stage-0 input link an injection port
-feeds, and ``next_links[k][out]`` the link that stage k's output link
-``out`` feeds (the output port after the last stage).
+``sigma(s) << n | d``, where sigma is the identity for omega (perfect
+shuffle in front of every stage; the window is then the link itself)
+and the n-bit reversal for baseline and butterfly, which are
+topologically equivalent to omega (Wu & Feng, "On a Class of Multistage
+Interconnection Networks", IEEE TC 1980).  Two messages share a stage-k
+link exactly when they share that window, so a delta network keeps only
+``source_tags[s] = sigma(s) << n``.
 
 Routing is multi-pass and first-fit in priority order (lowest source
 first): each message goes to the lowest pass in which no earlier
@@ -41,12 +29,15 @@ port.  When no resource column holds a value twice, no two messages
 claim one resource, so every message lands in the first pass with no
 conflict; the scheduler returns that result directly, without the
 first-fit loop.
+
+This module is a timing model: ``transfer`` answers how many passes and
+cycles a message set costs.  Which word each endpoint receives is the
+simulator's rule (``NOCSEND``), not this module's.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from operator import lt, or_
 
@@ -101,42 +92,10 @@ class RoutingResult:
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Delivered payloads (dst -> payloads in arrival order) and the
-    cycle cost of the whole transfer."""
+    """Router passes and cycle cost of one whole transfer."""
 
-    delivered: dict
     passes: int
     latency: int
-
-
-def _wiring(kind: MpNocKind, n: int) -> tuple[list, list]:
-    """Input-link table and per-stage next-link tables of the 2^n-port
-    delta network ``kind`` (see the module docstring)."""
-    ports = 1 << n
-    links = range(ports)
-    outputs = list(links)
-    if kind is MpNocKind.DELTA_OMEGA:
-        # Perfect shuffle (rotate left) in front of every stage.
-        shuffle = [x << 1 & ports - 1 | x >> n - 1 for x in links]
-        return shuffle, [shuffle] * (n - 1) + [outputs]
-    if kind is MpNocKind.DELTA_BUTTERFLY:
-        # Swap bit k with bit 0 in front of stage k >= 1; after the last
-        # stage, reverse bits n-1..1 and keep bit 0.
-        tables = [[x ^ (1 << k | 1) if (x >> k ^ x) & 1 else x for x in links]
-                  for k in range(1, n)]
-        reversed_upper = [0] * (ports >> 1)
-        for upper in range(1, ports >> 1):
-            reversed_upper[upper] = (reversed_upper[upper >> 1] >> 1
-                                     | (upper & 1) << n - 2)
-        tables.append([reversed_upper[x >> 1] << 1 | x & 1 for x in links])
-        return outputs, tables
-    # Baseline: after stage k, rotate right the low n-k bits.
-    tables = []
-    for k in range(n - 1):
-        low = (1 << n - k) - 1
-        tables.append([x & ~low | (x & low) >> 1 | (x & 1) << n - k - 1
-                       for x in links])
-    return outputs, tables + [outputs]
 
 
 class MpNocNetwork:
@@ -157,13 +116,6 @@ class MpNocNetwork:
                 sigma = [t << 1 for t in sigma] + [t << 1 | 1 for t in sigma]
         self.source_tags = [t << n for t in sigma]
 
-    @functools.cached_property
-    def _tables(self) -> tuple[list, list]:
-        return _wiring(self.kind, self.stage_count) if self.is_delta else ([], [])
-
-    input_links = property(lambda self: self._tables[0])
-    next_links = property(lambda self: self._tables[1])
-
     # -- routing --------------------------------------------------------
 
     def resource_columns(self, srcs, dsts) -> list:
@@ -172,7 +124,7 @@ class MpNocNetwork:
         crossbar's are its output ports, and a delta network's are, per
         stage k, the window ``tag >> (n-1-k) & (N-1)`` of the message's
         tag ``source_tags[src] | dst``.  A window names the stage's link
-        one to one (see the module docstring), so no link table is read."""
+        one to one (see the module docstring)."""
         if self.kind is MpNocKind.SHARED_BUS:
             return [[0] * len(dsts)]
         if not self.is_delta:
@@ -181,21 +133,6 @@ class MpNocNetwork:
         tags = list(map(or_, map(self.source_tags.__getitem__, srcs), dsts))
         return [[tag >> shift & low for tag in tags]
                 for shift in range(self.stage_count - 1, -1, -1)]
-
-    def path(self, src: int, dst: int) -> tuple:
-        """Switch resources ((stage, switch, out_port), ...) used by a
-        delta message from src to dst."""
-        n = self.stage_count
-        link = self.input_links[src]
-        resources = []
-        for stage, table in enumerate(self.next_links):
-            out = link & -2 | dst >> (n - 1 - stage) & 1
-            resources.append((stage, out >> 1, out & 1))
-            link = table[out]
-        if link != dst:
-            raise AssertionError(
-                f"{self.kind.value} wiring failed to deliver {src}->{dst}")
-        return tuple(resources)
 
 
 def build_network(kind: MpNocKind, ports: int) -> MpNocNetwork:
@@ -324,7 +261,7 @@ def _check_endpoints(net: MpNocNetwork, mode: MpNocMode, srcs, dsts):
 def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
              pass_cycles: int | None = None,
              config_cycles: int | None = None) -> TransferResult:
-    """Deliver (src, dst, payload) messages in one configured mode.
+    """Time the routing of (src, dst, payload) messages in one mode.
 
     The ACU and device endpoints use the sentinel ports ACU_PORT and
     DEVICE_PORT; internally they inject through port 0.  Latency is
@@ -332,6 +269,8 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
     charge left as None comes from a default CostModel.  Identical
     words from one source may fan out in a single pass (multicast);
     everything else serializes per the network's contention rules.
+    Messages to one port share its last resource, so distinct sources
+    reach it in successive passes, lowest source first.
     """
     msgs = list(messages)
     if pass_cycles is None:
@@ -339,7 +278,7 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
     if config_cycles is None:
         config_cycles = CostModel().noc_config_cycles
     if not msgs:
-        return TransferResult(delivered={}, passes=0, latency=config_cycles)
+        return TransferResult(passes=0, latency=config_cycles)
 
     srcs, dsts, payloads = zip(*msgs)
     _check_endpoints(net, mode, srcs, dsts)
@@ -355,14 +294,10 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
     if not all(map(lt, src_ports, src_ports[1:])):
         priority = [src * ports + dst for src, dst in zip(src_ports, dst_ports)]
         order = sorted(range(len(msgs)), key=priority.__getitem__)
-        srcs, dsts, payloads, src_ports, dst_ports = (
+        srcs, payloads, src_ports, dst_ports = (
             [column[i] for i in order]
-            for column in (srcs, dsts, payloads, src_ports, dst_ports))
+            for column in (srcs, payloads, src_ports, dst_ports))
     passes, _conflicts = _greedy_passes(
         zip(srcs, payloads), net.resource_columns(src_ports, dst_ports), ports)
-    delivered: dict = {}
-    for routed in passes:
-        for i in routed:
-            delivered.setdefault(dsts[i], []).append(payloads[i])
     latency = len(passes) * pass_cycles + config_cycles
-    return TransferResult(delivered=delivered, passes=len(passes), latency=latency)
+    return TransferResult(passes=len(passes), latency=latency)

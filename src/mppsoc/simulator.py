@@ -403,10 +403,17 @@ def _op_movd(machine: SimMachine, reg: int, direction: str):
 
 
 def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
+    """Send every active PE's word over the router and charge the
+    transfer's latency.  An active PE-mode receiver keeps the word of the
+    highest active sender aimed at it; the ACU mailbox and the device
+    sink take the words in PE order.  (The router puts messages to one
+    port in successive passes, lowest source first, so this is their
+    arrival order.)"""
     net = machine.mpnoc
     if net is None:
         raise NocUnavailable()
-    n, senders = machine.n_pes, machine.active
+    senders, column = machine.active, machine.regs[reg]
+    words = column[_lanes(senders)]
     if mode is MpNocMode.ACU_TO_PE:
         destinations = repeat(ACU_PORT)
     elif mode is MpNocMode.DEVICE_TO_PE:
@@ -416,21 +423,21 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
         destinations = range(senders.start + offset, senders.stop + offset,
                              senders.step)
     else:
-        destinations = [int(dst_expr)] * len(senders)
-    column = machine.regs[reg]
-    # Both destination kinds ascend, so their ends bound them.
-    if mode is MpNocMode.PE_TO_PE and senders and not (
-            destinations[0] >= 0 and destinations[-1] < n):
-        # Checked here because -1 and -2 double as the sentinel ports.
-        first = next(i for i, dst in enumerate(destinations)
-                     if not 0 <= dst < n)
-        raise PortOutOfRange(senders[first], destinations[first], n)
-    messages = zip(senders, destinations, column[_lanes(senders)])
-    result = transfer(net, mode, list(messages),
+        target = int(dst_expr)
+        destinations = [target] * len(senders)
+    # Checked here because -1 and -2 double as the sentinel ports; the
+    # router checks the top end.  Both destination kinds ascend.
+    if mode is MpNocMode.PE_TO_PE and senders and destinations[0] < 0:
+        raise PortOutOfRange(senders[0], destinations[0], machine.n_pes)
+    result = transfer(net, mode, list(zip(senders, destinations, words)),
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
-    if isinstance(destinations, range):
+    if mode is MpNocMode.ACU_TO_PE:
+        machine.acu_mailbox.extend(words)
+    elif mode is MpNocMode.DEVICE_TO_PE:
+        machine.device_sink.extend(words)
+    elif isinstance(destinations, range):
         # Distinct destinations: each active one gets exactly one word.
         # There are none unless the offset is a multiple of the step.
         step = senders.step
@@ -439,14 +446,8 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
         if receivers and offset % step == 0:
             column[_lanes(receivers)] = column[
                 receivers.start - offset:receivers.stop - offset:step]
-        return
-    for dst, payloads in result.delivered.items():
-        if dst == ACU_PORT:
-            machine.acu_mailbox.extend(payloads)
-        elif dst == DEVICE_PORT:
-            machine.device_sink.extend(payloads)
-        elif dst in senders:
-            column[dst] = payloads[-1]
+    elif target in senders:
+        column[target] = words[-1]
 
 
 _EXECUTE = {

@@ -4,14 +4,17 @@ This is the simulator's original execution core: one Python loop over
 the PEs for every instruction, registers stored as one list per PE and
 each PE's local memory as its own bytearray.  It is kept as the oracle
 that ``tests/test_sim_differential.py`` compares the column-store
-``mppsoc.simulator.run`` against.  Its one change since: a PE-mode
+``mppsoc.simulator.run`` against.  Two changes since.  First, a PE-mode
 ``NOCSEND`` checks each active PE's destination against 0..N-1 before
 routing, so ``idx-1`` from PE 0 is a port out of range, not a mode
-mismatch with the ACU sentinel port -1.  Program loading, the
-error types, the cost model and ``SimReport`` are shared with the
-package; only the execution semantics are restated here.  MOVD walks
-the per-PE adjacency dicts of ``topology_reference``, not the package's
-grid shift, so the two share no neighbour arithmetic.
+mismatch with the ACU sentinel port -1.  Second, ``NOCSEND`` takes only
+the latency from the router and delivers from its own message list in
+sender order: the ACU mailbox and device sink append every word, and
+an active PE-mode receiver keeps the last word aimed at it.  Program
+loading, the error types, the cost model and ``SimReport`` are shared
+with the package; only the execution semantics are restated here.
+MOVD walks the per-PE adjacency dicts of ``topology_reference``, not
+the package's grid shift, so the two share no neighbour arithmetic.
 
 Known differences from ``mppsoc.simulator.run``, both intended:
 router errors (``PortOutOfRange``, ``ModeMismatch``) propagate as they
@@ -240,11 +243,11 @@ def _execute_nocsend(machine: SimMachine, instr: Instruction):
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
-    for dst, payloads in sorted(result.delivered.items(),
-                                key=lambda item: item[0]):
+    # Messages are in sender order: a later sender's word overwrites.
+    for _pe, dst, payload in messages:
         if dst == ACU_PORT:
-            machine.acu_mailbox.extend(payloads)
+            machine.acu_mailbox.append(payload)
         elif dst == DEVICE_PORT:
-            machine.device_sink.extend(payloads)
+            machine.device_sink.append(payload)
         elif machine.pe_active[dst]:
-            machine.pe_regs[dst][reg] = payloads[-1]
+            machine.pe_regs[dst][reg] = payload

@@ -1,5 +1,6 @@
 import shutil
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,26 @@ def test_simulate_values_from_file_and_kv_report(cfg, tmp_path, capsys):
 def test_simulate_value_count_mismatch(cfg, tmp_path, capsys):
     assert main(["simulate", str(cfg), "--values", "0..3",
                  "-o", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("spec, supplied", [("0..2000000", 2000001),
+                                            (f"0..{10**30}", 10**30 + 1),
+                                            ("5..1", 0)])
+def test_simulate_wide_value_range_is_counted_before_it_is_built(
+        cfg, tmp_path, capsys, spec, supplied):
+    main(["validate", str(cfg)])  # builds the cached parser outside the trace
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["simulate", str(cfg), "--values", spec,
+                     "-o", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: --values supplied {supplied} values, the array has 16 PEs"]
 
 
 def test_simulate_asm_program(cfg, tmp_path, capsys):

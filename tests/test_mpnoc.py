@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -42,26 +43,6 @@ def test_delta_rejects_non_power_of_two(ports):
         build_network(MpNocKind.DELTA_OMEGA, ports)
 
 
-def test_paths_match_oracle_everywhere():
-    for kind in DELTAS:
-        for ports in (2, 4, 8, 16):
-            net = build_network(kind, ports)
-            for src in range(ports):
-                for dst in range(ports):
-                    assert net.path(src, dst) == oracle_path(kind, ports, src, dst)
-    # Large networks: seeded samples, including the corner ports.
-    rng = random.Random(1024)
-    for kind in DELTAS:
-        for ports in (1024, 4096):
-            net = build_network(kind, ports)
-            corners = [(0, 0), (0, ports - 1), (ports - 1, 0),
-                       (ports - 1, ports - 1)]
-            sampled = [(rng.randrange(ports), rng.randrange(ports))
-                       for _ in range(300)]
-            for src, dst in corners + sampled:
-                assert net.path(src, dst) == oracle_path(kind, ports, src, dst)
-
-
 def same_partition(ids, resources):
     """Whether equal ids and equal resources pair up one to one."""
     forward, backward = {}, {}
@@ -91,8 +72,6 @@ def test_window_ids_name_the_stage_links_one_to_one(kind):
     for ports in (2, 4, 8, 16, 32, 64, 1024, 4096):
         net = build_network(kind, ports)
         assert window_ids_match_links(net, window_pairs(ports, rng))
-        # The scheduler's ids need no link table.
-        assert "_tables" not in vars(net)
 
 
 @pytest.mark.parametrize("kind", [MpNocKind.DELTA_BASELINE,
@@ -104,13 +83,6 @@ def test_window_ids_need_the_bit_reversal_on_baseline_and_butterfly(kind):
         n = net.stage_count
         net.source_tags = [s << n for s in range(ports)]
         assert not window_ids_match_links(net, window_pairs(ports, rng))
-
-
-def test_link_tables_are_built_on_first_path():
-    net = build_network(MpNocKind.DELTA_BUTTERFLY, 16)
-    assert "_tables" not in vars(net)
-    assert net.path(3, 12) == oracle_path(MpNocKind.DELTA_BUTTERFLY, 16, 3, 12)
-    assert len(net.input_links) == 16 and len(net.next_links) == 4
 
 
 def test_crossbar_single_pass_for_sampled_permutations():
@@ -188,7 +160,6 @@ def test_acu_broadcast_over_crossbar_is_one_pass():
     net = build_network(MpNocKind.CROSSBAR, 8)
     messages = [(ACU_PORT, pe, 42) for pe in range(8)]
     result = transfer(net, MpNocMode.ACU_TO_PE, messages, pass_cycles=4)
-    assert sum(len(v) for v in result.delivered.values()) == 8
     assert result.passes == 1
     assert result.latency == 1 * 4 + 1
 
@@ -199,7 +170,6 @@ def test_identity_over_shared_bus_serializes():
     result = transfer(net, MpNocMode.PE_TO_PE, messages, pass_cycles=1)
     assert result.passes == 4
     assert result.latency == 4 * 1 + 1
-    assert result.delivered == {0: [0], 1: [10], 2: [20], 3: [30]}
 
 
 def test_bit_reversal_transfer_latency_tracks_passes():
@@ -213,17 +183,23 @@ def test_bit_reversal_transfer_latency_tracks_passes():
     assert result.latency == expected_passes * 12 + 1
 
 
-def test_transfer_conservation_and_payload_integrity():
+def test_transfer_passes_cover_the_busiest_destination():
     rng = random.Random(3)
     for kind in (MpNocKind.SHARED_BUS, MpNocKind.CROSSBAR, MpNocKind.DELTA_OMEGA):
         net = build_network(kind, 8)
         messages = [(src, rng.randrange(8), rng.randrange(1 << 32))
                     for src in range(8)]
         result = transfer(net, MpNocMode.PE_TO_PE, messages)
-        delivered = sorted(
-            (dst, payload) for dst, items in result.delivered.items()
-            for payload in items)
-        assert delivered == sorted((dst, payload) for _, dst, payload in messages)
+        # Messages to one port share its last resource, so each takes
+        # its own pass.
+        busiest = max(Counter(dst for _, dst, _ in messages).values())
+        assert busiest > 1
+        if kind is MpNocKind.SHARED_BUS:
+            assert result.passes == len(messages)
+        elif kind is MpNocKind.CROSSBAR:
+            assert result.passes == busiest
+        else:
+            assert busiest <= result.passes <= len(messages)
         # Omitted charges come from the default cost model.
         default = CostModel()
         assert result.latency == (result.passes * default.noc_pass_cycles(net)
@@ -235,7 +211,7 @@ def test_duplicate_destination_serializes_on_crossbar():
     messages = [(0, 3, 1), (1, 3, 2), (2, 0, 3)]
     result = transfer(net, MpNocMode.PE_TO_PE, messages)
     assert result.passes == 2
-    assert result.delivered[3] == [1, 2]
+    assert result.latency == 2 * CostModel().noc_pass_cycles(net) + 1
 
 
 def test_mode_mismatch_and_port_range():
@@ -248,9 +224,10 @@ def test_mode_mismatch_and_port_range():
         transfer(net, MpNocMode.PE_TO_PE, [(0, 9, 5)])
     with pytest.raises(PortOutOfRange):
         transfer(net, MpNocMode.ACU_TO_PE, [(ACU_PORT, 9, 5)])
-    # Device port delivers into the device sink end.
-    result = transfer(net, MpNocMode.DEVICE_TO_PE, [(2, DEVICE_PORT, 5)])
-    assert result.delivered == {DEVICE_PORT: [5]}
+    # A PE-to-device message takes one pass.
+    result = transfer(net, MpNocMode.DEVICE_TO_PE, [(2, DEVICE_PORT, 5)],
+                      pass_cycles=3, config_cycles=2)
+    assert (result.passes, result.latency) == (1, 1 * 3 + 2)
 
 
 def test_exhaustive_small_sizes_match_oracle():

@@ -224,12 +224,28 @@ def test_nocsend_under_strided_mask_pairs_each_sender_with_its_destination():
 def test_nocsend_acu_mode_fills_mailbox():
     machine = machine_for(1, 4, mpnoc=MpNocKind.CROSSBAR)
     for pe in range(4):
-        machine.regs[1][pe] = pe + 1
+        machine.regs[1][pe] = 4 - pe
     run(machine, load_program("NOCSEND acu,0,r1\nHALT"))
-    assert sorted(machine.acu_mailbox) == [1, 2, 3, 4]
+    # The mailbox takes the words in PE order.
+    assert machine.acu_mailbox == [4, 3, 2, 1]
 
 
-@pytest.mark.parametrize("mode", ["acu", "pe"])
+@pytest.mark.parametrize("kind", list(MpNocKind))
+def test_nocsend_to_one_pe_keeps_the_highest_active_senders_word(kind):
+    machine = machine_for(1, 8, mpnoc=kind)
+    machine.regs[0] = [pe * 100 for pe in range(8)]
+    machine.regs[1] = [pe * 100 for pe in range(8)]
+    report = run(machine, load_program(
+        "MASK mod:3:1\nNOCSEND pe,4,r0\nNOCSEND pe,2,r1\nUNMASK\nHALT"))
+    # Active PEs 1, 4 and 7 all send to PE 4, which keeps PE 7's word;
+    # PE 2 is inactive, so the words sent to it are dropped.
+    assert [regs[0] for regs in report.registers] == [
+        0, 100, 200, 300, 700, 500, 600, 700]
+    assert [regs[1] for regs in report.registers] == [
+        pe * 100 for pe in range(8)]
+
+
+@pytest.mark.parametrize("mode", ["acu", "dev", "pe"])
 @pytest.mark.parametrize("kind", list(MpNocKind))
 def test_nocsend_all_to_one_on_1024_pes_takes_one_pass_per_sender(kind, mode):
     machine = machine_for(1, 1024, mpnoc=kind)
@@ -240,10 +256,10 @@ def test_nocsend_all_to_one_on_1024_pes_takes_one_pass_per_sender(kind, mode):
     elapsed = time.perf_counter() - started
     # Every sender contends for the one destination: 1024 passes.
     assert report.cycles == (1027 if kind is MpNocKind.SHARED_BUS else 40963)
-    if mode == "acu":
-        assert machine.acu_mailbox == values
-    else:
-        assert machine.acu_mailbox == []
+    sinks = {"acu": machine.acu_mailbox, "dev": machine.device_sink}
+    for name, sink in sinks.items():
+        assert sink == (values if name == mode else [])
+    if mode == "pe":
         assert report.registers[0][0] == values[-1]
     assert elapsed < 1.0
 
