@@ -18,6 +18,16 @@ Interconnection Networks", IEEE TC 1980).  Two messages share a stage-k
 link exactly when they share that window, so a delta network keeps only
 ``source_tags[s] = sigma(s) << n``.
 
+A translation, distinct sources s each sending to ``sigma(s) + c`` mod
+N for one offset c, takes one pass, as Lawrie showed for omega ("Access
+and Alignment of Data in an Array Processor", IEEE TC 1975).  Proof: two
+messages share a stage-k window only if their destinations differ in no
+bit at or above n-1-k and their sigma-sources in none below it.  In a
+translation d - d' = sigma(s) - sigma(s') mod N, so the lowest bit in
+which d and d' differ is the lowest in which sigma(s) and sigma(s')
+differ, and no such k exists.  ``transfer`` returns that pass without
+building a resource column.
+
 Routing is multi-pass and first-fit in priority order (lowest source
 first): each message goes to the lowest pass in which no earlier
 message holds one of its resources under a different share key, and
@@ -39,7 +49,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import lt, or_
+from itertools import repeat
+from operator import and_, lt, or_, rshift, sub
 
 from mppsoc.config import DELTA_KINDS, CostModel, MpNocKind
 from mppsoc.errors import MppSocError
@@ -271,6 +282,15 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
     everything else serializes per the network's contention rules.
     Messages to one port share its last resource, so distinct sources
     reach it in successive passes, lowest source first.
+
+    On a delta network, ascending distinct source ports whose
+    destination ports are all ``sigma(src) + c`` mod N for one c (a
+    translation, such as ``NOCSEND pe, idx+K``) take one pass with no
+    contention: the stage-k windows of two such messages would need
+    their destinations to differ only below bit n-1-k and their
+    sigma-sources only at or above it, but d - d' = sigma(s) - sigma(s')
+    mod N makes both differ first in the same bit (Lawrie, IEEE TC
+    1975; see the module docstring).
     """
     msgs = list(messages)
     if pass_cycles is None:
@@ -297,6 +317,15 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
         srcs, payloads, src_ports, dst_ports = (
             [column[i] for i in order]
             for column in (srcs, payloads, src_ports, dst_ports))
+    elif net.is_delta:
+        # Distinct sources: a translation takes one pass.  The offsets
+        # are compared lazily, so any other set stops at its first odd one.
+        sigmas = map(rshift, map(net.source_tags.__getitem__, src_ports),
+                     repeat(net.stage_count))
+        offsets = map(and_, map(sub, dst_ports, sigmas), repeat(ports - 1))
+        first = next(offsets)
+        if all(map(first.__eq__, offsets)):
+            return TransferResult(passes=1, latency=pass_cycles + config_cycles)
     passes, _conflicts = _greedy_passes(
         zip(srcs, payloads), net.resource_columns(src_ports, dst_ports), ports)
     latency = len(passes) * pass_cycles + config_cycles

@@ -127,7 +127,7 @@ class SimProgram:
 
 _REG_RE = re.compile(r"^r([0-7])$", re.IGNORECASE)
 _DST_EXPR_RE = re.compile(r"^idx([+-]\d+)?$|^-?\d+$", re.IGNORECASE)
-_PREDICATE_RE = re.compile(r"^(all|none|even|odd|(lt|ge):\d+|mod:(\d+):\d+)$")
+_PREDICATE_RE = re.compile(r"^(all|none|even|odd|(lt|ge):\d+|mod:\d+:\d+)$")
 
 
 def _parse_register(token: str, line: int) -> int:
@@ -159,18 +159,26 @@ def _parse_mode(token: str, line: int) -> MpNocMode:
                          line) from None
 
 
+# The next two parsers check every number through ``_parse_int`` (one
+# too long for ``int`` is a BadOperand) but return the operand as text.
+
+
 def _parse_dst_expr(token: str, line: int) -> str:
     if not _DST_EXPR_RE.match(token):
         raise BadOperand(f"bad destination expression {token!r}", line)
-    return token.lower()
+    expr = token.lower()
+    number = expr[3:] if expr.startswith("idx") else expr
+    if number:
+        _parse_int(number, line)
+    return expr
 
 
 def _parse_predicate(token: str, line: int) -> str:
     pred = token.lower()
-    match = _PREDICATE_RE.match(pred)
-    if not match:
+    if not _PREDICATE_RE.match(pred):
         raise BadOperand(f"bad predicate {token!r}", line)
-    if match.group(3) is not None and int(match.group(3)) < 1:
+    numbers = [_parse_int(field, line) for field in pred.split(":")[1:]]
+    if pred.startswith("mod:") and numbers[0] < 1:
         raise BadOperand(f"bad predicate {token!r} (modulus must be >= 1)", line)
     return pred
 

@@ -258,6 +258,24 @@ def test_simulate_mask_modulus_zero_is_load_error(cfg, tmp_path, capsys):
     assert single_error_line(capsys).endswith("(line 1)")
 
 
+HUGE = "9" * 4301  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("operand", [
+    f"MASK lt:{HUGE}", f"MASK ge:{HUGE}", f"MASK mod:{HUGE}:1",
+    f"MASK mod:3:{HUGE}", f"NOCSEND pe,idx+{HUGE},r0",
+    f"NOCSEND pe,idx-{HUGE},r0", f"NOCSEND pe,{HUGE},r0",
+])
+def test_simulate_huge_operand_is_load_error(cfg, tmp_path, capsys, operand):
+    program = tmp_path / "prog.asm"
+    program.write_text(f"LDI r0,1\n{operand}\nHALT\n")
+    assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+                 "-o", str(tmp_path / "out")]) == 3
+    line = single_error_line(capsys)
+    assert line.startswith("error: bad operand: expected an integer")
+    assert line.endswith("(line 2)")
+
+
 @pytest.mark.parametrize("source, message", [
     ("NOCSEND pe,idx+1,r0\nHALT\n", "message 15->16 outside 0..15 (line 1)"),
     ("LDI r0,1\nMOVD r0,NE\nHALT\n",

@@ -11,6 +11,7 @@ from mppsoc.mpnoc import (
     DEVICE_PORT,
     ModeMismatch,
     MpNocMode,
+    MpNocNetwork,
     NotAPermutation,
     PortCountNotPowerOfTwo,
     PortOutOfRange,
@@ -181,6 +182,54 @@ def test_bit_reversal_transfer_latency_tracks_passes():
     expected_passes = route_permutation(net, perm).passes
     assert result.passes == expected_passes
     assert result.latency == expected_passes * 12 + 1
+
+
+def sigma_of(kind, n_bits):
+    """The source relabelling under which a delta wiring is omega."""
+    if kind is MpNocKind.DELTA_OMEGA:
+        return list(range(1 << n_bits))
+    return bit_reversal(n_bits)
+
+
+@pytest.mark.parametrize("kind", DELTAS)
+def test_sigma_translations_are_conflict_free_on_the_oracle(kind):
+    for n_bits in range(1, 7):
+        ports, sigma = 1 << n_bits, sigma_of(kind, n_bits)
+        for offset in range(ports):
+            assert_pass_conflict_free(
+                kind, ports, [(s, (sigma[s] + offset) % ports)
+                              for s in range(ports)])
+
+
+class ScheduledError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", DELTAS)
+def test_translations_skip_the_window_columns(kind, monkeypatch):
+    """Every non-wrapping s -> sigma(s)+K set, from every source and from
+    the sources a ``MASK mod:4:1`` leaves, takes one pass without a
+    window column; one source repeated under another word (tried at
+    every 64th offset) makes it no translation, so that set reaches the
+    scheduler."""
+    def refuse(self, srcs, dsts):
+        raise ScheduledError
+
+    monkeypatch.setattr(MpNocNetwork, "resource_columns", refuse)
+    ports, sigma = 1024, sigma_of(kind, 10)
+    net = build_network(kind, ports)
+    for offset in range(1 - ports, ports):
+        full = [(s, sigma[s] + offset, s) for s in range(ports)
+                if 0 <= sigma[s] + offset < ports]
+        for messages in (full, [m for m in full if m[0] % 4 == 1]):
+            if messages:
+                result = transfer(net, MpNocMode.PE_TO_PE, messages,
+                                  pass_cycles=7, config_cycles=3)
+                assert (result.passes, result.latency) == (1, 7 + 3)
+        if offset % 64 == 0:
+            src, dst, word = full[len(full) // 2]
+            with pytest.raises(ScheduledError):
+                transfer(net, MpNocMode.PE_TO_PE, full + [(src, dst, word + 1)])
 
 
 def test_transfer_passes_cover_the_busiest_destination():

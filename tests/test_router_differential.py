@@ -1,8 +1,9 @@
 """Differential test: the column-wise router in ``mppsoc.mpnoc`` against
 a per-message reference greedy scheduler driven by the independent
-stage-walk oracle, on random message sets, hot spots and permutations
-over every router kind, port counts 1-64 and every transfer mode; and
-the first-fit scheduler itself against the same reference."""
+stage-walk oracle, on random message sets, hot spots, translations and
+permutations over every router kind, port counts 1-64 and every
+transfer mode; and the first-fit scheduler itself against the same
+reference."""
 
 from functools import cache
 
@@ -161,6 +162,50 @@ def message_sets(draw, ports, mode):
 
 
 @st.composite
+def translation_sets(draw, kind, ports, mode):
+    """Messages s -> sigma(s) + K from distinct ascending sources, with
+    sigma the identity or the bit reversal on every kind (so baseline and
+    butterfly also get plain shifts, which conflict there): from every
+    source, from ``range(r, N, 2^j)`` or from any subset, with K in
+    -N+1..N-1, wrapped mod N or cut where it leaves the ports.  Some
+    sets repeat one source, with its word or another, move one message
+    to another destination, or come unsorted.
+    In the ACU and device modes only the messages with a port-0 end
+    stay, that end (the source if both) made the sentinel port."""
+    n_bits = ports.bit_length() - 1
+    if ports == 1 << n_bits and draw(st.booleans()):
+        sigma = [int(format(s, f"0{n_bits}b")[::-1], 2) for s in range(ports)]
+    else:
+        sigma = range(ports)
+    stride = 1 << draw(st.integers(0, n_bits))
+    sources = draw(st.one_of(
+        st.just(range(ports)),
+        st.integers(0, stride - 1).map(lambda r: range(r, ports, stride)),
+        st.sets(st.integers(0, ports - 1)).map(sorted)))
+    offset = draw(st.integers(1 - ports, ports - 1))
+    wrap = draw(st.booleans())
+    messages = []
+    for src in sources:
+        dst = sigma[src] + offset
+        if wrap or 0 <= dst < ports:
+            messages.append((src, dst % ports, draw(st.integers(0, 1000))))
+    if messages and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(messages) - 1))
+        src, dst, word = messages[i]
+        if draw(st.booleans()):
+            messages.insert(i + 1, (src, dst, word + draw(st.integers(0, 1))))
+        else:
+            messages[i] = (src, draw(st.integers(0, ports - 1)), word)
+    if draw(st.integers(0, 4)) == 0:
+        messages = draw(st.permutations(messages))
+    if mode is not MpNocMode.PE_TO_PE:
+        port = SPECIAL[mode]
+        messages = [(port, dst, word) if src == 0 else (src, port, word)
+                    for src, dst, word in messages if 0 in (src, dst)]
+    return messages
+
+
+@st.composite
 def hot_spot_sets(draw, ports, mode):
     """Distinct senders aimed at one to three destinations, so share
     keys never repeat and every message to one destination contends for
@@ -228,7 +273,8 @@ def assert_transfer_matches(kind, ports, mode, messages, cost):
        data=st.data())
 def test_transfer_matches_per_message_reference(net, mode, cost, data):
     kind, ports = net
-    messages = data.draw(message_sets(ports, mode))
+    messages = data.draw(st.one_of(message_sets(ports, mode),
+                                   translation_sets(kind, ports, mode)))
     assert_transfer_matches(kind, ports, mode, messages, cost)
     if not messages:
         return
@@ -250,6 +296,17 @@ def test_transfer_matches_per_message_reference(net, mode, cost, data):
 def test_transfer_matches_per_message_reference_on_hot_spots(kind, mode, data):
     ports = data.draw(port_counts(kind))
     messages = data.draw(hot_spot_sets(ports, mode))
+    assert_transfer_matches(kind, ports, mode, messages, CostModel())
+
+
+@pytest.mark.parametrize("mode", list(MpNocMode))
+@pytest.mark.parametrize("kind", list(MpNocKind))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_transfer_matches_per_message_reference_on_translations(kind, mode,
+                                                                data):
+    ports = data.draw(port_counts(kind))
+    messages = data.draw(translation_sets(kind, ports, mode))
     assert_transfer_matches(kind, ports, mode, messages, CostModel())
 
 
