@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from mppsoc.config import ConfigError, CostModel, parse_config
-from mppsoc.errors import MppSocError
+from mppsoc.errors import MppSocError, int_text
 from mppsoc.rewrite import (
     TEMPLATE_FILES,
     RewriteError,
@@ -69,8 +69,13 @@ def _parse_values(spec: str, count: int) -> list[int]:
     supplied = (max(values.stop - values.start, 0)
                 if isinstance(values, range) else len(values))
     if supplied != count:
-        raise SimulationError(
-            f"--values supplied {supplied} values, the array has {count} PEs")
+        raise SimulationError(f"--values supplied {int_text(supplied)} "
+                              f"values, the array has {count} PEs")
+    # The array has at least one PE; a range is checked at its two ends.
+    ends = (values[0], values[-1]) if isinstance(values, range) else values
+    if not -(1 << 31) <= min(ends) <= max(ends) < 1 << 32:
+        raise SimulationError("--values: every value must be a 32-bit word, "
+                              "from -2147483648 to 4294967295")
     return list(values)
 
 
@@ -163,7 +168,7 @@ def _cmd_report(args) -> int:
             found = True
             print(path.read_text(encoding="utf-8").rstrip("\n"))
     if not found:
-        print(f"no reports in {out_dir}", file=sys.stderr)
+        print(f"error: no reports in {out_dir}", file=sys.stderr)
         return 2
     return 0
 

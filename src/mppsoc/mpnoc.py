@@ -53,7 +53,7 @@ from itertools import repeat
 from operator import and_, lt, or_, rshift, sub
 
 from mppsoc.config import DELTA_KINDS, CostModel, MpNocKind
-from mppsoc.errors import MppSocError
+from mppsoc.errors import MppSocError, int_text
 
 # Distinguished injection ports for the two non-PE endpoints.
 ACU_PORT = -1
@@ -84,7 +84,8 @@ class NotAPermutation(MppSocError):
 
 class PortOutOfRange(MppSocError):
     def __init__(self, src: int, dst: int, ports: int):
-        super().__init__(f"message {src}->{dst} outside 0..{ports - 1}")
+        super().__init__(f"message {int_text(src)}->{int_text(dst)} "
+                         f"outside 0..{ports - 1}")
 
 
 class ModeMismatch(MppSocError):

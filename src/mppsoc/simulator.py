@@ -6,13 +6,16 @@ moves, local loads/stores, adds, single-hop neighbour shifts (MOVD) and
 global-router sends (NOCSEND).  reduce_sum ships the recursive-doubling
 reduction as the built-in application.
 
-The machine state is stored as columns (one list of N words per
-register and per touched memory word), so each instruction is one
-whole-column operation over the array, the way the SIMD hardware
-applies it, rather than a loop over PEs.  Every MASK predicate selects
-one slice of the PE indices, so the activity mask is a ``range`` and an
-instruction reads and writes only that slice of its columns.  MOVD is
-the topology's grid shift of one column.
+The machine state is stored as packed columns: each register and each
+touched memory word is one int with a 64-bit lane per PE (SIMD within a
+register; Fisher & Dietz, LCPC 1998, and ``mppsoc.topology``).  Each
+instruction is then a few whole-int operations over the array, the way
+the SIMD hardware applies it, rather than a loop over PEs.  Every MASK
+predicate selects one slice of the PE indices, a ``range``; its lane
+mask holds 0xFFFFFFFF in each active lane and its complement in each
+idle one.  A masked write is ``old & idle | new & lanes``, which also
+truncates the new words to 32 bits.  MOVD is the topology's packed shift
+of one column.
 
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  Nothing else advances the clock.
@@ -23,7 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
 
 from mppsoc.config import CostModel, MppSoCConfig
 from mppsoc.errors import MppSocError
@@ -37,15 +39,25 @@ from mppsoc.mpnoc import (
     build_network,
     transfer,
 )
-from mppsoc.topology import OPPOSITE, TopologyGraph, build_topology
+from mppsoc.topology import (
+    LANE_BITS,
+    OPPOSITE,
+    WORD_MASK,
+    TopologyGraph,
+    build_topology,
+    pack,
+    shift_lanes,
+    spread,
+    unpack,
+)
 
-_WORD_MASK = 0xFFFFFFFF
+_SIGN_FILL = WORD_MASK << 32  # the upper half of a negative int64 lane
 _REGISTER_COUNT = 8
-MAX_PES = 1 << 20  # eight register columns of 2^20 words: ~64 MiB
+MAX_PES = 1 << 20  # eight register columns of 2^20 64-bit lanes: ~64 MiB
 
 
 def _wrap(value: int) -> int:
-    return value & _WORD_MASK
+    return value & WORD_MASK
 
 
 class SimulationError(MppSocError):
@@ -238,32 +250,24 @@ def _active_range(pred: str, n: int) -> range:
     head, _, rest = _PREDICATE_ALIASES.get(pred, pred).partition(":")
     if head == "mod":
         modulus, remainder = map(int, rest.split(":"))
-        return range(remainder, n, modulus) if remainder < modulus else range(0)
+        start = min(remainder, n)  # the lane mask shifts by the start
+        return range(start, n, modulus) if remainder < modulus else range(0)
     split = min(int(rest), n)
     return range(split) if head == "lt" else range(split, n)
 
 
-def _lanes(active: range) -> slice:
-    """The slice of a column that ``active`` selects."""
-    return slice(active.start, active.stop, active.step)
-
-
-def _signed_column(column: list[int]) -> list[int]:
-    if max(column) >> 31 == 0:
-        return column
-    return [v - (1 << 32) if v >> 31 else v for v in column]
-
-
 class SimMachine:
-    """Mutable machine state, stored as one column per register and per
-    memory word, plus the configured networks.
+    """Mutable machine state, stored as one packed column per register
+    and per memory word, plus the configured networks.
 
-    ``regs[r][pe]`` is register r of PE pe.  ``mem[addr][pe]`` is the
-    word at byte address ``addr`` of PE pe's local memory; a column is
-    created by the first store to its address and absent words read 0,
-    so memory costs nothing until it is used.  ``active`` is the range
-    of PE indices that the last MASK made active; instructions touch
-    only that slice of a column.
+    ``regs[r]`` is register r of every PE, PE pe's word in lane pe;
+    ``column(r)`` and ``set_column(r, words)`` read and write it as one
+    word per PE.  ``mem[addr]`` is the word at byte address ``addr`` of
+    every PE's local memory; a column is created by the first store to
+    its address and absent words read 0, so memory costs nothing until
+    it is used.  ``active`` is the range of PE indices that the last
+    MASK made active, ``lanes`` its lane mask and ``idle`` the mask of
+    the other lanes; instructions write only the active lanes.
     """
 
     def __init__(self, config: MppSoCConfig, cost: CostModel | None = None):
@@ -278,11 +282,14 @@ class SimMachine:
         self.mpnoc: MpNocNetwork | None = None
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
+        self.ones = spread(1, self.n_pes)  # 1 in every lane
+        self.full = self.ones * WORD_MASK
+        self.boundary = self.ones * _wrap(self.cost.boundary_value)
         self.reset()
 
     def reset(self):
-        self.regs = [[0] * self.n_pes for _ in range(_REGISTER_COUNT)]
-        self.mem: dict[int, list[int]] = {}
+        self.regs = [0] * _REGISTER_COUNT
+        self.mem: dict[int, int] = {}
         self.set_mask("all")
         self.acu_mailbox: list[int] = []
         self.device_sink: list[int] = []
@@ -290,21 +297,47 @@ class SimMachine:
 
     def set_mask(self, pred: str):
         """Make the PEs that satisfy a (loaded) MASK predicate active."""
-        self.active = _active_range(pred, self.n_pes)
+        active = self.active = _active_range(pred, self.n_pes)
+        if len(active) == self.n_pes:  # UNMASK and its like reuse the full mask
+            self.lanes, self.idle = self.full, 0
+        else:
+            self.lanes = (spread(WORD_MASK, len(active), active.step)
+                          << LANE_BITS * active.start)
+            self.idle = self.full ^ self.lanes
+
+    def masked(self, old: int, new: int) -> int:
+        """``new``'s 32-bit words in the active lanes, ``old``'s in the
+        others.  Under the full mask ``old & idle`` costs nothing."""
+        return old & self.idle | new & self.lanes
+
+    def column(self, reg: int) -> list[int]:
+        """Register ``reg`` of every PE, in PE order."""
+        return unpack(self.regs[reg], self.n_pes).tolist()
+
+    def set_column(self, reg: int, words):
+        """Set register ``reg`` of every PE, one word per PE in PE order."""
+        self.regs[reg] = self._pack(words)
+
+    def _pack(self, words) -> int:
+        words = list(words)
+        if len(words) != self.n_pes:
+            raise ValueError(f"expected {self.n_pes} values, got {len(words)}")
+        try:
+            return pack(words) & self.full
+        except OverflowError:  # a word beyond int64
+            return pack(map(_wrap, words)) & self.full
 
     # -- PE memory (word-aligned byte addressing) -------------------------
 
     def read_word(self, pe: int, addr: int) -> int:
         self._check_addr(pe, addr)
-        column = self.mem.get(addr)
-        return column[pe] if column is not None else 0
+        return self.mem.get(addr, 0) >> LANE_BITS * pe & WORD_MASK
 
     def write_word(self, pe: int, addr: int, value: int):
         self._check_addr(pe, addr)
-        column = self.mem.get(addr)
-        if column is None:
-            column = self.mem[addr] = [0] * self.n_pes
-        column[pe] = _wrap(value)
+        column = self.mem.get(addr, 0)
+        old = column >> LANE_BITS * pe & WORD_MASK
+        self.mem[addr] = column ^ (old ^ _wrap(value)) << LANE_BITS * pe
 
     def _check_addr(self, pe: int, addr: int):
         if addr < 0 or addr % 4 != 0 or addr + 4 > self.config.pe_mem_bytes:
@@ -321,12 +354,9 @@ class SimMachine:
 
     def set_values(self, values):
         """Preload r0 and local word 0 of each PE, one value per PE."""
-        values = list(values)
-        if len(values) != self.n_pes:
-            raise ValueError(f"expected {self.n_pes} values, got {len(values)}")
+        column = self._pack(values)
         self._check_addr(0, 0)
-        self.regs[0] = [_wrap(v) for v in values]
-        self.mem[0] = list(self.regs[0])
+        self.regs[0] = self.mem[0] = column
 
 
 @dataclass(frozen=True)
@@ -361,34 +391,28 @@ def _op_mask(machine: SimMachine, pred: str = "all"):
 
 
 def _op_ldi(machine: SimMachine, reg: int, imm: int):
-    machine.regs[reg][_lanes(machine.active)] = [_wrap(imm)] * len(machine.active)
+    machine.regs[reg] = machine.masked(machine.regs[reg],
+                                       machine.ones * _wrap(imm))
 
 
 def _op_ld(machine: SimMachine, reg: int, addr: int):
     machine.cycles += machine.cost.op_cycles
     if machine._word_access(addr):
-        lanes, column = _lanes(machine.active), machine.mem.get(addr)
-        machine.regs[reg][lanes] = (column[lanes] if column is not None
-                                    else [0] * len(machine.active))
+        machine.regs[reg] = machine.masked(machine.regs[reg],
+                                           machine.mem.get(addr, 0))
 
 
 def _op_st(machine: SimMachine, reg: int, addr: int):
     machine.cycles += machine.cost.op_cycles
     if machine._word_access(addr):
-        column = machine.mem.get(addr)
-        if column is None:
-            column = machine.mem[addr] = [0] * machine.n_pes
-        lanes = _lanes(machine.active)
-        column[lanes] = machine.regs[reg][lanes]
+        machine.mem[addr] = machine.masked(machine.mem.get(addr, 0),
+                                           machine.regs[reg])
 
 
 def _op_add(machine: SimMachine, dst: int, a: int, b: int):
     machine.cycles += machine.cost.op_cycles
-    regs, lanes = machine.regs, _lanes(machine.active)
-    sums = list(map(add, regs[a][lanes], regs[b][lanes]))
-    if max(sums, default=0) > _WORD_MASK:
-        sums = [v & _WORD_MASK for v in sums]
-    regs[dst][lanes] = sums
+    regs = machine.regs
+    regs[dst] = machine.masked(regs[dst], regs[a] + regs[b])
 
 
 def _op_movd(machine: SimMachine, reg: int, direction: str):
@@ -399,15 +423,11 @@ def _op_movd(machine: SimMachine, reg: int, direction: str):
         kind = graph.kind.value if graph else "a machine with no neighbourhood"
         raise DirectionUnavailable(direction, kind)
     machine.cycles += machine.cost.hop_cycles
-    boundary = _wrap(machine.cost.boundary_value)
-    column, n = machine.regs[reg], machine.n_pes
-    if len(machine.active) == n:  # no lane to keep: skip both masked copies
-        machine.regs[reg] = graph.shift(column, direction, boundary)
-        return
-    lanes = _lanes(machine.active)
-    source = [boundary] * n
-    source[lanes] = column[lanes]
-    column[lanes] = graph.shift(source, direction, boundary)[lanes]
+    column = machine.regs[reg]
+    # An inactive sender sends the boundary value.
+    source = machine.masked(machine.boundary, column)
+    shifted = graph.shift(source, direction, _wrap(machine.cost.boundary_value))
+    machine.regs[reg] = machine.masked(column, shifted)
 
 
 def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
@@ -421,11 +441,9 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     if net is None:
         raise NocUnavailable()
     senders, column = machine.active, machine.regs[reg]
-    words = column[_lanes(senders)]
-    if mode is MpNocMode.ACU_TO_PE:
-        destinations = repeat(ACU_PORT)
-    elif mode is MpNocMode.DEVICE_TO_PE:
-        destinations = repeat(DEVICE_PORT)
+    to_acu = mode is MpNocMode.ACU_TO_PE
+    if mode is not MpNocMode.PE_TO_PE:
+        destinations = repeat(ACU_PORT if to_acu else DEVICE_PORT)
     elif dst_expr.startswith("idx"):
         offset = int(dst_expr[3:] or 0)
         destinations = range(senders.start + offset, senders.stop + offset,
@@ -437,25 +455,28 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     # router checks the top end.  Both destination kinds ascend.
     if mode is MpNocMode.PE_TO_PE and senders and destinations[0] < 0:
         raise PortOutOfRange(senders[0], destinations[0], machine.n_pes)
-    result = transfer(net, mode, list(zip(senders, destinations, words)),
+    # The sources are distinct, so no payload decides a share key.
+    result = transfer(net, mode, list(zip(senders, destinations, repeat(0))),
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
-    if mode is MpNocMode.ACU_TO_PE:
-        machine.acu_mailbox.extend(words)
-    elif mode is MpNocMode.DEVICE_TO_PE:
-        machine.device_sink.extend(words)
+    if mode is not MpNocMode.PE_TO_PE:
+        sink = machine.acu_mailbox if to_acu else machine.device_sink
+        if senders:  # unpack only the lanes from the first sender to the last
+            span = senders[-1] - senders.start + 1
+            lanes = column >> LANE_BITS * senders.start & (1 << LANE_BITS * span) - 1
+            sink.extend(unpack(lanes, span)[::senders.step])
     elif isinstance(destinations, range):
-        # Distinct destinations: each active one gets exactly one word.
-        # There are none unless the offset is a multiple of the step.
-        step = senders.step
-        receivers = range(max(senders.start, destinations.start),
-                          min(senders.stop, destinations.stop), step)
-        if receivers and offset % step == 0:
-            column[_lanes(receivers)] = column[
-                receivers.start - offset:receivers.stop - offset:step]
+        # Distinct destinations: each active one gets exactly one word,
+        # from the lane ``offset`` below it.  The router has checked that
+        # every destination is a PE, so the shift is under N lanes.
+        if senders:
+            receivers = machine.lanes & shift_lanes(machine.lanes, offset)
+            machine.regs[reg] = column ^ (
+                column ^ shift_lanes(column, offset)) & receivers
     elif target in senders:
-        column[target] = words[-1]
+        word = column >> LANE_BITS * senders[-1] ^ column >> LANE_BITS * target
+        machine.regs[reg] = column ^ (word & WORD_MASK) << LANE_BITS * target
 
 
 _EXECUTE = {
@@ -494,17 +515,21 @@ def run(machine: SimMachine, program: SimProgram,
             raise
         except (PortOutOfRange, ModeMismatch) as err:
             raise SimulationError(str(err), instr.line) from err
+    n, ones = machine.n_pes, machine.ones
     memory_words = None
     if snapshot_memory:
-        zeros = [0] * machine.n_pes
-        columns = [machine.mem.get(addr, zeros)
+        columns = [unpack(machine.mem[addr], n) if addr in machine.mem
+                   else repeat(0, n)
                    for addr in range(0, machine.config.pe_mem_bytes - 3, 4)]
-        memory_words = (tuple(zip(*columns)) if columns
-                        else ((),) * machine.n_pes)
+        memory_words = tuple(zip(*columns)) if columns else ((),) * n
+    # Sign-extend every lane to int64 (bit 31 fills the guard bits), then
+    # unpack; an all-zero column needs no unpacking.
+    registers = [unpack(col | (col >> 31 & ones) * _SIGN_FILL, n, signed=True)
+                 if col else repeat(0, n) for col in machine.regs]
     return SimReport(
         cycles=machine.cycles,
         instructions=executed,
-        registers=tuple(zip(*map(_signed_column, machine.regs))),
+        registers=tuple(zip(*registers)),
         memory_words=memory_words,
     )
 

@@ -6,13 +6,19 @@ neighbour and shortest-path queries.  Direction labels are fixed so
 programs can name ports: E/W along rows, N/S along columns, plus the
 four diagonals for xnet.
 
-A graph stores only its kind and shape.  ``TopologyGraph.shift`` moves
-a whole column of per-PE words one hop (MOVD) by list slicing, and
-``adjacency`` is a lazy view: that shift of the PE indices, on first use.
+A column of per-PE words is packed into one non-negative int: PE i's
+32-bit word sits in lane i, bits ``64*i`` to ``64*i+31``, and the 32
+bits above it are guard bits that hold 0 between instructions (a carry
+out of an add lands there, never in the next lane).  A graph stores only
+its kind and shape.  ``TopologyGraph.shift`` moves a packed column one
+hop (MOVD) with one bit shift and a few masks, and ``adjacency`` is a
+lazy view: that shift of the packed PE indices, on first use.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +51,42 @@ _DIRECTIONS_BY_KIND = {
 }
 
 _WRAPPING_KINDS = frozenset({Neighborhood.RING, Neighborhood.TORUS2D})
+
+LANE_BITS = 64  # a PE's lane: its 32-bit word and 32 guard bits
+WORD_MASK = 0xFFFFFFFF
+_SWAP = sys.byteorder == "big"  # packed lanes are little-endian
+
+
+def spread(pattern: int, count: int, stride: int = 1) -> int:
+    """``pattern`` in ``count`` lanes, ``stride`` lanes apart from lane
+    0 up, by shift-and-or doubling."""
+    if count < 2:
+        return pattern if count else 0
+    half = spread(pattern, count // 2, stride)
+    out = half | half << LANE_BITS * stride * (count // 2)
+    return out | pattern << LANE_BITS * stride * (count - 1) if count & 1 else out
+
+
+def shift_lanes(column: int, lanes: int) -> int:
+    """``column`` moved ``lanes`` lanes up, or down when negative."""
+    return column << LANE_BITS * lanes if lanes >= 0 else column >> -LANE_BITS * lanes
+
+
+def pack(words) -> int:
+    """The packed column of int64 ``words``, word i in lane i (a negative
+    one in two's complement); OverflowError for a word beyond int64."""
+    lanes = array("q", words)
+    if _SWAP:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def unpack(column: int, n: int, signed: bool = False) -> array:
+    """The n lanes of a packed column as uint64, or int64 if ``signed``."""
+    lanes = array("q" if signed else "Q", column.to_bytes(8 * n, "little"))
+    if _SWAP:
+        lanes.byteswap()
+    return lanes
 
 
 class DimensionMismatch(MppSocError):
@@ -80,6 +122,7 @@ class TopologyGraph:
         self.rows = rows
         self.cols = cols
         self.directions = frozenset(_DIRECTIONS_BY_KIND[kind])
+        self._hops: dict = {}  # (direction, fill) -> its masks and shifts
 
     @property
     def n_pes(self) -> int:
@@ -96,38 +139,45 @@ class TopologyGraph:
             raise IndexError(f"PE ({row},{col}) out of range")
         return PeId(row=row, col=col, linear_index=row * self.cols + col)
 
-    def shift(self, column: list, direction: str, fill=None) -> list:
-        """``column`` after one hop towards ``direction``: each PE takes
-        the word of its neighbour on the opposite side, or ``fill`` when
-        it has none there.
+    def shift(self, column: int, direction: str, fill: int = 0) -> int:
+        """The packed ``column`` after one hop towards ``direction``: each
+        PE takes the word of its neighbour on the opposite side, or the
+        word ``fill`` when it has none there.
 
-        The hop is a flat move by ``dr * cols + dc`` positions.  That is
-        right for every PE except those in the edge column that the move
-        vacates (the seam), which one strided slice then fixes: ``fill``
-        on a mesh, or on a ring or torus the opposite edge column (these
-        two have no diagonal moves, so the seam stays in its rows).
+        Every lane moves ``dr * cols + dc`` lanes, which is right for
+        each PE whose sender is on the grid without wrapping.  A keep mask
+        clears the other lanes, the ones the move vacates: they take
+        ``fill`` on a mesh or xnet, and on a ring or torus (no diagonals,
+        so they form one edge line) the opposite edge line, moved by one
+        more shift.  The masks are built once per direction and fill.
         """
+        if (direction, fill) not in self._hops:
+            self._hops[direction, fill] = self._hop(direction, fill)
+        step, keep, fill_column, edge, seam = self._hops[direction, fill]
+        out = shift_lanes(column, step) & keep
+        extra = shift_lanes(column & edge, seam) if edge else fill_column
+        return out | extra if extra else out
+
+    def _hop(self, direction: str, fill: int) -> tuple:
         dr, dc = DIRECTION_DELTAS[direction]
-        cols = self.cols
+        rows, cols, n = self.rows, self.cols, self.n_pes
+        kept_row = spread(WORD_MASK, cols - abs(dc)) << LANE_BITS * max(dc, 0)
+        keep = spread(kept_row, rows - abs(dr), cols) << LANE_BITS * cols * max(dr, 0)
+        vacated = spread(WORD_MASK, n) ^ keep
         step = dr * cols + dc
         if self.kind in _WRAPPING_KINDS:
-            out = column[-step:] + column[:-step]
-            seam = column[cols - 1 if dc > 0 else 0::cols]
-        else:
-            out = ([fill] * step + column[:-step] if step > 0
-                   else column[-step:] + [fill] * -step)
-            seam = [fill] * self.rows
-        if dc:
-            out[0 if dc > 0 else cols - 1::cols] = seam
-        return out
+            seam = step - dr * n - dc * cols
+            return step, keep, 0, shift_lanes(vacated, -seam), seam
+        return step, keep, vacated & spread(fill, n), 0, 0
 
     @cached_property
     def adjacency(self) -> tuple[dict, ...]:
-        pes = list(range(self.n_pes))
-        senders = [(label, self.shift(pes, OPPOSITE[label]))
+        n = self.n_pes
+        pes = pack(range(n))
+        senders = [(label, unpack(self.shift(pes, OPPOSITE[label], WORD_MASK), n))
                    for label in _DIRECTIONS_BY_KIND[self.kind]]
         return tuple({label: column[pe] for label, column in senders
-                      if column[pe] is not None} for pe in pes)
+                      if column[pe] != WORD_MASK} for pe in range(n))
 
     def neighbors(self, pe) -> dict:
         """Direction -> neighbour index map for one PE."""

@@ -193,6 +193,43 @@ def test_simulate_wide_value_range_is_counted_before_it_is_built(
         f"error: --values supplied {supplied} values, the array has 16 PEs"]
 
 
+@pytest.mark.parametrize("spec", [
+    "0x" + "f" * 5000 + ",1,1,1,1,1,1,1",  # too wide to print in decimal
+    "4294967296,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,-2147483649",
+    "-2147483649..-2147483642", "4294967289..4294967296",
+], ids=["5000-hex-digits", "2^32", "-2^31-1", "range-low", "range-high"])
+def test_simulate_values_outside_32_bits_are_refused(tmp_path, capsys,
+                                                     monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prog.asm").write_text("HALT\n")
+    for app in ("reduce", "asm:prog.asm"):
+        assert main(["simulate", str(DEMOS / "delta8.cfg"), "--app", app,
+                     f"--values={spec}", "-o", "out"]) == 3
+        assert single_error_line(capsys) == (
+            "error: --values: every value must be a 32-bit word, "
+            "from -2147483648 to 4294967295")
+
+
+def test_simulate_values_at_the_32_bit_limits_are_accepted(tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", str(DEMOS / "delta8.cfg"),
+                 "--values=-2147483648,4294967295,0,0,0,0,0,0",
+                 "-o", "out"]) == 0
+    assert capsys.readouterr().out.startswith("sum=2147483647 ")
+    assert main(["simulate", str(DEMOS / "delta8.cfg"),
+                 "--values=4294967288..4294967295", "-o", "out"]) == 0
+
+
+def test_simulate_range_too_wide_to_print_is_counted(cfg, tmp_path, capsys):
+    end = "9" * 4300  # the count, 2 * 10**4300 - 1, has 4301 digits
+    assert main(["simulate", str(cfg), f"--values=-{end}..{end}",
+                 "-o", str(tmp_path / "out")]) == 3
+    assert single_error_line(capsys) == (
+        "error: --values supplied <14286-bit integer> values, "
+        "the array has 16 PEs")
+
+
 def test_simulate_asm_program(cfg, tmp_path, capsys):
     program = tmp_path / "prog.asm"
     program.write_text("LDI r0,7\nADD r1,r0,r0\nHALT\n")
@@ -295,6 +332,23 @@ def test_simulate_runtime_error_names_line(cfg, tmp_path, capsys, source,
     assert single_error_line(capsys) == f"error: {message}"
 
 
+def test_simulate_send_too_far_to_print_is_runtime_error(cfg, tmp_path,
+                                                         capsys):
+    """PE 1's destination has 4301 digits, one more than the operand
+    and more than Python prints in decimal.  The program loads, and
+    only the executed send fails."""
+    program = tmp_path / "prog.asm"
+    operand = "idx+" + "9" * 4300
+    program.write_text(f"MASK ge:1\nNOCSEND pe,{operand},r0\nHALT\n")
+    assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+                 "-o", str(tmp_path / "out")]) == 3
+    assert single_error_line(capsys) == (
+        "error: message 1-><14285-bit integer> outside 0..15 (line 2)")
+    program.write_text(f"MASK none\nNOCSEND pe,{operand},r0\nHALT\n")
+    assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+                 "-o", str(tmp_path / "out")]) == 0
+
+
 def test_simulate_non_utf8_program_is_io_error(cfg, tmp_path, capsys):
     program = tmp_path / "prog.asm"
     program.write_bytes(b"LDI r0,\xff\nHALT\n")
@@ -325,6 +379,7 @@ def test_report_reprints_last_runs(cfg, tmp_path, capsys):
 
 def test_report_empty_directory(tmp_path, capsys):
     assert main(["report", "-o", str(tmp_path)]) == 2
+    assert single_error_line(capsys) == f"error: no reports in {tmp_path}"
 
 
 def test_simulate_unbuildable_topology_is_runtime_error(tmp_path, capsys):

@@ -1,0 +1,130 @@
+"""Property tests for the packed columns: one int per register or
+memory column, PE i's word in the 64-bit lane i."""
+
+import random
+
+import reference_sim as ref
+from hypothesis import given, settings, strategies as st
+
+from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
+from mppsoc.simulator import SimMachine, _active_range, load_program, run
+from mppsoc.topology import (
+    WORD_MASK,
+    build_topology,
+    pack,
+    spread,
+    unpack,
+)
+
+# One PE, sizes that are no power of two, and the benchmark's 64x64.
+SIZES = (1, 3, 7, 100, 4096)
+
+
+def random_words(seed, n, low, high):
+    rng = random.Random(seed)
+    return [rng.randrange(low, high) for _ in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32))
+def test_pack_unpack_round_trip(n, seed):
+    words = random_words(seed, n, 0, 1 << 32)
+    column = pack(words)
+    assert column < 1 << 64 * n
+    assert list(unpack(column, n)) == words
+    wide = random_words(seed, n, -(1 << 63), 1 << 63)
+    assert list(unpack(pack(wide), n, signed=True)) == wide
+    assert list(unpack(pack(wide) & spread(WORD_MASK, n), n)) == [
+        w & WORD_MASK for w in wide]
+
+
+def test_spread_places_a_pattern_every_stride_lanes():
+    for count in range(0, 20):
+        for stride in (1, 2, 3, 8):
+            lanes = unpack(spread(5, count, stride), max(count * stride, 1))
+            assert [pe for pe, word in enumerate(lanes) if word] == [
+                i * stride for i in range(count)]
+            assert all(word in (0, 5) for word in lanes)
+
+
+words = st.one_of(st.integers(-(1 << 31), (1 << 32) - 1),
+                  st.integers(-(1 << 70), 1 << 70),
+                  st.sampled_from((-(1 << 63) - 1, -(1 << 63), (1 << 63) - 1,
+                                   1 << 63, 1 << 64, -1, 1 << 32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(words, min_size=1, max_size=9))
+def test_set_values_wraps_every_word_to_32_bits(values):
+    """Negative words, words of 2^32 and more, and words beyond int64
+    (which ``pack`` refuses, so ``set_values`` wraps them first)."""
+    config = MppSoCConfig(rows=1, cols=len(values), acu_mem_bytes=64,
+                          pe_mem_bytes=8)
+    machine = SimMachine(config)
+    machine.set_values(values)
+    wrapped = [v & WORD_MASK for v in values]
+    assert machine.column(0) == wrapped
+    assert [machine.read_word(pe, 0) for pe in range(len(values))] == wrapped
+    report = run(machine, load_program("HALT"))
+    assert [regs[0] for regs in report.registers] == [
+        w - (1 << 32) if w >> 31 else w for w in wrapped]
+
+
+def predicates(n):
+    """Every predicate shape: the aliases, prefixes and suffixes, and
+    strided ones, with bounds and starts past the N PEs (empty ranges)."""
+    return st.one_of(
+        st.sampled_from(("all", "none", "even", "odd")),
+        st.builds("{}:{}".format, st.sampled_from(("lt", "ge")),
+                  st.integers(0, n + 3)),
+        st.builds("mod:{}:{}".format, st.integers(1, n + 3),
+                  st.integers(0, n + 3)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from(SIZES), data=st.data())
+def test_mask_lanes_match_the_active_range(n, data):
+    pred = data.draw(predicates(n))
+    machine = SimMachine(MppSoCConfig(rows=1, cols=n, acu_mem_bytes=64,
+                                      pe_mem_bytes=4))
+    run(machine, load_program(f"MASK {pred}\nHALT"))
+    active = _active_range(pred, n)
+    assert machine.active == active
+    want = [WORD_MASK if ref._evaluate_mask(pred, pe) else 0 for pe in range(n)]
+    assert list(unpack(machine.lanes, n)) == want
+    assert list(unpack(machine.idle, n)) == [WORD_MASK - w for w in want]
+
+
+SHAPES = tuple((kind, rows, cols)
+               for kind, rows, cols in (
+                   (Neighborhood.LINEAR, 1, 1), (Neighborhood.LINEAR, 1, 5),
+                   (Neighborhood.RING, 1, 3), (Neighborhood.RING, 1, 6),
+                   (Neighborhood.MESH2D, 2, 3), (Neighborhood.MESH2D, 4, 1),
+                   (Neighborhood.TORUS2D, 3, 4), (Neighborhood.TORUS2D, 4, 3),
+                   (Neighborhood.XNET, 3, 3), (Neighborhood.XNET, 2, 5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SHAPES), boundary=st.sampled_from((-1, WORD_MASK)),
+       data=st.data())
+def test_movd_under_every_mask_with_the_sentinel_as_boundary(shape, boundary,
+                                                              data):
+    """A MOVD whose boundary value is 0xFFFFFFFF, the word that marks a
+    missing neighbour in ``adjacency``, matches the per-PE oracle."""
+    kind, rows, cols = shape
+    n = rows * cols
+    config = MppSoCConfig(rows=rows, cols=cols, acu_mem_bytes=64,
+                          pe_mem_bytes=4, neighborhood=kind)
+    cost = CostModel(boundary_value=boundary)
+    machine, oracle = SimMachine(config, cost), ref.SimMachine(config, cost)
+    column = data.draw(st.lists(st.sampled_from((0, 1, WORD_MASK - 1, WORD_MASK)),
+                                min_size=n, max_size=n))
+    machine.set_column(2, column)
+    for pe, word in enumerate(column):
+        oracle.pe_regs[pe][2] = word
+    direction = data.draw(st.sampled_from(sorted(build_topology(
+        kind, rows, cols).directions)))
+    program = load_program(f"MASK {data.draw(predicates(n))}\n"
+                           f"MOVD r2, {direction}\nHALT")
+    assert run(machine, program) == ref.run(oracle, program)

@@ -140,7 +140,7 @@ def test_run_matches_per_pe_reference(shape, pe_mem_bytes, cost, data):
     for reg in range(1, 4):
         column = data.draw(st.lists(words.map(lambda v: v & 0xFFFFFFFF),
                                     min_size=n, max_size=n))
-        machine.regs[reg] = column
+        machine.set_column(reg, column)
         for pe, value in enumerate(column):
             oracle.pe_regs[pe][reg] = value
     values = data.draw(st.none() | st.lists(words, min_size=n, max_size=n))
@@ -171,7 +171,8 @@ def test_run_matches_per_pe_reference(shape, pe_mem_bytes, cost, data):
                 assert got.line is not None
             else:
                 raise AssertionError(f"run did not raise {expected}")
-            assert (state(machine, config, tuple(zip(*machine.regs))) ==
+            registers = tuple(zip(*map(machine.column, range(8))))
+            assert (state(machine, config, registers) ==
                     state(oracle, config, tuple(map(tuple, oracle.pe_regs))))
             continue
         got = run(machine, program, snapshot_memory=True)

@@ -122,8 +122,7 @@ def test_mask_predicates():
 
 def test_movd_east_on_ring_shifts_from_west_neighbor():
     machine = machine_for(1, 4, neighborhood=Neighborhood.RING)
-    for pe in range(4):
-        machine.regs[0][pe] = pe
+    machine.set_column(0, range(4))
     report = run(machine, load_program("MOVD r0,E\nHALT"))
     # Every PE sends east and receives from its west neighbour.
     assert [regs[0] for regs in report.registers] == [3, 0, 1, 2]
@@ -132,16 +131,14 @@ def test_movd_east_on_ring_shifts_from_west_neighbor():
 def test_movd_boundary_value_on_linear_edge():
     cost = CostModel(boundary_value=-1)
     machine = machine_for(1, 3, neighborhood=Neighborhood.LINEAR, cost=cost)
-    for pe in range(3):
-        machine.regs[0][pe] = pe + 10
+    machine.set_column(0, [pe + 10 for pe in range(3)])
     report = run(machine, load_program("MOVD r0,E\nHALT"))
     assert [regs[0] for regs in report.registers] == [-1, 10, 11]
 
 
 def test_movd_skips_inactive_senders_and_receivers():
     machine = machine_for(1, 4, neighborhood=Neighborhood.RING)
-    for pe in range(4):
-        machine.regs[0][pe] = pe
+    machine.set_column(0, range(4))
     report = run(machine, load_program("MASK even\nMOVD r0,E\nHALT"))
     # Odd PEs keep their state; even PEs receive the boundary value because
     # their (inactive) west neighbours sent nothing.
@@ -150,12 +147,12 @@ def test_movd_skips_inactive_senders_and_receivers():
 
 def test_whole_run_inactive_pe_keeps_initial_state():
     machine = machine_for(1, 4, neighborhood=Neighborhood.RING)
-    machine.regs[2][3] = 77
+    machine.set_column(2, [0, 0, 0, 77])
     machine.write_word(3, 8, 123)
     program = load_program(
         "MASK lt:3\nLDI r2,5\nST r2,8\nMOVD r2,E\nUNMASK\nHALT")
     run(machine, program)
-    assert machine.regs[2][3] == 77
+    assert machine.column(2)[3] == 77
     assert machine.read_word(3, 8) == 123
 
 
@@ -203,8 +200,7 @@ def test_nocsend_requires_router():
 
 def test_nocsend_pe_mode_moves_registers():
     machine = machine_for(1, 4, mpnoc=MpNocKind.CROSSBAR)
-    for pe in range(4):
-        machine.regs[0][pe] = pe * 100
+    machine.set_column(0, [pe * 100 for pe in range(4)])
     program = load_program("MASK ge:1\nNOCSEND pe,idx-1,r0\nUNMASK\nHALT")
     report = run(machine, program)
     # PE0 is inactive, so the delivery aimed at it is dropped.
@@ -213,7 +209,7 @@ def test_nocsend_pe_mode_moves_registers():
 
 def test_nocsend_under_strided_mask_pairs_each_sender_with_its_destination():
     machine = machine_for(1, 8, mpnoc=MpNocKind.CROSSBAR)
-    machine.regs[0] = [pe * 100 for pe in range(8)]
+    machine.set_column(0, [pe * 100 for pe in range(8)])
     program = load_program("MASK mod:2:0\nNOCSEND pe,idx,r0\n"
                            "NOCSEND pe,idx+1,r0\nUNMASK\nHALT")
     report = run(machine, program)
@@ -223,8 +219,7 @@ def test_nocsend_under_strided_mask_pairs_each_sender_with_its_destination():
 
 def test_nocsend_acu_mode_fills_mailbox():
     machine = machine_for(1, 4, mpnoc=MpNocKind.CROSSBAR)
-    for pe in range(4):
-        machine.regs[1][pe] = 4 - pe
+    machine.set_column(1, [4 - pe for pe in range(4)])
     run(machine, load_program("NOCSEND acu,0,r1\nHALT"))
     # The mailbox takes the words in PE order.
     assert machine.acu_mailbox == [4, 3, 2, 1]
@@ -233,8 +228,8 @@ def test_nocsend_acu_mode_fills_mailbox():
 @pytest.mark.parametrize("kind", list(MpNocKind))
 def test_nocsend_to_one_pe_keeps_the_highest_active_senders_word(kind):
     machine = machine_for(1, 8, mpnoc=kind)
-    machine.regs[0] = [pe * 100 for pe in range(8)]
-    machine.regs[1] = [pe * 100 for pe in range(8)]
+    machine.set_column(0, [pe * 100 for pe in range(8)])
+    machine.set_column(1, [pe * 100 for pe in range(8)])
     report = run(machine, load_program(
         "MASK mod:3:1\nNOCSEND pe,4,r0\nNOCSEND pe,2,r1\nUNMASK\nHALT"))
     # Active PEs 1, 4 and 7 all send to PE 4, which keeps PE 7's word;

@@ -13,7 +13,9 @@ from mppsoc.topology import (
     DimensionMismatch,
     build_topology,
     check_dimensions,
+    pack,
     route_distance,
+    unpack,
 )
 
 N = Neighborhood
@@ -207,7 +209,7 @@ def test_shift_and_masked_movd_match_dict_walk(shape, data):
     column = data.draw(st.lists(words, min_size=n, max_size=n))
     boundary = data.draw(words)
     senders = [ports.get(OPPOSITE[direction]) for ports in adjacency]
-    assert graph.shift(column, direction, boundary) == [
+    assert list(unpack(graph.shift(pack(column), direction, boundary), n)) == [
         boundary if s is None else column[s] for s in senders]
 
     pred = data.draw(st.one_of(
@@ -219,10 +221,10 @@ def test_shift_and_masked_movd_match_dict_walk(shape, data):
     config = MppSoCConfig(rows=rows, cols=cols, acu_mem_bytes=64,
                           pe_mem_bytes=4, neighborhood=kind)
     machine = SimMachine(config, CostModel(boundary_value=boundary))
-    machine.regs[1] = list(column)
+    machine.set_column(1, column)
     run(machine, load_program(f"MASK {pred}\nMOVD r1, {direction}\nHALT"))
     active = [_evaluate_mask(pred, pe) for pe in range(n)]
-    assert machine.regs[1] == [
+    assert machine.column(1) == [
         column[pe] if not active[pe]
         else column[s] if s is not None and active[s] else boundary
         for pe, s in enumerate(senders)]
