@@ -26,7 +26,8 @@ bit at or above n-1-k and their sigma-sources in none below it.  In a
 translation d - d' = sigma(s) - sigma(s') mod N, so the lowest bit in
 which d and d' differ is the lowest in which sigma(s) and sigma(s')
 differ, and no such k exists.  ``transfer`` returns that pass without
-building a resource column.
+building a resource column; given two PE ranges with one positive step
+on omega, as ``NOCSEND pe, idx±K`` passes them, it looks at no message.
 
 Routing is multi-pass and first-fit in priority order (lowest source
 first): each message goes to the lowest pass in which no earlier
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import and_, lt, or_, rshift, sub
 
@@ -117,16 +119,21 @@ class MpNocNetwork:
         self.kind = kind
         self.ports = ports
         self.is_delta = kind in DELTA_KINDS
-        n = self.stage_count = ports.bit_length() - 1 if self.is_delta else 0
+        self.stage_count = ports.bit_length() - 1 if self.is_delta else 0
         self.switches_per_stage = ports // 2 if self.is_delta else 0
-        # sigma(s) << n per port; the n-bit reversal is built by doubling.
-        if kind is MpNocKind.DELTA_OMEGA:
-            sigma = range(ports)
+
+    @cached_property
+    def source_tags(self) -> list:
+        """sigma(s) << n per port, built on first use: a translation on
+        omega never reads it.  The n-bit reversal is built by doubling."""
+        n = self.stage_count
+        if self.kind is MpNocKind.DELTA_OMEGA:
+            sigma = range(self.ports)
         else:
             sigma = [0] if self.is_delta else []
             for _ in range(n):
                 sigma = [t << 1 for t in sigma] + [t << 1 | 1 for t in sigma]
-        self.source_tags = [t << n for t in sigma]
+        return [t << n for t in sigma]
 
     # -- routing --------------------------------------------------------
 
@@ -270,10 +277,14 @@ def _check_endpoints(net: MpNocNetwork, mode: MpNocMode, srcs, dsts):
                 f"endpoint, got {src}->{dst}")
 
 
-def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
+def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, words,
              pass_cycles: int | None = None,
              config_cycles: int | None = None) -> TransferResult:
-    """Time the routing of (src, dst, payload) messages in one mode.
+    """Time the routing of one message set in one mode, given as columns:
+    message i goes from ``srcs[i]`` to ``dsts[i]`` and carries
+    ``words[i]``.  ``srcs`` and ``dsts`` are sized sequences of one
+    length (ranges or lists); ``words`` is any iterable and is read only
+    as the share keys of messages that contend.
 
     The ACU and device endpoints use the sentinel ports ACU_PORT and
     DEVICE_PORT; internally they inject through port 0.  Latency is
@@ -291,33 +302,42 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
     their destinations to differ only below bit n-1-k and their
     sigma-sources only at or above it, but d - d' = sigma(s) - sigma(s')
     mod N makes both differ first in the same bit (Lawrie, IEEE TC
-    1975; see the module docstring).
+    1975; see the module docstring).  On omega, where sigma is the
+    identity, two PE ranges with one positive step are such a set, and
+    one whose ends lie inside the ports is timed in O(1).
     """
-    msgs = list(messages)
+    if len(srcs) != len(dsts):
+        raise ValueError(f"{len(srcs)} sources for {len(dsts)} destinations")
     if pass_cycles is None:
         pass_cycles = CostModel().noc_pass_cycles(net)
     if config_cycles is None:
         config_cycles = CostModel().noc_config_cycles
-    if not msgs:
+    if not srcs:
         return TransferResult(passes=0, latency=config_cycles)
+    ports = net.ports
+    if (net.kind is MpNocKind.DELTA_OMEGA and mode is MpNocMode.PE_TO_PE
+            and isinstance(srcs, range) and isinstance(dsts, range)
+            and srcs.step == dsts.step > 0
+            and min(srcs.start, dsts.start) >= 0
+            and max(srcs[-1], dsts[-1]) < ports):
+        return TransferResult(passes=1, latency=pass_cycles + config_cycles)
 
-    srcs, dsts, payloads = zip(*msgs)
     _check_endpoints(net, mode, srcs, dsts)
     src_ports, dst_ports = srcs, dsts
     if mode is not MpNocMode.PE_TO_PE:
         # Checked above: every negative endpoint is the sentinel port.
         src_ports = [src if src >= 0 else 0 for src in srcs]
         dst_ports = [dst if dst >= 0 else 0 for dst in dsts]
-    ports = net.ports
+    keys = zip(srcs, words)
     # Lowest source port first, then lowest destination port; the sort
     # is stable, so equal pairs keep their order.  Strictly increasing
     # sources are in that order already.
     if not all(map(lt, src_ports, src_ports[1:])):
         priority = [src * ports + dst for src, dst in zip(src_ports, dst_ports)]
-        order = sorted(range(len(msgs)), key=priority.__getitem__)
-        srcs, payloads, src_ports, dst_ports = (
+        order = sorted(range(len(priority)), key=priority.__getitem__)
+        keys, src_ports, dst_ports = (
             [column[i] for i in order]
-            for column in (srcs, payloads, src_ports, dst_ports))
+            for column in (list(keys), src_ports, dst_ports))
     elif net.is_delta:
         # Distinct sources: a translation takes one pass.  The offsets
         # are compared lazily, so any other set stops at its first odd one.
@@ -328,6 +348,6 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, messages,
         if all(map(first.__eq__, offsets)):
             return TransferResult(passes=1, latency=pass_cycles + config_cycles)
     passes, _conflicts = _greedy_passes(
-        zip(srcs, payloads), net.resource_columns(src_ports, dst_ports), ports)
+        keys, net.resource_columns(src_ports, dst_ports), ports)
     latency = len(passes) * pass_cycles + config_cycles
     return TransferResult(passes=len(passes), latency=latency)

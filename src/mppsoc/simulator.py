@@ -300,10 +300,14 @@ class SimMachine:
         active = self.active = _active_range(pred, self.n_pes)
         if len(active) == self.n_pes:  # UNMASK and its like reuse the full mask
             self.lanes, self.idle = self.full, 0
+            return
+        if active.step == 1:  # a prefix or suffix: cut the full mask to it
+            self.lanes = (self.full >> LANE_BITS * (self.n_pes - len(active))
+                          << LANE_BITS * active.start)
         else:
             self.lanes = (spread(WORD_MASK, len(active), active.step)
                           << LANE_BITS * active.start)
-            self.idle = self.full ^ self.lanes
+        self.idle = self.full ^ self.lanes
 
     def masked(self, old: int, new: int) -> int:
         """``new``'s 32-bit words in the active lanes, ``old``'s in the
@@ -432,18 +436,20 @@ def _op_movd(machine: SimMachine, reg: int, direction: str):
 
 def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     """Send every active PE's word over the router and charge the
-    transfer's latency.  An active PE-mode receiver keeps the word of the
-    highest active sender aimed at it; the ACU mailbox and the device
-    sink take the words in PE order.  (The router puts messages to one
-    port in successive passes, lowest source first, so this is their
-    arrival order.)"""
+    transfer's latency.  The router gets the senders and destinations as
+    columns: the active range and, for ``idx±K``, that range moved by K,
+    so it times a translation on omega without a message list.  An active
+    PE-mode receiver keeps the word of the highest active sender aimed at
+    it; the ACU mailbox and the device sink take the words in PE order.
+    (The router puts messages to one port in successive passes, lowest
+    source first, so this is their arrival order.)"""
     net = machine.mpnoc
     if net is None:
         raise NocUnavailable()
     senders, column = machine.active, machine.regs[reg]
     to_acu = mode is MpNocMode.ACU_TO_PE
     if mode is not MpNocMode.PE_TO_PE:
-        destinations = repeat(ACU_PORT if to_acu else DEVICE_PORT)
+        destinations = [ACU_PORT if to_acu else DEVICE_PORT] * len(senders)
     elif dst_expr.startswith("idx"):
         offset = int(dst_expr[3:] or 0)
         destinations = range(senders.start + offset, senders.stop + offset,
@@ -455,8 +461,8 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     # router checks the top end.  Both destination kinds ascend.
     if mode is MpNocMode.PE_TO_PE and senders and destinations[0] < 0:
         raise PortOutOfRange(senders[0], destinations[0], machine.n_pes)
-    # The sources are distinct, so no payload decides a share key.
-    result = transfer(net, mode, list(zip(senders, destinations, repeat(0))),
+    # The sources are distinct, so no word decides a share key.
+    result = transfer(net, mode, senders, destinations, repeat(0),
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
@@ -607,9 +613,10 @@ def reduce_sum(config: MppSoCConfig, values,
             total_cycles += hops * cost.hop_cycles
             hop_counts.append(hops)
         else:
-            messages = [(i + stride, i, _wrap(partial[i + stride]))
-                        for i in receivers]
-            outcome = transfer(net, MpNocMode.PE_TO_PE, messages,
+            # Distinct sources again: the words decide no share key.
+            outcome = transfer(net, MpNocMode.PE_TO_PE,
+                               range(stride, n, 2 * stride), receivers,
+                               repeat(0),
                                pass_cycles=cost.noc_pass_cycles(net),
                                config_cycles=cost.noc_config_cycles)
             total_cycles += outcome.latency

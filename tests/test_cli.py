@@ -1,9 +1,12 @@
+import io
 import shutil
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mppsoc.cli import _build_parser, main
 from mppsoc.rewrite import TEMPLATE_FILES, bundled_template_dir
@@ -483,3 +486,91 @@ def test_shipped_demo_configs_are_usable(tmp_path, capsys):
     assert main(["simulate", str(DEMOS / "mesh16.cfg"), "--values", "0..15",
                  "-o", str(tmp_path / "out")]) == 0
     assert "sum=120 steps=4" in capsys.readouterr().out
+
+
+# -- error contract of ``simulate --app asm:FILE`` ---------------------------
+
+FUZZ_CONFIGS = {
+    "omega_ring_1x8": (1, 8, "ring", "delta-omega"),
+    "butterfly_torus_4x4": (4, 4, "torus2d", "delta-butterfly"),
+    "sharedbus_xnet_2x3": (2, 3, "xnet", "sharedbus"),
+    "crossbar_1x5": (1, 5, "linear", "crossbar"),
+}
+
+# Small numbers and edge ones: wider than any port or address, 2^32,
+# negative.
+_numbers = st.sampled_from(["0", "1", "2", "3", "4", "5", "7", "8", "12",
+                            "64", "4294967296", "9" * 30, "-1", "-8",
+                            "-" + "9" * 30])
+_registers = st.sampled_from(["r0", "r1", "r7", "r8"])
+_destinations = st.one_of(
+    _numbers, st.just("idx"), st.just("idx+-1"),
+    st.tuples(st.sampled_from(["idx+", "idx-"]), _numbers).map("".join))
+_predicates = st.one_of(
+    st.sampled_from(["all", "none", "even", "odd"]),
+    st.tuples(st.sampled_from(["lt:", "ge:"]), _numbers).map("".join),
+    st.tuples(_numbers, _numbers).map(lambda mr: f"mod:{mr[0]}:{mr[1]}"))
+_instructions = st.one_of(
+    st.tuples(st.sampled_from(["pe", "acu", "dev"]), _destinations,
+              _registers).map(lambda a: "NOCSEND {},{},{}".format(*a)),
+    _predicates.map("MASK {}".format),
+    st.tuples(_registers, st.sampled_from(["N", "S", "E", "W", "NE", "X"]))
+    .map(lambda a: "MOVD {},{}".format(*a)),
+    st.tuples(st.sampled_from(["LD", "ST"]), _registers, _numbers)
+    .map(lambda a: "{} {},{}".format(*a)),
+    st.just("UNMASK"))
+
+
+def value_specs(n):
+    """``--values`` specs for n PEs: ranges inside and just outside the
+    32-bit words, lists of edge words, and one value too many."""
+    top = 1 << 32
+    return st.one_of(
+        st.none(),
+        st.sampled_from([f"0..{n - 1}", f"-3..{n - 4}", f"{top - n}..{top - 1}",
+                         f"{top - n + 1}..{top}", f"0..{n}"]),
+        st.lists(_numbers, min_size=n, max_size=n + 1).map(",".join))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, (rows, cols, neighborhood, mpnoc) in FUZZ_CONFIGS.items():
+        (root / f"{name}.cfg").write_text(
+            f"rows = {rows}\ncols = {cols}\nacu_mem_bytes = 64\n"
+            f"pe_mem_bytes = 64\nneighborhood = {neighborhood}\n"
+            f"mpnoc = {mpnoc}\n")
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=st.sampled_from(sorted(FUZZ_CONFIGS)),
+       lines=st.lists(_instructions, max_size=6),
+       halt=st.sampled_from([True] * 9 + [False]), data=st.data())
+def test_simulate_asm_keeps_the_error_contract(fuzz_dir, config, lines, halt,
+                                               data):
+    """Random programs of NOCSEND, MASK, MOVD, LD and ST with edge
+    operands: every run exits 0-3 without a traceback, a failure prints
+    exactly one ``error:`` line, and a rerun prints the same."""
+    program = fuzz_dir / "prog.asm"
+    program.write_text("\n".join(lines + ["HALT"] * halt) + "\n")
+    rows, cols = FUZZ_CONFIGS[config][:2]
+    values = data.draw(value_specs(rows * cols))
+    argv = ["simulate", str(fuzz_dir / f"{config}.cfg"),
+            "--app", f"asm:{program}", "-o", str(fuzz_dir / "out")]
+    if values is not None:  # ``=`` keeps a leading '-' from parsing as a flag
+        argv.append(f"--values={values}")
+
+    def call():
+        with redirect_stdout(io.StringIO()) as out, \
+                redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    code, out, err = call()
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        assert err == ""
+    assert call() == (code, out, err)

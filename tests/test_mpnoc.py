@@ -23,6 +23,11 @@ from mppsoc.mpnoc import (
 DELTAS = (MpNocKind.DELTA_OMEGA, MpNocKind.DELTA_BASELINE, MpNocKind.DELTA_BUTTERFLY)
 
 
+def columns(messages):
+    """(src, dst, word) triples as the three columns ``transfer`` takes."""
+    return [[message[k] for message in messages] for k in range(3)]
+
+
 def bit_reversal(n_bits):
     return [int(format(i, f"0{n_bits}b")[::-1], 2) for i in range(1 << n_bits)]
 
@@ -160,7 +165,7 @@ def test_route_is_deterministic():
 def test_acu_broadcast_over_crossbar_is_one_pass():
     net = build_network(MpNocKind.CROSSBAR, 8)
     messages = [(ACU_PORT, pe, 42) for pe in range(8)]
-    result = transfer(net, MpNocMode.ACU_TO_PE, messages, pass_cycles=4)
+    result = transfer(net, MpNocMode.ACU_TO_PE, *columns(messages), pass_cycles=4)
     assert result.passes == 1
     assert result.latency == 1 * 4 + 1
 
@@ -168,7 +173,7 @@ def test_acu_broadcast_over_crossbar_is_one_pass():
 def test_identity_over_shared_bus_serializes():
     net = build_network(MpNocKind.SHARED_BUS, 4)
     messages = [(pe, pe, pe * 10) for pe in range(4)]
-    result = transfer(net, MpNocMode.PE_TO_PE, messages, pass_cycles=1)
+    result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages), pass_cycles=1)
     assert result.passes == 4
     assert result.latency == 4 * 1 + 1
 
@@ -177,7 +182,7 @@ def test_bit_reversal_transfer_latency_tracks_passes():
     net = build_network(MpNocKind.DELTA_OMEGA, 8)
     perm = bit_reversal(3)
     messages = [(src, dst, src) for src, dst in enumerate(perm)]
-    result = transfer(net, MpNocMode.PE_TO_PE, messages, pass_cycles=12,
+    result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages), pass_cycles=12,
                       config_cycles=1)
     expected_passes = route_permutation(net, perm).passes
     assert result.passes == expected_passes
@@ -223,13 +228,14 @@ def test_translations_skip_the_window_columns(kind, monkeypatch):
                 if 0 <= sigma[s] + offset < ports]
         for messages in (full, [m for m in full if m[0] % 4 == 1]):
             if messages:
-                result = transfer(net, MpNocMode.PE_TO_PE, messages,
+                result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages),
                                   pass_cycles=7, config_cycles=3)
                 assert (result.passes, result.latency) == (1, 7 + 3)
         if offset % 64 == 0:
             src, dst, word = full[len(full) // 2]
             with pytest.raises(ScheduledError):
-                transfer(net, MpNocMode.PE_TO_PE, full + [(src, dst, word + 1)])
+                transfer(net, MpNocMode.PE_TO_PE,
+                         *columns(full + [(src, dst, word + 1)]))
 
 
 def test_transfer_passes_cover_the_busiest_destination():
@@ -238,7 +244,7 @@ def test_transfer_passes_cover_the_busiest_destination():
         net = build_network(kind, 8)
         messages = [(src, rng.randrange(8), rng.randrange(1 << 32))
                     for src in range(8)]
-        result = transfer(net, MpNocMode.PE_TO_PE, messages)
+        result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages))
         # Messages to one port share its last resource, so each takes
         # its own pass.
         busiest = max(Counter(dst for _, dst, _ in messages).values())
@@ -258,7 +264,7 @@ def test_transfer_passes_cover_the_busiest_destination():
 def test_duplicate_destination_serializes_on_crossbar():
     net = build_network(MpNocKind.CROSSBAR, 4)
     messages = [(0, 3, 1), (1, 3, 2), (2, 0, 3)]
-    result = transfer(net, MpNocMode.PE_TO_PE, messages)
+    result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages))
     assert result.passes == 2
     assert result.latency == 2 * CostModel().noc_pass_cycles(net) + 1
 
@@ -266,15 +272,15 @@ def test_duplicate_destination_serializes_on_crossbar():
 def test_mode_mismatch_and_port_range():
     net = build_network(MpNocKind.CROSSBAR, 4)
     with pytest.raises(ModeMismatch):
-        transfer(net, MpNocMode.DEVICE_TO_PE, [(0, 1, 5)])
+        transfer(net, MpNocMode.DEVICE_TO_PE, *columns([(0, 1, 5)]))
     with pytest.raises(ModeMismatch):
-        transfer(net, MpNocMode.PE_TO_PE, [(ACU_PORT, 1, 5)])
+        transfer(net, MpNocMode.PE_TO_PE, *columns([(ACU_PORT, 1, 5)]))
     with pytest.raises(PortOutOfRange):
-        transfer(net, MpNocMode.PE_TO_PE, [(0, 9, 5)])
+        transfer(net, MpNocMode.PE_TO_PE, *columns([(0, 9, 5)]))
     with pytest.raises(PortOutOfRange):
-        transfer(net, MpNocMode.ACU_TO_PE, [(ACU_PORT, 9, 5)])
+        transfer(net, MpNocMode.ACU_TO_PE, *columns([(ACU_PORT, 9, 5)]))
     # A PE-to-device message takes one pass.
-    result = transfer(net, MpNocMode.DEVICE_TO_PE, [(2, DEVICE_PORT, 5)],
+    result = transfer(net, MpNocMode.DEVICE_TO_PE, *columns([(2, DEVICE_PORT, 5)]),
                       pass_cycles=3, config_cycles=2)
     assert (result.passes, result.latency) == (1, 1 * 3 + 2)
 

@@ -1,11 +1,12 @@
 """Differential test: the column-wise router in ``mppsoc.mpnoc`` against
 a per-message reference greedy scheduler driven by the independent
-stage-walk oracle, on random message sets, hot spots, translations and
-permutations over every router kind, port counts 1-64 and every
-transfer mode; and the first-fit scheduler itself against the same
+stage-walk oracle, on random message sets, hot spots, translations,
+range columns and permutations over every router kind, port counts 1-64
+and every transfer mode; and the first-fit scheduler itself against the same
 reference."""
 
 from functools import cache
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,11 @@ from mppsoc.mpnoc import (
 )
 
 SPECIAL = {MpNocMode.ACU_TO_PE: ACU_PORT, MpNocMode.DEVICE_TO_PE: DEVICE_PORT}
+
+
+def columns(messages):
+    """(src, dst, word) triples as the three columns ``transfer`` takes."""
+    return [[message[k] for message in messages] for k in range(3)]
 
 
 # -- reference: one record at a time, one oracle path per message ------------
@@ -260,8 +266,8 @@ def outcome(call):
 def assert_transfer_matches(kind, ports, mode, messages, cost):
     network = build_network(kind, ports)
     pass_cycles = cost.noc_pass_cycles(network)
-    got = outcome(lambda: transfer(network, mode, iter(messages), pass_cycles,
-                                   cost.noc_config_cycles))
+    got = outcome(lambda: transfer(network, mode, *columns(messages),
+                                   pass_cycles, cost.noc_config_cycles))
     want = outcome(lambda: ref_transfer(kind, ports, mode, messages,
                                         pass_cycles, cost.noc_config_cycles))
     assert got == want
@@ -308,6 +314,46 @@ def test_transfer_matches_per_message_reference_on_translations(kind, mode,
     ports = data.draw(port_counts(kind))
     messages = data.draw(translation_sets(kind, ports, mode))
     assert_transfer_matches(kind, ports, mode, messages, CostModel())
+
+
+@st.composite
+def range_pairs(draw, ports):
+    """A source range ``range(start, stop, step)`` and the same range
+    moved by an offset, as ``NOCSEND pe, idx±K`` under a MASK passes
+    them; some ends fall one past either side of 0..N-1."""
+    start = draw(st.integers(-1, ports))
+    step = draw(st.integers(1, ports + 1))
+    count = draw(st.integers(0, (ports - start) // step + 1))
+    last = start + step * (count - 1)
+    offset = draw(st.one_of(st.integers(-ports, ports),
+                            st.sampled_from([-start, -1 - start,
+                                             ports - 1 - last, ports - last])))
+    srcs = range(start, start + step * count, step)
+    return srcs, range(start + offset, srcs.stop + offset, step)
+
+
+@pytest.mark.parametrize("mode", list(MpNocMode))
+@pytest.mark.parametrize("kind", list(MpNocKind))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_range_columns_match_per_message_reference(kind, mode, data):
+    ports = data.draw(port_counts(kind))
+    srcs, dsts = data.draw(range_pairs(ports))
+    network, cost = build_network(kind, ports), CostModel()
+    pass_cycles = cost.noc_pass_cycles(network)
+    got = outcome(lambda: transfer(network, mode, srcs, dsts, repeat(0),
+                                   pass_cycles, cost.noc_config_cycles))
+    want = outcome(lambda: ref_transfer(
+        kind, ports, mode, list(zip(srcs, dsts, repeat(0))), pass_cycles,
+        cost.noc_config_cycles))
+    assert got == want
+
+
+def test_transfer_refuses_columns_of_unequal_length():
+    network = build_network(MpNocKind.DELTA_OMEGA, 4)
+    for srcs, dsts in ((range(3), range(4)), ([0, 1], [1])):
+        with pytest.raises(ValueError):
+            transfer(network, MpNocMode.PE_TO_PE, srcs, dsts, repeat(0))
 
 
 @settings(max_examples=300, deadline=None)

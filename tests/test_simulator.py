@@ -5,6 +5,7 @@ import pytest
 
 import reference_sim as ref
 from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
+from mppsoc.mpnoc import MpNocNetwork
 from mppsoc.simulator import (
     MAX_PES,
     BadOperand,
@@ -447,3 +448,41 @@ def test_shift_program_on_every_delta_wiring_matches_reference(kind, cycles):
     report = run(machine, program, snapshot_memory=True)
     assert report.cycles == cycles
     assert report == ref.run(oracle, program, snapshot_memory=True)
+
+
+class Scheduled(Exception):
+    pass
+
+
+def test_omega_translations_read_no_source_tag_and_no_resource(monkeypatch):
+    """``NOCSEND pe, idx±K`` under prefix, suffix and strided masks on a
+    1024-PE omega router: each send is one pass, timed without the
+    source tags or a resource column, and delivers as the reference."""
+    config = MppSoCConfig(rows=1, cols=1024, acu_mem_bytes=1024,
+                          pe_mem_bytes=64, mpnoc=MpNocKind.DELTA_OMEGA)
+    sends = [("lt:1000", "+24"), ("ge:7", "-7"), ("lt:1", "+1023"),
+             ("mod:4:1", "+2"), ("mod:8:3", "-3"), ("mod:1000:1", "+22")]
+    lines = ["LDI r1, 0"]
+    for pred, offset in sends:
+        lines += [f"MASK {pred}", f"NOCSEND pe, idx{offset}, r0",
+                  "ADD r1, r1, r0"]
+    program = load_program("\n".join(lines + ["UNMASK", "HALT"]))
+    values = [pe * 7 + 1 for pe in range(1024)]
+    oracle = ref.SimMachine(config)
+    oracle.set_values(values)
+    want = ref.run(oracle, program)
+
+    def refuse(*args):
+        raise Scheduled
+
+    monkeypatch.setattr(MpNocNetwork, "resource_columns", refuse)
+    monkeypatch.setattr(MpNocNetwork, "source_tags", property(refuse))
+    machine = SimMachine(config)
+    machine.set_values(values)
+    report = run(machine, program)
+    assert report == want
+    cost = machine.cost
+    assert report.cycles == (len(program) * cost.issue_cycles
+                             + len(sends) * (cost.noc_pass_cycles(machine.mpnoc)
+                                             + cost.noc_config_cycles
+                                             + cost.op_cycles))
