@@ -15,7 +15,9 @@ predicate selects one slice of the PE indices, a ``range``; its lane
 mask holds 0xFFFFFFFF in each active lane and its complement in each
 idle one.  A masked write is ``old & idle | new & lanes``, which also
 truncates the new words to 32 bits.  MOVD is the topology's packed shift
-of one column.
+of one column, and under the full mask a run of k identical MOVDs is one
+k-hop shift (a shift over a distance, as the MasPar X-Net issues it;
+Blank, COMPCON 1990), still charged and counted as k instructions.
 
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  Nothing else advances the clock.
@@ -24,7 +26,8 @@ charge from the CostModel.  Nothing else advances the clock.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 from mppsoc.config import CostModel, MppSoCConfig
@@ -135,6 +138,22 @@ class SimProgram:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[Instruction, int], ...]:
+        """The instructions as ``(instruction, count)`` pairs: a run of
+        ``count`` > 1 identical MOVDs is its first line with the run
+        length as a third operand, every other instruction stands alone."""
+        runs: list[list] = []
+        for instr in self.instructions:
+            first = runs[-1][0] if runs else None
+            if instr.op == "MOVD" and first is not None and (
+                    first.op, first.args) == ("MOVD", instr.args):
+                runs[-1][1] += 1
+            else:
+                runs.append([instr, 1])
+        return tuple((replace(instr, args=(*instr.args, count)) if count > 1
+                      else instr, count) for instr, count in runs)
 
 
 _REG_RE = re.compile(r"^r([0-7])$", re.IGNORECASE)
@@ -256,6 +275,19 @@ def _active_range(pred: str, n: int) -> range:
     return range(split) if head == "lt" else range(split, n)
 
 
+@lru_cache(maxsize=8)
+def _all_lanes(n: int) -> tuple[int, int]:
+    """1, and 0xFFFFFFFF, in each of n lanes."""
+    ones = spread(1, n)
+    return ones, ones * WORD_MASK
+
+
+@lru_cache(maxsize=16)
+def _strided_lanes(count: int, step: int, start: int) -> int:
+    """The lane mask of ``count`` PEs ``step`` apart from ``start`` on."""
+    return spread(WORD_MASK, count, step) << LANE_BITS * start
+
+
 class SimMachine:
     """Mutable machine state, stored as one packed column per register
     and per memory word, plus the configured networks.
@@ -282,8 +314,7 @@ class SimMachine:
         self.mpnoc: MpNocNetwork | None = None
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
-        self.ones = spread(1, self.n_pes)  # 1 in every lane
-        self.full = self.ones * WORD_MASK
+        self.ones, self.full = _all_lanes(self.n_pes)
         self.boundary = self.ones * _wrap(self.cost.boundary_value)
         self.reset()
 
@@ -305,8 +336,7 @@ class SimMachine:
             self.lanes = (self.full >> LANE_BITS * (self.n_pes - len(active))
                           << LANE_BITS * active.start)
         else:
-            self.lanes = (spread(WORD_MASK, len(active), active.step)
-                          << LANE_BITS * active.start)
+            self.lanes = _strided_lanes(len(active), active.step, active.start)
         self.idle = self.full ^ self.lanes
 
     def masked(self, old: int, new: int) -> int:
@@ -419,19 +449,28 @@ def _op_add(machine: SimMachine, dst: int, a: int, b: int):
     regs[dst] = machine.masked(regs[dst], regs[a] + regs[b])
 
 
-def _op_movd(machine: SimMachine, reg: int, direction: str):
+def _op_movd(machine: SimMachine, reg: int, direction: str, hops: int = 1):
     """Active PEs take their sender's word, or the boundary value when
-    the sender is missing or inactive; inactive PEs keep their own."""
+    the sender is missing or inactive; inactive PEs keep their own.
+    ``hops`` > 1 executes a run of that many identical MOVDs: one
+    ``hops``-hop shift under the full mask.  Under any other mask an
+    inactive PE sends the boundary value between hops, so the hops go
+    one at a time."""
     graph = machine.topology
     if graph is None or direction not in graph.directions:
         kind = graph.kind.value if graph else "a machine with no neighbourhood"
         raise DirectionUnavailable(direction, kind)
-    machine.cycles += machine.cost.hop_cycles
+    machine.cycles += hops * machine.cost.hop_cycles
+    fill = _wrap(machine.cost.boundary_value)
     column = machine.regs[reg]
-    # An inactive sender sends the boundary value.
-    source = machine.masked(machine.boundary, column)
-    shifted = graph.shift(source, direction, _wrap(machine.cost.boundary_value))
-    machine.regs[reg] = machine.masked(column, shifted)
+    if not machine.idle:  # every sender active, every lane written
+        machine.regs[reg] = graph.shift(column, direction, fill, hops)
+        return
+    for _ in range(hops):
+        # An inactive sender sends the boundary value.
+        source = machine.masked(machine.boundary, column)
+        column = machine.masked(column, graph.shift(source, direction, fill))
+    machine.regs[reg] = column
 
 
 def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
@@ -506,10 +545,15 @@ def run(machine: SimMachine, program: SimProgram,
     raised while an instruction executes is a ``SimulationError`` whose
     ``line`` is that instruction's source line.  ``snapshot_memory``
     adds every whole word of each PE's local memory to the report.
+
+    A run of identical MOVDs (``SimProgram.runs``) executes as one MOVD
+    of that many hops.  It is charged and counted as that many
+    instructions, and a run that cannot execute fails on its first line
+    with only that line's issue charged, as one line at a time would.
     """
     cost = machine.cost
     executed = 0
-    for instr in program.instructions:
+    for instr, count in program.runs:
         machine.cycles += cost.issue_cycles
         executed += 1
         if instr.op == "HALT":
@@ -521,6 +565,9 @@ def run(machine: SimMachine, program: SimProgram,
             raise
         except (PortOutOfRange, ModeMismatch) as err:
             raise SimulationError(str(err), instr.line) from err
+        if count > 1:  # the issue of the run's other lines
+            machine.cycles += (count - 1) * cost.issue_cycles
+            executed += count - 1
     n, ones = machine.n_pes, machine.ones
     memory_words = None
     if snapshot_memory:

@@ -11,8 +11,10 @@ A column of per-PE words is packed into one non-negative int: PE i's
 bits above it are guard bits that hold 0 between instructions (a carry
 out of an add lands there, never in the next lane).  A graph stores only
 its kind and shape.  ``TopologyGraph.shift`` moves a packed column one
-hop (MOVD) with one bit shift and a few masks, and ``adjacency`` is a
-lazy view: that shift of the packed PE indices, on first use.
+or more hops (MOVD) with one bit shift and a few masks per binary digit
+of the hop count, and ``adjacency`` is a lazy view: that shift of the
+packed PE indices, on first use.  ``build_topology`` reuses the graphs
+of the last few shapes, so machines of one shape share their masks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from mppsoc.config import ONE_D_NEIGHBORHOODS, TWO_D_NEIGHBORHOODS, Neighborhood
 from mppsoc.errors import MppSocError
@@ -61,7 +63,7 @@ def spread(pattern: int, count: int, stride: int = 1) -> int:
     """``pattern`` in ``count`` lanes, ``stride`` lanes apart from lane
     0 up, by shift-and-or doubling."""
     if count < 2:
-        return pattern if count else 0
+        return pattern if count == 1 else 0
     half = spread(pattern, count // 2, stride)
     out = half | half << LANE_BITS * stride * (count // 2)
     return out | pattern << LANE_BITS * stride * (count - 1) if count & 1 else out
@@ -122,7 +124,9 @@ class TopologyGraph:
         self.rows = rows
         self.cols = cols
         self.directions = frozenset(_DIRECTIONS_BY_KIND[kind])
-        self._hops: dict = {}  # (direction, fill) -> its masks and shifts
+        self._wraps = kind in _WRAPPING_KINDS
+        self._hops: dict = {}  # (direction, 2^j hops) -> its masks and shifts
+        self._fill = 0, 0  # the last fill word and its column
 
     @property
     def n_pes(self) -> int:
@@ -139,36 +143,63 @@ class TopologyGraph:
             raise IndexError(f"PE ({row},{col}) out of range")
         return PeId(row=row, col=col, linear_index=row * self.cols + col)
 
-    def shift(self, column: int, direction: str, fill: int = 0) -> int:
-        """The packed ``column`` after one hop towards ``direction``: each
-        PE takes the word of its neighbour on the opposite side, or the
-        word ``fill`` when it has none there.
+    def shift(self, column: int, direction: str, fill: int = 0,
+              hops: int = 1) -> int:
+        """The packed ``column`` after ``hops`` hops towards ``direction``:
+        each PE takes the word of the PE ``hops`` hops back, or the word
+        ``fill`` when the walk back leaves the grid.
 
-        Every lane moves ``dr * cols + dc`` lanes, which is right for
-        each PE whose sender is on the grid without wrapping.  A keep mask
-        clears the other lanes, the ones the move vacates: they take
-        ``fill`` on a mesh or xnet, and on a ring or torus (no diagonals,
-        so they form one edge line) the opposite edge line, moved by one
-        more shift.  The masks are built once per direction and fill.
+        Hops compose, so the shift applies ``hops`` as its binary digits:
+        one move of 2^j hops per set bit, after ``hops`` is reduced modulo
+        the axis extent on a ring or torus and clamped to it on the other
+        kinds (where every PE past it takes ``fill``).  A move of k hops
+        shifts every lane ``k * (dr * cols + dc)`` lanes, which is right
+        for each PE whose sender is on the grid without wrapping.  A keep
+        mask clears the other lanes, the ones the move vacates: they take
+        ``fill`` on a linear array, mesh or xnet, and on a ring or torus
+        (no diagonals, so they form one band along an edge) the band at
+        the opposite edge, moved by one more shift.  The masks are built
+        once per direction and power-of-two hop count.
         """
-        if (direction, fill) not in self._hops:
-            self._hops[direction, fill] = self._hop(direction, fill)
-        step, keep, fill_column, edge, seam = self._hops[direction, fill]
-        out = shift_lanes(column, step) & keep
-        extra = shift_lanes(column & edge, seam) if edge else fill_column
-        return out | extra if extra else out
-
-    def _hop(self, direction: str, fill: int) -> tuple:
+        if hops < 0:
+            raise ValueError(f"hops must be >= 0, got {hops}")
         dr, dc = DIRECTION_DELTAS[direction]
+        # The hops after which no PE's sender is on the grid, or every
+        # PE's sender is itself again on a ring or torus.
+        extent = min(self.rows if dr else self.cols, self.cols if dc else self.rows)
+        hops = hops % extent if self._wraps else min(hops, extent)
+        while hops:
+            move = hops & -hops
+            hops ^= move
+            if (direction, move) not in self._hops:
+                self._hops[direction, move] = self._hop(dr, dc, move)
+            step, keep, edge, seam = self._hops[direction, move]
+            out = shift_lanes(column, step) & keep
+            if edge:
+                column = out | shift_lanes(column & edge, seam)
+            else:
+                column = out | self._fill_column(fill) & ~keep if fill else out
+        return column
+
+    def _hop(self, dr: int, dc: int, hops: int) -> tuple:
         rows, cols, n = self.rows, self.cols, self.n_pes
-        kept_row = spread(WORD_MASK, cols - abs(dc)) << LANE_BITS * max(dc, 0)
-        keep = spread(kept_row, rows - abs(dr), cols) << LANE_BITS * cols * max(dr, 0)
-        vacated = spread(WORD_MASK, n) ^ keep
-        step = dr * cols + dc
-        if self.kind in _WRAPPING_KINDS:
-            seam = step - dr * n - dc * cols
-            return step, keep, 0, shift_lanes(vacated, -seam), seam
-        return step, keep, vacated & spread(fill, n), 0, 0
+        kept_row = (spread(WORD_MASK, cols - hops * abs(dc))
+                    << LANE_BITS * max(hops * dc, 0))
+        keep = (spread(kept_row, rows - hops * abs(dr), cols)
+                << LANE_BITS * cols * max(hops * dr, 0))
+        step = hops * (dr * cols + dc)
+        if not self._wraps:
+            return step, keep, 0, 0
+        seam = step - dr * n - dc * cols  # |dr| + |dc| == 1 on a ring or torus
+        return step, keep, shift_lanes(spread(WORD_MASK, n) ^ keep, -seam), seam
+
+    def _fill_column(self, fill: int) -> int:
+        """``fill`` in every lane; the last one is kept.  Read once, so a
+        shift in another thread cannot swap the column under it."""
+        cached = self._fill
+        if cached[0] != fill:
+            cached = self._fill = fill, spread(fill & WORD_MASK, self.n_pes)
+        return cached[1]
 
     @cached_property
     def adjacency(self) -> tuple[dict, ...]:
@@ -220,9 +251,13 @@ def check_dimensions(kind: Neighborhood, rows: int, cols: int) -> None:
         raise DimensionMismatch(kind, rows, cols, "torus2d needs rows >= 3 and cols >= 3")
 
 
+@lru_cache(maxsize=8)
 def build_topology(kind: Neighborhood, rows: int, cols: int) -> TopologyGraph:
     """The graph of one topology; raises DimensionMismatch where
-    ``check_dimensions`` does.  Nothing per PE is built here."""
+    ``check_dimensions`` does.  Nothing per PE is built here.  The graphs
+    of the last 8 shapes are reused, with the masks their shifts have
+    built; a graph changes only through those caches, so sharing one is
+    safe."""
     check_dimensions(kind, rows, cols)
     return TopologyGraph(kind, rows, cols)
 

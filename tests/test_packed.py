@@ -47,6 +47,12 @@ def test_spread_places_a_pattern_every_stride_lanes():
             assert all(word in (0, 5) for word in lanes)
 
 
+def test_spread_over_no_lanes_is_empty():
+    for count, lanes in ((-3, []), (-1, []), (0, []), (1, [5]), (5, [5] * 5)):
+        assert spread(5, count) == pack(lanes), count
+        assert spread(5, count, 3) == pack([word for w in lanes for word in (w, 0, 0)]), count
+
+
 words = st.one_of(st.integers(-(1 << 31), (1 << 32) - 1),
                   st.integers(-(1 << 70), 1 << 70),
                   st.sampled_from((-(1 << 63) - 1, -(1 << 63), (1 << 63) - 1,

@@ -59,7 +59,9 @@ costs = st.builds(CostModel, *(st.integers(0, 3) for _ in range(6)),
 def programs(machine):
     """Programs for one machine.  Most instructions are legal on it, so
     runs get long; one branch draws the illegal kinds (bad address,
-    missing direction, missing router, port out of range), and the
+    missing direction, missing router, port out of range), one draws
+    runs of 1..2*max(rows, cols)+1 identical MOVDs, which ``run`` fuses
+    under the full mask, with legal and with any directions, and the
     router branch also sends to ``idx+k`` under a mask that keeps the
     senders in range while the receivers past it are inactive, and to
     ``idx`` and to ``idx+K``/``idx-K`` (K up to N) under any mask."""
@@ -74,10 +76,20 @@ def programs(machine):
         st.just("UNMASK"),
         st.just("HALT"),
     ]
-    # MOVD and NOCSEND get two branches each: twice the weight of the others.
+
+    def movd_runs(directions):
+        return st.builds(lambda reg, direction, count: "\n".join(
+            [f"MOVD {reg}, {direction}"] * count), regs,
+            st.sampled_from(directions),
+            st.integers(1, 2 * max(config.rows, config.cols) + 1))
+
+    # MOVD and NOCSEND get two branches each: twice the weight of the
+    # others.  MOVD runs are one more branch.
     if machine.topology:
-        legal += 2 * [st.builds("MOVD {}, {}".format, regs, st.sampled_from(
-            sorted(machine.topology.directions)))]
+        directions = sorted(machine.topology.directions)
+        legal += 2 * [st.builds("MOVD {}, {}".format, regs,
+                                st.sampled_from(directions))]
+        legal.append(movd_runs(directions))
     if machine.mpnoc:
         destinations = st.one_of(st.just("idx"),
                                  st.integers(0, n - 1).map(str))
@@ -99,6 +111,7 @@ def programs(machine):
         st.builds("{} {}, {}".format, st.sampled_from(("LD", "ST")), regs,
                   st.sampled_from((-4, 2, config.pe_mem_bytes, 1 << 20))),
         st.builds("MOVD {}, {}".format, regs, st.sampled_from(DIRECTIONS)),
+        movd_runs(DIRECTIONS),
         st.builds("NOCSEND {}, {}, {}".format,
                   st.sampled_from(("pe", "acu", "dev")),
                   st.sampled_from(("-3", "-2", "-1", str(n), "idx-1", "idx+1")),

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import reference_sim as ref
+from mppsoc import topology
 from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
 from mppsoc.mpnoc import MpNocNetwork
 from mppsoc.simulator import (
@@ -127,6 +128,35 @@ def test_movd_east_on_ring_shifts_from_west_neighbor():
     report = run(machine, load_program("MOVD r0,E\nHALT"))
     # Every PE sends east and receives from its west neighbour.
     assert [regs[0] for regs in report.registers] == [3, 0, 1, 2]
+
+
+def test_runs_fold_only_identical_movds_in_a_row():
+    program = load_program("MOVD r1, W\nMOVD r1,w\nMOVD r1, E\nMOVD r2, E\n"
+                           "MOVD r2, E\nMOVD r2, E\nADD r1, r1, r1\n"
+                           "MOVD r2, E\nHALT")
+    assert [(i.op, i.args, i.line, count) for i, count in program.runs] == [
+        ("MOVD", (1, "W", 2), 1, 2), ("MOVD", (1, "E"), 3, 1),
+        ("MOVD", (2, "E", 3), 4, 3), ("ADD", (1, 1, 1), 7, 1),
+        ("MOVD", (2, "E"), 8, 1), ("HALT", (), 9, 1)]
+
+
+def test_movd_run_under_the_full_mask_is_one_packed_shift(monkeypatch):
+    """32 identical MOVDs on a fresh 64x64 mesh, whose mask is full, move
+    the column once, and are charged and counted as 32 instructions."""
+    cost = CostModel(issue_cycles=2, hop_cycles=3)
+    machine = machine_for(64, 64, neighborhood=Neighborhood.MESH2D, cost=cost)
+    machine.set_column(1, range(4096))
+    moves = []
+    real = topology.shift_lanes
+    monkeypatch.setattr(topology, "shift_lanes",
+                        lambda column, lanes: moves.append(lanes) or real(column, lanes))
+    report = run(machine, load_program("MOVD r1, W\n" * 32 + "HALT"))
+    assert len(moves) == 1
+    assert report.instructions == 32 + 1
+    assert report.cycles == 32 * (2 + 3) + 2
+    # Each PE holds the word 32 PEs east of it, or 0 past the east edge.
+    assert machine.column(1) == [pe + 32 if pe % 64 < 32 else 0
+                                 for pe in range(4096)]
 
 
 def test_movd_boundary_value_on_linear_edge():

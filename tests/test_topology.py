@@ -1,3 +1,4 @@
+import random
 import time
 from collections import deque
 
@@ -10,6 +11,7 @@ from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
 from mppsoc.simulator import SimMachine, load_program, run
 from mppsoc.topology import (
     OPPOSITE,
+    WORD_MASK,
     DimensionMismatch,
     build_topology,
     check_dimensions,
@@ -168,6 +170,11 @@ def test_build_is_deterministic():
     assert a.adjacency == b.adjacency
 
 
+def test_build_reuses_the_graph_of_a_shape():
+    assert build_topology(N.XNET, 5, 7) is build_topology(N.XNET, 5, 7)
+    assert build_topology(N.XNET, 5, 7) is not build_topology(N.MESH2D, 5, 7)
+
+
 def test_edge_list_text():
     graph = build_topology(N.LINEAR, 1, 3)
     assert graph.edge_list_text() == "0 1 E\n1 2 E\n"
@@ -236,3 +243,32 @@ def test_build_does_no_per_pe_work(kind):
     graph = build_topology(kind, 4096, 4096)
     assert time.perf_counter() - started < 0.5
     assert graph.n_pes == 4096 * 4096
+
+
+# 1x1 and 1x2 linear, the smallest ring, non-square tori, a 2x2 mesh and
+# a 5x4 xnet, plus shapes whose extents are no power of two.
+K_HOP_SHAPES = ((N.LINEAR, 1, 1), (N.LINEAR, 1, 2), (N.RING, 1, 3),
+                (N.TORUS2D, 3, 5), (N.TORUS2D, 4, 6), (N.MESH2D, 2, 2),
+                (N.XNET, 5, 4), (N.LINEAR, 1, 9), (N.RING, 1, 8),
+                (N.MESH2D, 3, 7), (N.XNET, 2, 3), (N.TORUS2D, 5, 3))
+
+
+@pytest.mark.parametrize("kind, rows, cols", K_HOP_SHAPES)
+def test_k_hop_shift_equals_k_single_hops(kind, rows, cols):
+    """``shift(..., hops=k)`` against k one-hop shifts, for k up to twice
+    the longer extent and past it: on a ring or torus the hops wrap
+    round, on the other kinds every PE ends up with the fill."""
+    rng = random.Random(13)
+    n = rows * cols
+    graph = build_topology(kind, rows, cols)
+    for direction in sorted(graph.directions):
+        for fill in (0, WORD_MASK, 7):
+            column = pack([rng.randrange(1 << 32) for _ in range(n)])
+            assert graph.shift(column, direction, fill, hops=0) == column
+            stepped = column
+            for k in range(1, 2 * max(rows, cols) + 3):
+                stepped = graph.shift(stepped, direction, fill)
+                assert graph.shift(column, direction, fill, hops=k) == stepped, (
+                    direction, fill, k)
+    with pytest.raises(ValueError):
+        graph.shift(column, direction, hops=-1)
