@@ -135,8 +135,6 @@ def _cmd_simulate(args) -> int:
         values = (_parse_values(args.values, config.n_pes) if args.values
                   else list(range(config.n_pes)))
         outcome = reduce_sum(config, values, cost)
-        _emit(args, outcome.to_text(), outcome.to_kv().rstrip("\n"))
-        kv = outcome.to_kv()
     elif args.app.startswith("asm:"):
         path = Path(args.app[4:])
         try:
@@ -148,10 +146,10 @@ def _cmd_simulate(args) -> int:
         if args.values:
             machine.set_values(_parse_values(args.values, config.n_pes))
         outcome = run(machine, program)
-        _emit(args, outcome.to_text(), outcome.to_kv().rstrip("\n"))
-        kv = outcome.to_kv()
     else:
         raise SimulationError(f"unknown app {args.app!r} (reduce or asm:FILE)")
+    kv = outcome.to_kv()
+    _emit(args, outcome.to_text(), kv.rstrip("\n"))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -259,10 +259,12 @@ class CostModel:
     boundary_value: int = 0      # received at array edges on non-wrapping nets
 
     def __post_init__(self):
-        # Negative charges would let the cycle counter run backwards.
+        # A negative charge would run the clock backwards, and a charge
+        # past 32 bits could make ``cycles`` too long to print.
         for f in fields(self):
-            if f.name != "boundary_value" and getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if f.name != "boundary_value" and not 0 <= value < 1 << 32:
+                raise ValueError(f"{f.name} must be in 0..{(1 << 32) - 1}")
 
     @classmethod
     def from_text(cls, text: str) -> "CostModel":

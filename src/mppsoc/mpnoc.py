@@ -25,9 +25,10 @@ messages share a stage-k window only if their destinations differ in no
 bit at or above n-1-k and their sigma-sources in none below it.  In a
 translation d - d' = sigma(s) - sigma(s') mod N, so the lowest bit in
 which d and d' differ is the lowest in which sigma(s) and sigma(s')
-differ, and no such k exists.  ``transfer`` returns that pass without
-building a resource column; given two PE ranges with one positive step
-on omega, as ``NOCSEND pe, idx±K`` passes them, it looks at no message.
+differ, and no such k exists.  On omega, where sigma is the identity,
+two PE ranges with one positive step (``NOCSEND pe, idx±K``) are one,
+which ``transfer`` times in O(1); any other translation takes the
+scheduler's no-repeat exit below.
 
 Routing is multi-pass and first-fit in priority order (lowest source
 first): each message goes to the lowest pass in which no earlier
@@ -51,8 +52,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import and_, lt, or_, rshift, sub
+from operator import lt, or_
 
 from mppsoc.config import DELTA_KINDS, CostModel, MpNocKind
 from mppsoc.errors import MppSocError, int_text
@@ -295,16 +295,9 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, words,
     Messages to one port share its last resource, so distinct sources
     reach it in successive passes, lowest source first.
 
-    On a delta network, ascending distinct source ports whose
-    destination ports are all ``sigma(src) + c`` mod N for one c (a
-    translation, such as ``NOCSEND pe, idx+K``) take one pass with no
-    contention: the stage-k windows of two such messages would need
-    their destinations to differ only below bit n-1-k and their
-    sigma-sources only at or above it, but d - d' = sigma(s) - sigma(s')
-    mod N makes both differ first in the same bit (Lawrie, IEEE TC
-    1975; see the module docstring).  On omega, where sigma is the
-    identity, two PE ranges with one positive step are such a set, and
-    one whose ends lie inside the ports is timed in O(1).
+    On omega, two PE ranges with one positive step whose ends lie inside
+    the ports are a translation (see the module docstring): one pass,
+    timed in O(1) without looking at a message.
     """
     if len(srcs) != len(dsts):
         raise ValueError(f"{len(srcs)} sources for {len(dsts)} destinations")
@@ -338,15 +331,6 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, words,
         keys, src_ports, dst_ports = (
             [column[i] for i in order]
             for column in (list(keys), src_ports, dst_ports))
-    elif net.is_delta:
-        # Distinct sources: a translation takes one pass.  The offsets
-        # are compared lazily, so any other set stops at its first odd one.
-        sigmas = map(rshift, map(net.source_tags.__getitem__, src_ports),
-                     repeat(net.stage_count))
-        offsets = map(and_, map(sub, dst_ports, sigmas), repeat(ports - 1))
-        first = next(offsets)
-        if all(map(first.__eq__, offsets)):
-            return TransferResult(passes=1, latency=pass_cycles + config_cycles)
     passes, _conflicts = _greedy_passes(
         keys, net.resource_columns(src_ports, dst_ports), ports)
     latency = len(passes) * pass_cycles + config_cycles

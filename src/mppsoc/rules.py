@@ -12,7 +12,7 @@ fixed order R1, R2, R3 and never raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mppsoc.config import (
     DELTA_KINDS,
@@ -20,13 +20,13 @@ from mppsoc.config import (
     TWO_D_NEIGHBORHOODS,
     MppSoCConfig,
 )
+from mppsoc.errors import int_text
 
 
 @dataclass(frozen=True)
 class RuleViolation:
     rule: str
     message: str
-    details: dict = field(default_factory=dict, compare=False)
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.message}"
@@ -57,26 +57,20 @@ def validate(config: MppSoCConfig) -> ValidationReport:
         violations.append(RuleViolation(
             "R1",
             f"delta router '{config.mpnoc.value}' needs a power-of-two PE "
-            f"count, got {config.rows}x{config.cols} = {n_pes}",
-            {"mpnoc": config.mpnoc, "rows": config.rows, "cols": config.cols},
-        ))
+            f"count, got {config.rows}x{config.cols} = {int_text(n_pes)}"))
 
     if (config.rows == 1 and config.neighborhood is not None
             and config.neighborhood not in ONE_D_NEIGHBORHOODS):
         violations.append(RuleViolation(
             "R2",
             f"a single-row array supports only linear or ring "
-            f"neighbourhoods, got '{config.neighborhood.value}'",
-            {"neighborhood": config.neighborhood, "rows": config.rows},
-        ))
+            f"neighbourhoods, got '{config.neighborhood.value}'"))
 
     if (config.rows > 1 and config.neighborhood is not None
             and config.neighborhood not in TWO_D_NEIGHBORHOODS):
         violations.append(RuleViolation(
             "R3",
             f"a multi-row array supports only mesh2d, torus2d or xnet "
-            f"neighbourhoods, got '{config.neighborhood.value}'",
-            {"neighborhood": config.neighborhood, "rows": config.rows},
-        ))
+            f"neighbourhoods, got '{config.neighborhood.value}'"))
 
     return ValidationReport(is_valid=not violations, violations=tuple(violations))

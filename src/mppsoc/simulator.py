@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from mppsoc.config import CostModel, MppSoCConfig
-from mppsoc.errors import MppSocError
+from mppsoc.errors import MppSocError, int_text
 from mppsoc.mpnoc import (
     ACU_PORT,
     DEVICE_PORT,
@@ -116,7 +116,7 @@ class NotPowerOfTwo(SimulationError):
 def check_pe_count(n: int):  # called before anything is allocated
     if n > MAX_PES:
         raise SimulationError(
-            f"{n} PEs exceed the simulator's limit of {MAX_PES} PEs")
+            f"{int_text(n)} PEs exceed the simulator's limit of {MAX_PES} PEs")
 
 
 class NoTransportAvailable(SimulationError):
@@ -283,8 +283,9 @@ def _all_lanes(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=16)
-def _strided_lanes(count: int, step: int, start: int) -> int:
-    """The lane mask of ``count`` PEs ``step`` apart from ``start`` on."""
+def _range_lanes(count: int, step: int, start: int) -> int:
+    """The lane mask of ``count`` PEs ``step`` apart from ``start`` on:
+    one MASK range, built once for the last 16 ranges used."""
     return spread(WORD_MASK, count, step) << LANE_BITS * start
 
 
@@ -327,16 +328,14 @@ class SimMachine:
         self.cycles = 0
 
     def set_mask(self, pred: str):
-        """Make the PEs that satisfy a (loaded) MASK predicate active."""
+        """Make the PEs that satisfy a (loaded) MASK predicate active.
+        The full mask leaves ``idle`` 0, which a MOVD run reads; any
+        other range takes its lanes from ``_range_lanes``."""
         active = self.active = _active_range(pred, self.n_pes)
-        if len(active) == self.n_pes:  # UNMASK and its like reuse the full mask
+        if len(active) == self.n_pes:  # UNMASK and its like: no idle lane
             self.lanes, self.idle = self.full, 0
             return
-        if active.step == 1:  # a prefix or suffix: cut the full mask to it
-            self.lanes = (self.full >> LANE_BITS * (self.n_pes - len(active))
-                          << LANE_BITS * active.start)
-        else:
-            self.lanes = _strided_lanes(len(active), active.step, active.start)
+        self.lanes = _range_lanes(len(active), active.step, active.start)
         self.idle = self.full ^ self.lanes
 
     def masked(self, old: int, new: int) -> int:
@@ -461,14 +460,13 @@ def _op_movd(machine: SimMachine, reg: int, direction: str, hops: int = 1):
         kind = graph.kind.value if graph else "a machine with no neighbourhood"
         raise DirectionUnavailable(direction, kind)
     machine.cycles += hops * machine.cost.hop_cycles
-    fill = _wrap(machine.cost.boundary_value)
-    column = machine.regs[reg]
+    fill, column = machine.boundary, machine.regs[reg]
     if not machine.idle:  # every sender active, every lane written
         machine.regs[reg] = graph.shift(column, direction, fill, hops)
         return
     for _ in range(hops):
         # An inactive sender sends the boundary value.
-        source = machine.masked(machine.boundary, column)
+        source = machine.masked(fill, column)
         column = machine.masked(column, graph.shift(source, direction, fill))
     machine.regs[reg] = column
 
@@ -626,7 +624,8 @@ def reduce_sum(config: MppSoCConfig, values,
     2^s hops on every topology (the regular networks are equivalent for
     this schedule; a point-to-point router pays its per-pass setup
     instead).  Without one, the global router carries the step's
-    messages in PE-PE mode.
+    messages in PE-PE mode.  The steps are timed, not executed: the
+    exact sum they leave on PE 0 is ``sum(values)``.
     """
     check_pe_count(config.n_pes)
     cost = cost or CostModel()
@@ -649,12 +648,10 @@ def reduce_sum(config: MppSoCConfig, values,
         else:
             raise NoTransportAvailable()
 
-    partial = list(values)
     total_cycles = 0
     hop_counts = []
     for step in range(steps):
         stride = 1 << step
-        receivers = range(0, n, stride * 2)
         if graph is not None:
             hops = stride  # one chain position per hop cycle
             total_cycles += hops * cost.hop_cycles
@@ -662,17 +659,15 @@ def reduce_sum(config: MppSoCConfig, values,
         else:
             # Distinct sources again: the words decide no share key.
             outcome = transfer(net, MpNocMode.PE_TO_PE,
-                               range(stride, n, 2 * stride), receivers,
-                               repeat(0),
+                               range(stride, n, 2 * stride),
+                               range(0, n, 2 * stride), repeat(0),
                                pass_cycles=cost.noc_pass_cycles(net),
                                config_cycles=cost.noc_config_cycles)
             total_cycles += outcome.latency
             hop_counts.append(outcome.passes)
-        for i in receivers:
-            partial[i] += partial[i + stride]
         total_cycles += cost.op_cycles
 
-    return ReductionReport(result=partial[0],
+    return ReductionReport(result=sum(values),
                            transfer_add_steps=steps,
                            total_cycles=total_cycles,
                            per_step_hop_counts=tuple(hop_counts))

@@ -117,6 +117,8 @@ class TopologyGraph:
     ``adjacency[i]`` maps direction label -> neighbour linear index for
     PE ``i``; it is derived from ``shift`` on first access.  Graphs are
     undirected: every edge appears from both ends with opposite labels.
+    A graph holds nothing of a machine: ``shift`` takes the boundary
+    value from its caller, so machines of one shape share one graph.
     """
 
     def __init__(self, kind: Neighborhood, rows: int, cols: int):
@@ -126,7 +128,6 @@ class TopologyGraph:
         self.directions = frozenset(_DIRECTIONS_BY_KIND[kind])
         self._wraps = kind in _WRAPPING_KINDS
         self._hops: dict = {}  # (direction, 2^j hops) -> its masks and shifts
-        self._fill = 0, 0  # the last fill word and its column
 
     @property
     def n_pes(self) -> int:
@@ -146,8 +147,8 @@ class TopologyGraph:
     def shift(self, column: int, direction: str, fill: int = 0,
               hops: int = 1) -> int:
         """The packed ``column`` after ``hops`` hops towards ``direction``:
-        each PE takes the word of the PE ``hops`` hops back, or the word
-        ``fill`` when the walk back leaves the grid.
+        each PE takes the word of the PE ``hops`` hops back, or its lane
+        of the packed column ``fill`` when the walk back leaves the grid.
 
         Hops compose, so the shift applies ``hops`` as its binary digits:
         one move of 2^j hops per set bit, after ``hops`` is reduced modulo
@@ -178,7 +179,7 @@ class TopologyGraph:
             if edge:
                 column = out | shift_lanes(column & edge, seam)
             else:
-                column = out | self._fill_column(fill) & ~keep if fill else out
+                column = out | fill & ~keep if fill else out
         return column
 
     def _hop(self, dr: int, dc: int, hops: int) -> tuple:
@@ -193,19 +194,11 @@ class TopologyGraph:
         seam = step - dr * n - dc * cols  # |dr| + |dc| == 1 on a ring or torus
         return step, keep, shift_lanes(spread(WORD_MASK, n) ^ keep, -seam), seam
 
-    def _fill_column(self, fill: int) -> int:
-        """``fill`` in every lane; the last one is kept.  Read once, so a
-        shift in another thread cannot swap the column under it."""
-        cached = self._fill
-        if cached[0] != fill:
-            cached = self._fill = fill, spread(fill & WORD_MASK, self.n_pes)
-        return cached[1]
-
     @cached_property
     def adjacency(self) -> tuple[dict, ...]:
         n = self.n_pes
-        pes = pack(range(n))
-        senders = [(label, unpack(self.shift(pes, OPPOSITE[label], WORD_MASK), n))
+        pes, off_grid = pack(range(n)), spread(WORD_MASK, n)
+        senders = [(label, unpack(self.shift(pes, OPPOSITE[label], off_grid), n))
                    for label in _DIRECTIONS_BY_KIND[self.kind]]
         return tuple({label: column[pe] for label, column in senders
                       if column[pe] != WORD_MASK} for pe in range(n))

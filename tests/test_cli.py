@@ -441,6 +441,47 @@ def test_simulate_refuses_arrays_above_the_pe_ceiling(tmp_path, capsys,
         f"error: {n_pes} PEs exceed the simulator's limit of {MAX_PES} PEs")
 
 
+def test_pe_count_too_long_to_print_is_reported(tmp_path, capsys):
+    """rows and cols of 4001 digits: the PE count, 10**8000, has more
+    digits than Python prints in decimal."""
+    side = "1" + "0" * 4000
+    shape = f"rows = {side}\ncols = {side}\nacu_mem_bytes = 64\npe_mem_bytes = 64\n"
+    path = tmp_path / "huge.cfg"
+    path.write_text(shape + "mpnoc = delta-omega\n")
+    r1 = (f"  R1: delta router 'delta-omega' needs a power-of-two PE count, "
+          f"got {side}x{side} = <26576-bit integer>")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"INVALID\n{r1}\n"
+    assert main(["generate", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"INVALID\n{r1}\n"
+    path.write_text(shape + "mpnoc = crossbar\n")
+    assert main(["simulate", str(path), "-o", str(tmp_path / "out")]) == 3
+    assert single_error_line(capsys) == (
+        f"error: <26576-bit integer> PEs exceed the simulator's limit of "
+        f"{MAX_PES} PEs")
+
+
+def test_simulate_cost_past_32_bits_is_refused(tmp_path, capsys):
+    """A router pass charge of 4299 digits would make ``cycles`` too
+    long to print; the largest 32-bit charge is accepted."""
+    path = tmp_path / "omega.cfg"
+    path.write_text("rows = 4\ncols = 8\nacu_mem_bytes = 64\npe_mem_bytes = 64\n"
+                    "mpnoc = delta-omega\n")
+    costs = tmp_path / "costs.cfg"
+    costs.write_text("noc_pass_base = " + "9" * 4299 + "\n")
+    args = ["simulate", str(path), "--cost-model", str(costs),
+            "-o", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert single_error_line(capsys).startswith(
+        f"error: {costs}:1: bad value for 'noc_pass_base': ")
+    costs.write_text(f"noc_pass_base = {(1 << 32) - 1}\n")
+    assert main(args) == 0
+    # Five steps of one pass through five stages, one mode switch, one add.
+    cycles = 5 * (5 * ((1 << 32) - 1) + 1 + 1)
+    assert capsys.readouterr().out == (
+        f"sum=496 steps=5 cycles={cycles}\nhops_per_step=1,1,1,1,1\n")
+
+
 def test_parser_carries_no_state_between_calls(cfg, tmp_path, capsys):
     out = tmp_path / "out"
     manifest = tmp_path / "files.lst"

@@ -210,17 +210,36 @@ class ScheduledError(Exception):
     pass
 
 
-@pytest.mark.parametrize("kind", DELTAS)
-def test_translations_skip_the_window_columns(kind, monkeypatch):
-    """Every non-wrapping s -> sigma(s)+K set, from every source and from
-    the sources a ``MASK mod:4:1`` leaves, takes one pass without a
-    window column; one source repeated under another word (tried at
-    every 64th offset) makes it no translation, so that set reaches the
-    scheduler."""
-    def refuse(self, srcs, dsts):
-        raise ScheduledError
+def refuse(*args):
+    raise ScheduledError
 
+
+def test_translations_skip_the_window_columns(monkeypatch):
+    """On omega, every non-wrapping s -> s+K set given as two ranges takes
+    one pass without a window column or a source tag: from every source,
+    and every 4th source from the lowest and from the one that ends at
+    the top edge."""
     monkeypatch.setattr(MpNocNetwork, "resource_columns", refuse)
+    monkeypatch.setattr(MpNocNetwork, "source_tags", property(refuse))
+    ports = 1024
+    net = build_network(MpNocKind.DELTA_OMEGA, ports)
+    for offset in range(1 - ports, ports):
+        low, high = max(0, -offset), min(ports, ports - offset)
+        for start, step in ((low, 1), (low, 4), (low + (high - 1 - low) % 4, 4)):
+            srcs = range(start, high, step)
+            dsts = range(start + offset, high + offset, step)
+            assert {srcs[0], dsts[0], srcs[-1], dsts[-1]} & {0, ports - 1}
+            result = transfer(net, MpNocMode.PE_TO_PE, srcs, dsts, [0] * len(srcs),
+                              pass_cycles=7, config_cycles=3)
+            assert (result.passes, result.latency) == (1, 7 + 3)
+
+
+@pytest.mark.parametrize("kind", DELTAS)
+def test_list_translations_take_one_pass(kind, monkeypatch):
+    """Every non-wrapping s -> sigma(s)+K set given as lists, from every
+    source and from the sources a ``MASK mod:4:1`` leaves, takes one
+    pass; one source repeated under another word (tried at every 64th
+    offset) reaches the scheduler and takes a second pass."""
     ports, sigma = 1024, sigma_of(kind, 10)
     net = build_network(kind, ports)
     for offset in range(1 - ports, ports):
@@ -233,9 +252,11 @@ def test_translations_skip_the_window_columns(kind, monkeypatch):
                 assert (result.passes, result.latency) == (1, 7 + 3)
         if offset % 64 == 0:
             src, dst, word = full[len(full) // 2]
-            with pytest.raises(ScheduledError):
-                transfer(net, MpNocMode.PE_TO_PE,
-                         *columns(full + [(src, dst, word + 1)]))
+            repeated = columns(full + [(src, dst, word + 1)])
+            assert transfer(net, MpNocMode.PE_TO_PE, *repeated).passes == 2
+            with monkeypatch.context() as patch, pytest.raises(ScheduledError):
+                patch.setattr(MpNocNetwork, "resource_columns", refuse)
+                transfer(net, MpNocMode.PE_TO_PE, *repeated)
 
 
 def test_transfer_passes_cover_the_busiest_destination():

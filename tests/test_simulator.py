@@ -159,6 +159,29 @@ def test_movd_run_under_the_full_mask_is_one_packed_shift(monkeypatch):
                                  for pe in range(4096)]
 
 
+def test_machines_sharing_a_graph_keep_their_own_boundary_values():
+    """Two machines of one shape share one graph through the
+    ``build_topology`` memo.  Full-mask MOVD runs and partial-mask MOVDs,
+    interleaved between the two machines, each fill with their own
+    machine's boundary value, as the per-PE reference does."""
+    config = MppSoCConfig(rows=4, cols=5, acu_mem_bytes=64, pe_mem_bytes=4,
+                          neighborhood=Neighborhood.XNET)
+    costs = (CostModel(boundary_value=7), CostModel(boundary_value=-(1 << 33) + 5))
+    machines = [SimMachine(config, cost) for cost in costs]
+    assert machines[0].topology is machines[1].topology
+    oracles = [ref.SimMachine(config, cost) for cost in costs]
+    values = [pe * 3 + 1 for pe in range(20)]
+    for machine in machines + oracles:
+        machine.set_values(values)
+    programs = [load_program(text) for text in (
+        "MOVD r0, E\nMOVD r0, E\nHALT", "MASK odd\nMOVD r0, S\nMOVD r0, S\nHALT",
+        "UNMASK\nMOVD r0, NW\nMOVD r0, NW\nMOVD r0, NW\nHALT",
+        "MASK lt:13\nMOVD r0, W\nUNMASK\nMOVD r0, N\nHALT")]
+    for program in programs:
+        for machine, oracle in zip(machines, oracles):
+            assert run(machine, program) == ref.run(oracle, program)
+
+
 def test_movd_boundary_value_on_linear_edge():
     cost = CostModel(boundary_value=-1)
     machine = machine_for(1, 3, neighborhood=Neighborhood.LINEAR, cost=cost)
@@ -357,6 +380,12 @@ def test_cost_model_rejects_bad_keys_and_values():
         CostModel.from_text(" = 5\n")
     with pytest.raises(ValueError):
         CostModel(hop_cycles=-1)
+    # Every charge is bounded to 32 bits, so ``cycles`` stays printable.
+    assert CostModel.from_text(f"noc_pass_base = {(1 << 32) - 1}\n"
+                               ).noc_pass_base == (1 << 32) - 1
+    with pytest.raises(BadValue) as err:
+        CostModel.from_text(f"op_cycles = 2\nnoc_pass_base = {1 << 32}\n")
+    assert err.value.line == 2
 
 
 # -- built-in reduction ------------------------------------------------------

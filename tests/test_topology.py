@@ -216,7 +216,8 @@ def test_shift_and_masked_movd_match_dict_walk(shape, data):
     column = data.draw(st.lists(words, min_size=n, max_size=n))
     boundary = data.draw(words)
     senders = [ports.get(OPPOSITE[direction]) for ports in adjacency]
-    assert list(unpack(graph.shift(pack(column), direction, boundary), n)) == [
+    fill = pack([boundary] * n)
+    assert list(unpack(graph.shift(pack(column), direction, fill), n)) == [
         boundary if s is None else column[s] for s in senders]
 
     pred = data.draw(st.one_of(
@@ -262,13 +263,14 @@ def test_k_hop_shift_equals_k_single_hops(kind, rows, cols):
     n = rows * cols
     graph = build_topology(kind, rows, cols)
     for direction in sorted(graph.directions):
-        for fill in (0, WORD_MASK, 7):
+        for word in (0, WORD_MASK, 7):
+            fill = pack([word] * n)
             column = pack([rng.randrange(1 << 32) for _ in range(n)])
             assert graph.shift(column, direction, fill, hops=0) == column
             stepped = column
             for k in range(1, 2 * max(rows, cols) + 3):
                 stepped = graph.shift(stepped, direction, fill)
                 assert graph.shift(column, direction, fill, hops=k) == stepped, (
-                    direction, fill, k)
+                    direction, word, k)
     with pytest.raises(ValueError):
         graph.shift(column, direction, hops=-1)
