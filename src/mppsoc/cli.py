@@ -1,8 +1,9 @@
 """Command-line driver: validate -> generate -> simulate -> report.
 
 Exit codes: 0 success, 1 invalid configuration (or config/cost file
-problem), 2 I/O or template trouble, 3 simulation runtime errors or a
-neighbourhood that cannot be built on the grid.
+problem), 2 I/O or template trouble, or a configuration whose generated
+VHDL would hold an ``integer`` over 2^31-1, 3 simulation runtime errors
+or a neighbourhood that cannot be built on the grid.
 Diagnostics, including timings, go to stderr; everything printed to
 stdout is reproducible across identical runs.
 """

@@ -29,7 +29,7 @@ from mppsoc.config import (
     Neighborhood,
     derive_geometry,
 )
-from mppsoc.errors import MppSocError
+from mppsoc.errors import MppSocError, int_text
 
 TEMPLATE_FILES = (
     "user_library.vhd",
@@ -54,6 +54,9 @@ _TOKEN_RE = re.compile(r"[^ \t\r\n]+")
 _VALUE_TOKEN_RE = re.compile(r"^(\(*)(.*?)([;,)]*)$")
 
 _ALLOWED_DELIMITERS = (":=", "=>", "STD_LOGIC_VECTOR")
+
+# The largest value a VHDL ``integer`` is guaranteed to hold (IEEE 1076).
+VHDL_INTEGER_MAX = (1 << 31) - 1
 
 
 class RewriteError(MppSocError):
@@ -86,6 +89,14 @@ class TemplateMissing(RewriteError):
 
 class MemoryImageError(RewriteError):
     pass
+
+
+class IntegerOutOfRange(RewriteError):
+    def __init__(self, name: str, value: int):
+        super().__init__(f"{name} = {int_text(value)} does not fit a VHDL "
+                         f"integer (at most {VHDL_INTEGER_MAX})")
+        self.name = name
+        self.value = value
 
 
 def tokenize_line(line: str) -> list[str]:
@@ -233,10 +244,20 @@ def plan_actions_by_file(config: MppSoCConfig) -> dict[str, list[RewriteAction]]
     """Map each rewritable template to its substitutions for ``config``.
 
     Files absent from the result (user_library, mapping_mppsoc) are
-    copied through untouched.
+    copied through untouched.  Raises IntegerOutOfRange when a number
+    the files hold as a VHDL ``integer`` exceeds VHDL_INTEGER_MAX.
     """
     acu_geometry = derive_geometry(config.acu_mem_bytes, WORD_BYTES)
     pe_geometry = derive_geometry(config.pe_mem_bytes, WORD_BYTES)
+    # The address widths and vector ranges are at most 31 once the word
+    # counts fit; mapping_mppsoc.vhd computes sl_nb_rows * sl_nb_column - 1.
+    for name, value in (("sl_nb_rows", config.rows),
+                        ("sl_nb_column", config.cols),
+                        ("sl_nb_rows * sl_nb_column", config.rows * config.cols),
+                        ("numwords_a of mem_acu.vhd", acu_geometry.words),
+                        ("numwords_a of mem_pe.vhd", pe_geometry.words)):
+        if value > VHDL_INTEGER_MAX:
+            raise IntegerOutOfRange(name, value)
 
     pack = [
         RewriteAction("constant", ":=", str(config.rows), target_name="sl_nb_rows"),
@@ -329,9 +350,9 @@ def generate_in_memory(config: MppSoCConfig,
     """Produce the output file set without touching the filesystem.
 
     Returns (name -> file text, rewritten line count).  Raises
-    TemplateMissing, MemoryImageError or AnchorNeverMatched, or
-    RewriteError for a template that is not UTF-8; nothing is ever
-    partially emitted.
+    IntegerOutOfRange, TemplateMissing, MemoryImageError or
+    AnchorNeverMatched, or RewriteError for a template that is not
+    UTF-8; nothing is ever partially emitted.
     """
     directory = Path(template_dir) if template_dir else bundled_template_dir()
     plan = plan_actions_by_file(config)

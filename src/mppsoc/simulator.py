@@ -26,6 +26,7 @@ charge from the CostModel.  Nothing else advances the clock.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -392,14 +393,75 @@ class SimMachine:
         self.regs[0] = self.mem[0] = column
 
 
+class _LaneRows:
+    """A read-only sequence of n rows over packed columns: row i holds
+    lane i of each column, as a signed word if ``signed``.  A row is
+    unpacked only when it is read; iteration unpacks each non-zero
+    column once.  Equal to, and hashed like, the tuple of its rows.
+
+    The columns are ints, so a later run or reset of the machine they
+    came from cannot change them."""
+
+    __slots__ = ("_columns", "_n", "_signed")
+
+    def __init__(self, columns: tuple[int, ...], n: int, signed: bool):
+        self._columns, self._n, self._signed = columns, n, signed
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        shift = LANE_BITS * range(self._n)[index]  # negative i, IndexError
+        words = [column >> shift & WORD_MASK for column in self._columns]
+        if self._signed:
+            return tuple(word - (word >> 31 << 32) for word in words)
+        return tuple(words)
+
+    def __iter__(self):
+        n = self._n
+        if not self._columns:
+            return iter(((),) * n)
+        if self._signed:  # bit 31 fills the guard bits of its lane
+            ones = _all_lanes(n)[0]
+            lanes = [unpack(col | (col >> 31 & ones) * _SIGN_FILL, n, signed=True)
+                     if col else repeat(0, n) for col in self._columns]
+        else:
+            lanes = [unpack(col, n) if col else repeat(0, n)
+                     for col in self._columns]
+        return zip(*lanes)
+
+    def __eq__(self, other):
+        if isinstance(other, _LaneRows) and self._signed is other._signed:
+            # run's columns hold 0 in every guard bit and every lane past n
+            return (self._n, self._columns) == (other._n, other._columns)
+        if isinstance(other, (tuple, _LaneRows)):
+            return len(other) == self._n and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class SimReport:
-    """Final state of one program run (registers as signed words)."""
+    """Final state of one program run.
+
+    ``registers[pe]`` is PE pe's eight registers as signed words and
+    ``memory_words[pe]`` its local memory as unsigned words.  ``run``
+    gives both as read-only sequences over the machine's packed
+    columns, unpacked only as they are read; they compare equal to, and
+    hash like, the tuples of tuples that the constructor also takes.
+    """
 
     cycles: int
     instructions: int
-    registers: tuple[tuple[int, ...], ...]
-    memory_words: tuple[tuple[int, ...], ...] | None = None
+    registers: Sequence[tuple[int, ...]]
+    memory_words: Sequence[tuple[int, ...]] | None = None
 
     def to_text(self) -> str:
         lines = [f"cycles={self.cycles} instructions={self.instructions}"]
@@ -543,6 +605,9 @@ def run(machine: SimMachine, program: SimProgram,
     raised while an instruction executes is a ``SimulationError`` whose
     ``line`` is that instruction's source line.  ``snapshot_memory``
     adds every whole word of each PE's local memory to the report.
+    The report holds the final register and memory columns and unpacks
+    none of them: ``SimReport.registers`` and ``memory_words`` unpack a
+    lane as it is read.
 
     A run of identical MOVDs (``SimProgram.runs``) executes as one MOVD
     of that many hops.  It is charged and counted as that many
@@ -566,21 +631,17 @@ def run(machine: SimMachine, program: SimProgram,
         if count > 1:  # the issue of the run's other lines
             machine.cycles += (count - 1) * cost.issue_cycles
             executed += count - 1
-    n, ones = machine.n_pes, machine.ones
+    n = machine.n_pes
     memory_words = None
     if snapshot_memory:
-        columns = [unpack(machine.mem[addr], n) if addr in machine.mem
-                   else repeat(0, n)
-                   for addr in range(0, machine.config.pe_mem_bytes - 3, 4)]
-        memory_words = tuple(zip(*columns)) if columns else ((),) * n
-    # Sign-extend every lane to int64 (bit 31 fills the guard bits), then
-    # unpack; an all-zero column needs no unpacking.
-    registers = [unpack(col | (col >> 31 & ones) * _SIGN_FILL, n, signed=True)
-                 if col else repeat(0, n) for col in machine.regs]
+        memory_words = _LaneRows(
+            tuple(machine.mem.get(addr, 0)
+                  for addr in range(0, machine.config.pe_mem_bytes - 3, 4)),
+            n, signed=False)
     return SimReport(
         cycles=machine.cycles,
         instructions=executed,
-        registers=tuple(zip(*registers)),
+        registers=_LaneRows(tuple(machine.regs), n, signed=True),
         memory_words=memory_words,
     )
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mppsoc.cli import _build_parser, main
-from mppsoc.rewrite import TEMPLATE_FILES, bundled_template_dir
+from mppsoc.rewrite import TEMPLATE_FILES, VHDL_INTEGER_MAX, bundled_template_dir
 from mppsoc.simulator import MAX_PES
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -413,6 +413,63 @@ def test_generate_unbuildable_topology_is_runtime_error(tmp_path, capsys,
     assert main(["generate", str(path), "-o", str(out),
                  "--manifest", str(manifest)]) == 3
     assert single_error_line(capsys) == simulate_error
+    assert not out.exists() and not manifest.exists()
+
+
+def test_generate_at_the_vhdl_integer_limit(tmp_path, capsys):
+    """Every VHDL integer the files hold, and sl_nb_rows * sl_nb_column,
+    at 2^31-1: the largest value IEEE 1076 guarantees."""
+    path = tmp_path / "limit.cfg"
+    path.write_text(f"rows = 1\ncols = {VHDL_INTEGER_MAX}\n"
+                    f"acu_mem_bytes = {4 * VHDL_INTEGER_MAX}\n"
+                    f"pe_mem_bytes = {4 * VHDL_INTEGER_MAX}\n"
+                    "neighborhood = linear\n")
+    out = tmp_path / "out"
+    assert main(["generate", str(path), "--force-report-only"]) == 0
+    assert main(["generate", str(path), "-o", str(out)]) == 0
+    assert f"sl_nb_column : integer := {VHDL_INTEGER_MAX};" in (
+        out / "pack_mppsoc.vhd").read_text()
+    for name in ("mem_acu.vhd", "mem_pe.vhd"):
+        assert f"numwords_a => {VHDL_INTEGER_MAX}," in (out / name).read_text()
+
+
+LONG_SIDE = "1" + "0" * 4000
+
+
+@pytest.mark.parametrize("shape, constant, value", [
+    (f"rows = 1\ncols = {2**31}\nneighborhood = linear\n",
+     "sl_nb_column", 2**31),
+    (f"rows = 2\ncols = {2**30}\nneighborhood = mesh2d\n",
+     "sl_nb_rows * sl_nb_column", 2**31),
+    ("rows = 3000000000\ncols = 2\nneighborhood = mesh2d\n",
+     "sl_nb_rows", 3000000000),
+    (f"rows = {LONG_SIDE}\ncols = {LONG_SIDE}\nmpnoc = crossbar\n",
+     "sl_nb_rows", int(LONG_SIDE)),
+    (f"rows = 2\ncols = 2\nneighborhood = mesh2d\nacu_mem_bytes = {2**33}\n",
+     "numwords_a of mem_acu.vhd", 2**31),
+    (f"rows = 2\ncols = 2\nneighborhood = mesh2d\npe_mem_bytes = {2**36}\n",
+     "numwords_a of mem_pe.vhd", 2**34),
+], ids=["cols", "product", "rows3e9", "rows4001digits", "acu_words", "pe_words"])
+def test_generate_refuses_values_past_the_vhdl_integer_range(
+        tmp_path, capsys, shape, constant, value):
+    """R1-R3 pass these shapes, but a VHDL integer in the files would be
+    out of range: generate and --force-report-only refuse them with one
+    error line that names the constant, and write nothing."""
+    path = tmp_path / "huge.cfg"
+    memory = "".join(f"{key} = 64\n" for key in ("acu_mem_bytes", "pe_mem_bytes")
+                     if key not in shape)
+    path.write_text(shape + memory)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    want = (f"error: {constant} = {value} does not fit a VHDL integer "
+            f"(at most {VHDL_INTEGER_MAX})")
+    assert main(["generate", str(path), "--force-report-only"]) == 2
+    assert single_error_line(capsys) == want
+    out = tmp_path / "out"
+    manifest = tmp_path / "files.lst"
+    assert main(["generate", str(path), "-o", str(out),
+                 "--manifest", str(manifest)]) == 2
+    assert single_error_line(capsys) == want
     assert not out.exists() and not manifest.exists()
 
 

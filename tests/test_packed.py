@@ -3,6 +3,7 @@ memory column, PE i's word in the 64-bit lane i."""
 
 import random
 
+import pytest
 import reference_sim as ref
 from hypothesis import given, settings, strategies as st
 
@@ -134,3 +135,64 @@ def test_movd_under_every_mask_with_the_sentinel_as_boundary(shape, boundary,
     program = load_program(f"MASK {data.draw(predicates(n))}\n"
                            f"MOVD r2, {direction}\nHALT")
     assert run(machine, program) == ref.run(oracle, program)
+
+
+def signed_word(word):
+    return word - (1 << 32) if word >> 31 else word
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((1, 3, 7, 64, 100)), words=st.sampled_from((1, 3, 16)),
+       seed=st.integers(0, 2**32))
+def test_report_rows_read_the_packed_columns(n, words, seed):
+    """``registers`` and ``memory_words`` of a run with random masked
+    LDI/ADD/ST (words with bit 31 set among them) equal the tuples they
+    stand for and the reference report, hash like them, read each lane
+    as ``machine.column``/``read_word`` do, and keep their values when
+    the machine runs again and is reset."""
+    rng = random.Random(seed)
+    config = MppSoCConfig(rows=1, cols=n, acu_mem_bytes=64,
+                          pe_mem_bytes=4 * words)
+    lines = []
+    for _ in range(8):
+        reg, a, b = (rng.randrange(8) for _ in range(3))
+        pred = rng.choice(("all", "even", "odd", f"lt:{rng.randrange(n + 1)}",
+                           f"mod:3:{rng.randrange(3)}"))
+        lines += [f"MASK {pred}", f"LDI r{reg}, {rng.randrange(-(1 << 31), 1 << 32)}",
+                  f"ADD r{a}, r{a}, r{b}", f"ST r{b}, {4 * rng.randrange(words)}"]
+    program = load_program("\n".join(lines + ["UNMASK", "HALT"]))
+    values = random_words(seed, n, -(1 << 31), 1 << 32)
+    machine, oracle = SimMachine(config), ref.SimMachine(config)
+    machine.set_values(values)
+    oracle.set_values(values)
+    report = run(machine, program, snapshot_memory=True)
+    want = ref.run(oracle, program, snapshot_memory=True)
+    assert report == want and hash(report) == hash(want)
+
+    registers = tuple(zip(*(map(signed_word, machine.column(r))
+                            for r in range(8))))
+    memory = tuple(tuple(machine.read_word(pe, addr)
+                         for addr in range(0, 4 * words, 4)) for pe in range(n))
+    for view, rows in ((report.registers, registers),
+                       (report.memory_words, memory)):
+        assert len(view) == n
+        assert view == tuple(tuple(row) for row in view) == rows
+        assert rows == view and hash(view) == hash(rows)
+        for pe in {0, n - 1, rng.randrange(n), -1, -n, -rng.randrange(1, n + 1)}:
+            assert view[pe] == rows[pe]
+        for part in (slice(None), slice(1, None), slice(None, None, -2),
+                     slice(rng.randrange(-n, n), rng.randrange(-n, n), 3)):
+            assert view[part] == rows[part]
+            assert type(view[part]) is tuple
+        for pe in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[pe]
+
+    again = SimMachine(config)
+    again.set_values(values)
+    assert run(again, program, snapshot_memory=True) == report
+    run(machine, load_program("LDI r0, -1\nLDI r7, 5\nST r0, 0\nHALT"),
+        snapshot_memory=True)
+    machine.reset()
+    assert report.registers == registers
+    assert report.memory_words == memory

@@ -4,7 +4,7 @@ import time
 import pytest
 
 import reference_sim as ref
-from mppsoc import topology
+from mppsoc import simulator, topology
 from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
 from mppsoc.mpnoc import MpNocNetwork
 from mppsoc.simulator import (
@@ -507,6 +507,35 @@ def test_shift_program_on_every_delta_wiring_matches_reference(kind, cycles):
     report = run(machine, program, snapshot_memory=True)
     assert report.cycles == cycles
     assert report == ref.run(oracle, program, snapshot_memory=True)
+
+
+def test_run_unpacks_no_column(monkeypatch):
+    """The executed recursive-doubling sum on a 64x64 mesh (the
+    benchmark's array-compute op) runs, and its report gives the counts,
+    the PE count and PE 0's r0, without ``unpack``: the report reads
+    the packed columns lazily."""
+    config = MppSoCConfig(rows=64, cols=64, acu_mem_bytes=1024,
+                          pe_mem_bytes=64, neighborhood=Neighborhood.MESH2D)
+    lines = ["LD r0, 0"]
+    for direction, modulus in (("W", 1), ("N", 64)):
+        for stride in (1, 2, 4, 8, 16, 32):
+            lines += ["UNMASK", "LDI r1, 0", "ADD r1, r1, r0"]
+            lines += [f"MOVD r1, {direction}"] * stride
+            lines += [f"MASK mod:{2 * stride * modulus}:0", "ADD r0, r0, r1"]
+    program = load_program("\n".join(lines + ["UNMASK", "ST r0, 4", "HALT"]))
+    rng = random.Random(64)
+    values = [rng.randrange(-(1 << 31), 1 << 31) for _ in range(4096)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run unpacked a column")
+
+    monkeypatch.setattr(simulator, "unpack", refuse)
+    machine = SimMachine(config)
+    machine.set_values(values)
+    report = run(machine, program)
+    assert (report.cycles, report.instructions) == (342, 190)
+    assert len(report.registers) == 4096
+    assert report.registers[0][0] == (sum(values) + (1 << 31)) % (1 << 32) - (1 << 31)
 
 
 class Scheduled(Exception):
