@@ -393,11 +393,12 @@ class SimMachine:
         self.regs[0] = self.mem[0] = column
 
 
-class _LaneRows:
+class _LaneRows(Sequence):
     """A read-only sequence of n rows over packed columns: row i holds
     lane i of each column, as a signed word if ``signed``.  A row is
     unpacked only when it is read; iteration unpacks each non-zero
-    column once.  Equal to, and hashed like, the tuple of its rows.
+    column once, so iterate rather than index to read every row.  Equal
+    to, and hashed like, the tuple of its rows; not a tuple itself.
 
     The columns are ints, so a later run or reset of the machine they
     came from cannot change them."""
@@ -433,9 +434,6 @@ class _LaneRows:
         return zip(*lanes)
 
     def __eq__(self, other):
-        if isinstance(other, _LaneRows) and self._signed is other._signed:
-            # run's columns hold 0 in every guard bit and every lane past n
-            return (self._n, self._columns) == (other._n, other._columns)
         if isinstance(other, (tuple, _LaneRows)):
             return len(other) == self._n and tuple(self) == tuple(other)
         return NotImplemented

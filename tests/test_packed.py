@@ -2,6 +2,7 @@
 memory column, PE i's word in the 64-bit lane i."""
 
 import random
+from collections.abc import Sequence
 
 import pytest
 import reference_sim as ref
@@ -175,7 +176,8 @@ def test_report_rows_read_the_packed_columns(n, words, seed):
                          for addr in range(0, 4 * words, 4)) for pe in range(n))
     for view, rows in ((report.registers, registers),
                        (report.memory_words, memory)):
-        assert len(view) == n
+        assert len(view) == n and isinstance(view, Sequence)
+        assert tuple(reversed(view)) == rows[::-1] and rows[-1] in view
         assert view == tuple(tuple(row) for row in view) == rows
         assert rows == view and hash(view) == hash(rows)
         for pe in {0, n - 1, rng.randrange(n), -1, -n, -rng.randrange(1, n + 1)}:
