@@ -175,7 +175,10 @@ def _cmd_report(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``mppsoc`` parser, built on the first ``main`` call and reused
-    by later ones in the same process: parsing leaves it unchanged."""
+    by later ones in the same process: parsing leaves it unchanged.
+    ``commands`` maps each command name to its own subparser.  (The
+    bundled templates are likewise read once per process; a
+    ``--templates`` directory is read on every call.)"""
     parser = argparse.ArgumentParser(
         prog="mppsoc",
         description="Validate, generate and simulate parametric SIMD SoC "
@@ -215,11 +218,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--report", choices=("text", "kv"), default="kv")
     p_report.set_defaults(func=_cmd_report)
 
+    parser.commands = {"validate": p_validate, "generate": p_generate,
+                       "simulate": p_simulate, "report": p_report}
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    # A named command's own parser skips the root's subcommand layer;
+    # anything else (no command, or arguments the command leaves over)
+    # goes through the root, which prints every help and error text.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

@@ -220,6 +220,8 @@ def parse_config(text: str) -> MppSoCConfig:
     optional surrounding whitespace.  Unset optional keys take their
     defaults.  When the same key appears twice the last occurrence wins.
 
+    ``mem_init`` must be printable and free of ``"`` and whitespace.
+
     Raises UnknownKey, BadValue, MissingRequiredKey or NoNetworkSelected.
     """
     seen: dict[str, object] = {}
@@ -233,6 +235,11 @@ def parse_config(text: str) -> MppSoCConfig:
         elif key == "mem_init":
             if not value:
                 raise BadValue(key, value, lineno, "empty file name")
+            # The name is spliced into a VHDL string literal that a rerun
+            # of generate must read back as one whitespace token.
+            if '"' in value or " " in value or not value.isprintable():
+                raise BadValue(key, value, lineno, "must not hold '\"', "
+                               "whitespace or unprintable characters")
             seen[key] = value
         else:
             raise UnknownKey(key, lineno)

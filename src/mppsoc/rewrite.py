@@ -8,15 +8,17 @@ line's delimiter token (``:=``, ``=>``, or ``STD_LOGIC_VECTOR`` for the
 address port range).  Every byte outside the replaced value is
 preserved, so regenerating over generated output is a no-op.
 
-A file's plan is grouped by anchor once.  Each line's first token then
-selects the only actions that can touch it, and its second token those
-of them that name a constant, so ``rewrite_line`` tokenizes just the
-lines it rewrites.  A rewrite never changes a line's first token, so
-the grouping stays exact while a line's actions run one after another.
+A file's plan is grouped by anchor once, and a template indexes its
+lines by first token once, so only lines an anchor starts are visited;
+their second token selects the actions that name a constant, and
+``rewrite_line`` tokenizes just the lines it rewrites.  A rewrite never
+changes a line's first token, so the grouping stays exact while a
+line's actions run one after another.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import dataclass
@@ -138,6 +140,17 @@ class TemplateFile:
     name: str
     lines: tuple[str, ...]
 
+    @functools.cached_property
+    def lines_by_first_token(self) -> dict[str, list[int]]:
+        """First token -> numbers of the lines it starts, in file order;
+        built on first use, so a cached template pays for it once."""
+        index: dict[str, list[int]] = {}
+        for number, line in enumerate(self.lines):
+            first = _TOKEN_RE.search(line)
+            if first:
+                index.setdefault(first.group(), []).append(number)
+        return index
+
     @classmethod
     def from_text(cls, name: str, text: str) -> "TemplateFile":
         normalized = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -216,24 +229,28 @@ def apply_to_file(template: TemplateFile,
         target = action.target_name
         by_anchor.setdefault(action.anchor, []).append(
             (position, action, None if target is None else target.lower()))
+    index = template.lines_by_first_token
+    # Only lines an anchor starts can change; they are visited in file
+    # order, so the first failing line is the one a full scan meets first.
+    selected = sorted(number for anchor in by_anchor
+                      for number in index.get(anchor, ()))
     counts = [0] * len(actions)
-    new_lines = []
-    for line in template.lines:
+    new_lines = list(template.lines)
+    for number in selected:
+        line = new_lines[number]
         first = _TOKEN_RE.search(line)
-        candidates = by_anchor.get(first.group()) if first else None
-        if candidates:
-            second = _TOKEN_RE.search(line, first.end())
-            for position, action, target in candidates:
-                if target is not None and (
-                        second is None or second.group().lower() != target):
-                    continue
-                line, applied = rewrite_line(line, action)
-                if applied:
-                    counts[position] += 1
-                    # A value spliced right after the anchor (the anchor
-                    # is also the delimiter) replaces the second token.
-                    second = _TOKEN_RE.search(line, first.end())
-        new_lines.append(line)
+        second = _TOKEN_RE.search(line, first.end())
+        for position, action, target in by_anchor[first.group()]:
+            if target is not None and (
+                    second is None or second.group().lower() != target):
+                continue
+            line, applied = rewrite_line(line, action)
+            if applied:
+                counts[position] += 1
+                # A value spliced right after the anchor (the anchor
+                # is also the delimiter) replaces the second token.
+                second = _TOKEN_RE.search(line, first.end())
+        new_lines[number] = line
     for action, count in zip(actions, counts):
         if count == 0:
             raise AnchorNeverMatched(action, template.name)
@@ -302,9 +319,16 @@ def plan_actions(config: MppSoCConfig) -> list[RewriteAction]:
     return out
 
 
+@functools.cache
 def bundled_template_dir() -> Path:
     """Directory holding the templates shipped with the package."""
     return Path(str(resources.files("mppsoc") / "templates"))
+
+
+@functools.cache
+def _bundled_template(name: str) -> TemplateFile:
+    """A bundled template, read once per process (a failed read is retried)."""
+    return _load_template(bundled_template_dir(), name)
 
 
 def _load_template(directory: Path, name: str) -> TemplateFile:
@@ -349,12 +373,12 @@ def generate_in_memory(config: MppSoCConfig,
                        mem_search_dir: Path | None = None) -> tuple[dict[str, str], int]:
     """Produce the output file set without touching the filesystem.
 
-    Returns (name -> file text, rewritten line count).  Raises
-    IntegerOutOfRange, TemplateMissing, MemoryImageError or
-    AnchorNeverMatched, or RewriteError for a template that is not
+    The bundled templates are read once per process; a ``template_dir``
+    is read on every call.  Returns (name -> file text, rewritten line
+    count).  Raises IntegerOutOfRange, TemplateMissing, MemoryImageError
+    or AnchorNeverMatched, or RewriteError for a template that is not
     UTF-8; nothing is ever partially emitted.
     """
-    directory = Path(template_dir) if template_dir else bundled_template_dir()
     plan = plan_actions_by_file(config)
 
     if config.mem_init is not None:
@@ -368,7 +392,8 @@ def generate_in_memory(config: MppSoCConfig,
     outputs: dict[str, str] = {}
     rewritten = 0
     for name in TEMPLATE_FILES:
-        template = _load_template(directory, name)
+        template = (_load_template(Path(template_dir), name) if template_dir
+                    else _bundled_template(name))
         actions = plan.get(name)
         if actions:
             result, counts = apply_to_file(template, actions)
@@ -391,7 +416,8 @@ def generate(config: MppSoCConfig, out_dir: Path,
     pack_mppsoc.vhd and the two memory files with their parameters
     rewritten.  Output newlines are LF.  Generation is idempotent:
     rerunning over its own output with the same configuration produces
-    byte-identical files.
+    byte-identical files.  The bundled templates are read once per
+    process; a ``template_dir`` is read on every call.
     """
     started = time.perf_counter()
     outputs, rewritten = generate_in_memory(config, template_dir, mem_search_dir)

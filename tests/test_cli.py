@@ -1,18 +1,25 @@
 import io
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mppsoc.cli as cli_module
 from mppsoc.cli import _build_parser, main
+from mppsoc.config import ConfigError, parse_config
 from mppsoc.rewrite import TEMPLATE_FILES, VHDL_INTEGER_MAX, bundled_template_dir
 from mppsoc.simulator import MAX_PES
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 VALID_CFG = """\
 rows = 4
@@ -672,3 +679,123 @@ def test_simulate_asm_keeps_the_error_contract(fuzz_dir, config, lines, halt,
     else:
         assert err == ""
     assert call() == (code, out, err)
+
+
+_COMMANDS = ["validate", "generate", "simulate", "report"]
+_ARGV_WORDS = _COMMANDS + [
+    "-o", "--out=x", "--out", "--report", "--rep", "kv", "xml", "text",
+    "--force-report-only", "--force", "--f", "--templates", "--app",
+    "--values=-1..2", "-h", "--help", "--", "--bogus", "-", "a.cfg",
+    "dir/b.cfg"]
+
+
+@pytest.fixture
+def recording_commands(monkeypatch):
+    """Every command's function replaced by one that records the
+    namespace it is given and returns 0; the parser is rebuilt around
+    them and again, with the real ones, afterwards."""
+    seen = []
+    for name in ("_cmd_validate", "_cmd_generate", "_cmd_simulate",
+                 "_cmd_report"):
+        monkeypatch.setattr(cli_module, name,
+                            lambda args: seen.append(args) or 0)
+    _build_parser.cache_clear()
+    yield seen
+    _build_parser.cache_clear()
+
+
+def _parse_outcome(parse, argv):
+    """(result or exit code, stdout, stderr) of one parse."""
+    with redirect_stdout(io.StringIO()) as out, \
+            redirect_stderr(io.StringIO()) as err:
+        try:
+            result = parse(argv)
+        except SystemExit as exit_:
+            result = exit_.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.lists(st.sampled_from(_ARGV_WORDS), max_size=6)
+       | st.builds(lambda command, rest: [command, *rest],
+                   st.sampled_from(_COMMANDS),
+                   st.lists(st.sampled_from(_ARGV_WORDS), max_size=5)))
+def test_main_parses_exactly_like_the_root_parser(recording_commands, argv):
+    """``main`` hands a named command's arguments to that command's own
+    parser; the exit code, stdout, stderr and namespace are those of the
+    root parser's ``parse_args``, help and usage errors included."""
+    def via_main(argv):
+        recording_commands.clear()
+        return main(list(argv)), *recording_commands
+
+    def via_root(argv):
+        return 0, _build_parser().parse_args(list(argv))
+
+    assert _parse_outcome(via_main, argv) == _parse_outcome(via_root, argv)
+
+
+def test_module_entry_point_reads_sys_argv():
+    """``python -m mppsoc.cli`` parses ``sys.argv`` (``main(None)``)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "mppsoc.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=ROOT, timeout=60)
+
+    bare = run()
+    assert (bare.returncode, bare.stdout) == (2, "")
+    usage, error = bare.stderr.splitlines()
+    assert usage.startswith("usage: mppsoc ")
+    assert error.startswith("mppsoc: error: ")
+    valid = run("validate", "demos/mesh16.cfg")
+    assert (valid.returncode, valid.stdout, valid.stderr) == (0, "VALID\n", "")
+
+
+def _quiet_main(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+# Printable names, biased towards the characters a VHDL string literal
+# or a whitespace tokenizer treats specially.
+_IMAGE_NAMES = st.text(
+    st.sampled_from('ab.x"# =\\-') | st.characters(
+        blacklist_categories=("Cs",), blacklist_characters="/\x00"),
+    min_size=1, max_size=12).filter(str.isprintable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=_IMAGE_NAMES)
+def test_regenerating_over_the_output_is_a_no_op(name):
+    """For every printable ``mem_init`` name that parses, generate and
+    then generate again from the first output as ``--templates`` give
+    byte-identical files; a name that does not parse is refused."""
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        config = root / "machine.cfg"
+        config.write_text(VALID_CFG + f"mem_init = {name}\n", encoding="utf-8")
+        try:
+            image = parse_config(config.read_text(encoding="utf-8")).mem_init
+        except ConfigError:
+            assert _quiet_main(["validate", str(config)]) == 1
+            return
+        if image in (".", ".."):
+            return
+        (root / image).write_text("cafef00d\n", encoding="utf-8")
+        first, second = root / "first", root / "second"
+        assert _quiet_main(["generate", str(config), "-o", str(first)]) == 0
+        assert _quiet_main(["generate", str(config), "-o", str(second),
+                            "--templates", str(first)]) == 0
+        for file_name in TEMPLATE_FILES:
+            assert ((first / file_name).read_bytes()
+                    == (second / file_name).read_bytes())
+        # The spliced name is one well-formed VHDL string literal.
+        for file_name in ("mem_acu.vhd", "mem_pe.vhd"):
+            line, = [line for line in (first / file_name).read_text(
+                encoding="utf-8").splitlines() if "init_file" in line]
+            assert line == f'      init_file => "{image}",'
+            assert line.count('"') == 2

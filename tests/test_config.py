@@ -111,8 +111,18 @@ valid_configs = st.builds(
     methodology=st.sampled_from(Methodology),
     neighborhood=st.one_of(st.none(), st.sampled_from(Neighborhood)),
     mpnoc=st.sampled_from(MpNocKind),
-    mem_init=st.one_of(st.none(), st.just("image.mif"), st.just("sum 16.hex")),
+    mem_init=st.one_of(st.none(), st.just("image.mif")),
 )
+
+
+@pytest.mark.parametrize("name", ["sum 16.hex", 'a"b.hex', "x\ty.hex",
+                                  "a\x7fb.hex", "a\u00a0b.hex", "a\u200bb.hex"])
+def test_parse_refuses_mem_init_that_is_not_one_token(name):
+    """A name spliced into ``init_file => "..."`` must stay one quoted
+    whitespace token, or regenerating over the output is not a no-op."""
+    with pytest.raises(BadValue) as err:
+        parse_config(BASIC + f"\nmem_init = {name}\n")
+    assert err.value.key == "mem_init" and err.value.line == 8
 
 
 @given(valid_configs)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from mppsoc.rewrite import (
     apply_to_file,
     bundled_template_dir,
     generate,
+    generate_in_memory,
     plan_actions,
     plan_actions_by_file,
     rewrite_line,
@@ -440,3 +442,51 @@ def test_apply_to_file_matches_every_action_over_every_line(case):
     assert got == rewrite_outcome(apply_to_file_reference, template, actions)
     # The dispatch calls rewrite_line only where it rewrites (or raises).
     assert all(applied)
+
+
+def _refuse_read(path, error):
+    raise error(f"{path}: read again")
+
+
+def test_bundled_templates_are_read_once_per_process(monkeypatch):
+    config = mesh16(mpnoc=MpNocKind.CROSSBAR)
+    first = generate_in_memory(config)
+    monkeypatch.setattr(rewrite_module, "_read_text", _refuse_read)
+    assert generate_in_memory(config) == first
+
+
+def test_a_failed_bundled_read_is_not_cached(monkeypatch):
+    expected = generate_in_memory(mesh16())
+    rewrite_module._bundled_template.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(rewrite_module, "_read_text", _refuse_read)
+        with pytest.raises(RewriteError, match="read again"):
+            generate_in_memory(mesh16())
+    assert generate_in_memory(mesh16()) == expected
+
+
+def test_a_template_dir_is_read_on_every_call(tmp_path):
+    templates = tmp_path / "templates"
+    shutil.copytree(bundled_template_dir(), templates)
+    config = mesh16()
+    before, rewritten = generate_in_memory(config, templates)
+    assert (before, rewritten) == generate_in_memory(config)
+    with open(templates / "user_library.vhd", "a", encoding="utf-8") as f:
+        f.write("-- edited\n")
+    with open(templates / "pack_mppsoc.vhd", "a", encoding="utf-8") as f:
+        f.write("constant sl_nb_rows : integer := 1;\n")
+    after, rewritten_after = generate_in_memory(config, templates)
+    assert after["user_library.vhd"] == before["user_library.vhd"] + "-- edited\n"
+    assert after["pack_mppsoc.vhd"] == (before["pack_mppsoc.vhd"]
+                                        + "constant sl_nb_rows : integer := 4;\n")
+    assert rewritten_after == rewritten + 1
+
+
+def test_a_template_missing_from_a_template_dir_fails_every_call(tmp_path):
+    templates = tmp_path / "templates"
+    shutil.copytree(bundled_template_dir(), templates)
+    generate_in_memory(mesh16(), templates)
+    (templates / "mem_pe.vhd").unlink()
+    for _ in range(2):
+        with pytest.raises(TemplateMissing, match="mem_pe.vhd"):
+            generate_in_memory(mesh16(), templates)
