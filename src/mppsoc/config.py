@@ -109,6 +109,13 @@ class NotDivisible(ConfigError):
         self.word_bytes = word_bytes
 
 
+def _is_vhdl_file_name(name: str) -> bool:
+    """Whether ``name`` can be spliced into a VHDL string literal that a
+    rerun of generate reads back as one whitespace token: printable and
+    free of ``"`` and spaces (every other whitespace is unprintable)."""
+    return '"' not in name and " " not in name and name.isprintable()
+
+
 @dataclass(frozen=True)
 class MppSoCConfig:
     """One fully specified machine configuration.
@@ -133,6 +140,9 @@ class MppSoCConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.mem_init is not None and not _is_vhdl_file_name(self.mem_init):
+            raise ValueError("mem_init must not hold '\"', whitespace or "
+                             f"unprintable characters, got {self.mem_init!r}")
 
     @property
     def n_pes(self) -> int:
@@ -235,9 +245,7 @@ def parse_config(text: str) -> MppSoCConfig:
         elif key == "mem_init":
             if not value:
                 raise BadValue(key, value, lineno, "empty file name")
-            # The name is spliced into a VHDL string literal that a rerun
-            # of generate must read back as one whitespace token.
-            if '"' in value or " " in value or not value.isprintable():
+            if not _is_vhdl_file_name(value):
                 raise BadValue(key, value, lineno, "must not hold '\"', "
                                "whitespace or unprintable characters")
             seen[key] = value

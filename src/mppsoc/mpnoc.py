@@ -32,15 +32,14 @@ scheduler's no-repeat exit below.
 
 Routing is multi-pass and first-fit in priority order (lowest source
 first): each message goes to the lowest pass in which no earlier
-message holds one of its resources under a different share key, and
-every pass it skips counts one conflict, so ``conflicts`` is the sum of
-the messages' pass indices.  The scheduler sees a message as a tuple of
-integer resource ids, ``stage * N + window`` for each stage; the
-shared bus has the single resource 0 and the crossbar the destination
-port.  When no resource column holds a value twice, no two messages
-claim one resource, so every message lands in the first pass with no
-conflict; the scheduler returns that result directly, without the
-first-fit loop.
+message holds one of its resources, and every pass it skips counts one
+conflict, so ``conflicts`` is the sum of the messages' pass indices.
+The scheduler sees a message as a tuple of integer resource ids,
+``stage * N + window`` for each stage; the shared bus has the single
+resource 0 and the crossbar the destination port.  When no resource
+column holds a value twice, no two messages claim one resource, so
+every message lands in the first pass with no conflict; the scheduler
+returns that result directly, without the first-fit loop.
 
 This module is a timing model: ``transfer`` answers how many passes and
 cycles a message set costs.  Which word each endpoint receives is the
@@ -163,26 +162,20 @@ def build_network(kind: MpNocKind, ports: int) -> MpNocNetwork:
     return MpNocNetwork(kind, ports)
 
 
-def _greedy_passes(keys, columns: list, width: int) -> tuple[list, int]:
+def _greedy_passes(columns: list, width: int) -> tuple[list, int]:
     """First-fit scheduling in priority order.
 
     Records are numbered 0..m-1 in priority order.  ``columns[k][i]``
     is record i's resource in column k, an int below ``width``; as an
-    id it becomes ``k * width + value``.  ``keys`` yields the share
-    keys in record order; only the first-fit loop reads it.
-    Record i goes to the lowest pass in which no earlier record holds
-    one of its resources under a different share key (records with one
-    key share resources: multicast fan-out of one source word).  Every
-    pass a record skips counts one contention.  Returns the passes as
-    lists of record numbers and the contention count, the sum of the
-    records' pass indices.
+    id it becomes ``k * width + value``.  Record i goes to the lowest
+    pass that has claimed none of its resources, and every pass it skips
+    counts one contention.  Returns the passes as lists of record
+    numbers and the contention count, the sum of the records' pass
+    indices.
 
     Every pass below ``free[r]`` has claimed resource r (a claim in
-    pass ``free[r]`` raises it by one), so a pass below the highest
-    ``free`` of a record's resources can take the record only if it
-    already holds the record's key.  The search therefore starts there,
-    or at ``lowest[key]``, the lowest pass holding the key, when that is
-    lower (a repeated key: multicast).
+    pass ``free[r]`` raises it by one), so the search for a record
+    starts at the highest ``free`` of its resources.
     """
     m = len(columns[0])
     if not m:
@@ -192,29 +185,19 @@ def _greedy_passes(keys, columns: list, width: int) -> tuple[list, int]:
     rows = zip(*([k * width + value for value in column]
                  for k, column in enumerate(columns)))
     free = [0] * (len(columns) * width)
-    claims: list = []   # per pass: resource -> share key
+    claims: list = []   # per pass: the resources it has claimed
     passes: list = []
-    lowest: dict = {}   # share key -> lowest pass holding it
     conflicts = 0
-    for i, (key, res) in enumerate(zip(keys, rows)):
-        p = max(map(free.__getitem__, res))
-        low = lowest.get(key)
-        if low is not None and low < p:
-            p = low
-        for p in range(p, len(claims)):
-            claim = claims[p]
-            if claim.keys().isdisjoint(res) or low is not None and all(
-                    claim.get(r, key) == key for r in res):
+    for i, res in enumerate(rows):
+        for p in range(max(map(free.__getitem__, res)), len(claims)):
+            if claims[p].isdisjoint(res):
                 break
         else:
             p = len(claims)
-            claim = {}
-            claims.append(claim)
+            claims.append(set())
             passes.append([])
-        claim.update(dict.fromkeys(res, key))
+        claims[p].update(res)
         passes[p].append(i)
-        if low is None or p < low:
-            lowest[key] = p
         conflicts += p
         for r in res:
             if free[r] == p:
@@ -241,9 +224,8 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
         return RoutingResult(passes=len(pairs), per_pass=per_pass,
                              conflicts=len(pairs) - 1)
 
-    sources = range(net.ports)
     passes, conflicts = _greedy_passes(
-        sources, net.resource_columns(sources, perm), net.ports)
+        net.resource_columns(range(net.ports), perm), net.ports)
     per_pass = tuple(tuple(map(pairs.__getitem__, p)) for p in passes)
     return RoutingResult(passes=len(passes), per_pass=per_pass,
                          conflicts=conflicts)
@@ -277,23 +259,20 @@ def _check_endpoints(net: MpNocNetwork, mode: MpNocMode, srcs, dsts):
                 f"endpoint, got {src}->{dst}")
 
 
-def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, words,
+def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, *,
              pass_cycles: int | None = None,
              config_cycles: int | None = None) -> TransferResult:
     """Time the routing of one message set in one mode, given as columns:
-    message i goes from ``srcs[i]`` to ``dsts[i]`` and carries
-    ``words[i]``.  ``srcs`` and ``dsts`` are sized sequences of one
-    length (ranges or lists); ``words`` is any iterable and is read only
-    as the share keys of messages that contend.
+    message i goes from ``srcs[i]`` to ``dsts[i]``.  ``srcs`` and
+    ``dsts`` are sized sequences of one length (ranges or lists).
 
     The ACU and device endpoints use the sentinel ports ACU_PORT and
     DEVICE_PORT; internally they inject through port 0.  Latency is
     passes * pass_cycles plus one mode-configuration charge; either
-    charge left as None comes from a default CostModel.  Identical
-    words from one source may fan out in a single pass (multicast);
-    everything else serializes per the network's contention rules.
-    Messages to one port share its last resource, so distinct sources
-    reach it in successive passes, lowest source first.
+    charge left as None comes from a default CostModel.  Messages that
+    claim a common resource go in successive passes, lowest source
+    first, whether or not they share a source: messages to one port
+    reach it one pass after another.
 
     On omega, two PE ranges with one positive step whose ends lie inside
     the ports are a translation (see the module docstring): one pass,
@@ -321,17 +300,11 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, words,
         # Checked above: every negative endpoint is the sentinel port.
         src_ports = [src if src >= 0 else 0 for src in srcs]
         dst_ports = [dst if dst >= 0 else 0 for dst in dsts]
-    keys = zip(srcs, words)
-    # Lowest source port first, then lowest destination port; the sort
-    # is stable, so equal pairs keep their order.  Strictly increasing
-    # sources are in that order already.
+    # Lowest source port first, then lowest destination port.  Strictly
+    # increasing sources are in that order already.
     if not all(map(lt, src_ports, src_ports[1:])):
-        priority = [src * ports + dst for src, dst in zip(src_ports, dst_ports)]
-        order = sorted(range(len(priority)), key=priority.__getitem__)
-        keys, src_ports, dst_ports = (
-            [column[i] for i in order]
-            for column in (list(keys), src_ports, dst_ports))
+        src_ports, dst_ports = zip(*sorted(zip(src_ports, dst_ports)))
     passes, _conflicts = _greedy_passes(
-        keys, net.resource_columns(src_ports, dst_ports), ports)
+        net.resource_columns(src_ports, dst_ports), ports)
     latency = len(passes) * pass_cycles + config_cycles
     return TransferResult(passes=len(passes), latency=latency)

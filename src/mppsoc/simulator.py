@@ -558,8 +558,7 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     # router checks the top end.  Both destination kinds ascend.
     if mode is MpNocMode.PE_TO_PE and senders and destinations[0] < 0:
         raise PortOutOfRange(senders[0], destinations[0], machine.n_pes)
-    # The sources are distinct, so no word decides a share key.
-    result = transfer(net, mode, senders, destinations, repeat(0),
+    result = transfer(net, mode, senders, destinations,
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
@@ -716,10 +715,9 @@ def reduce_sum(config: MppSoCConfig, values,
             total_cycles += hops * cost.hop_cycles
             hop_counts.append(hops)
         else:
-            # Distinct sources again: the words decide no share key.
             outcome = transfer(net, MpNocMode.PE_TO_PE,
                                range(stride, n, 2 * stride),
-                               range(0, n, 2 * stride), repeat(0),
+                               range(0, n, 2 * stride),
                                pass_cycles=cost.noc_pass_cycles(net),
                                config_cycles=cost.noc_config_cycles)
             total_cycles += outcome.latency

@@ -239,8 +239,8 @@ def _execute_nocsend(machine: SimMachine, instr: Instruction):
         else:
             dst = DEVICE_PORT
         messages.append((pe, dst, machine.pe_regs[pe][reg]))
-    srcs, dsts, words = ([m[k] for m in messages] for k in range(3))
-    result = transfer(net, mode, srcs, dsts, words,
+    srcs, dsts = ([m[k] for m in messages] for k in range(2))
+    result = transfer(net, mode, srcs, dsts,
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency

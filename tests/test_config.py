@@ -125,6 +125,16 @@ def test_parse_refuses_mem_init_that_is_not_one_token(name):
     assert err.value.key == "mem_init" and err.value.line == 8
 
 
+@pytest.mark.parametrize("name", ['a"b.hex', "sum 16.hex", "x\ty.hex",
+                                  "a\x7fb.hex", "a\u00a0b.hex", "a\u200bb.hex"])
+def test_config_refuses_mem_init_that_is_not_one_token(name):
+    """A configuration built through the library holds the same rule as
+    a parsed one, so ``generate`` never splices a broken literal."""
+    with pytest.raises(ValueError):
+        MppSoCConfig(rows=1, cols=4, acu_mem_bytes=64, pe_mem_bytes=64,
+                     mpnoc=MpNocKind.CROSSBAR, mem_init=name)
+
+
 @given(valid_configs)
 def test_serialize_parse_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg

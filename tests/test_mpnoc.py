@@ -15,6 +15,7 @@ from mppsoc.mpnoc import (
     NotAPermutation,
     PortCountNotPowerOfTwo,
     PortOutOfRange,
+    _greedy_passes,
     build_network,
     route_permutation,
     transfer,
@@ -24,8 +25,8 @@ DELTAS = (MpNocKind.DELTA_OMEGA, MpNocKind.DELTA_BASELINE, MpNocKind.DELTA_BUTTE
 
 
 def columns(messages):
-    """(src, dst, word) triples as the three columns ``transfer`` takes."""
-    return [[message[k] for message in messages] for k in range(3)]
+    """(src, dst, word) triples as the two columns ``transfer`` takes."""
+    return [[message[k] for message in messages] for k in range(2)]
 
 
 def bit_reversal(n_bits):
@@ -170,6 +171,22 @@ def test_acu_broadcast_over_crossbar_is_one_pass():
     assert result.latency == 1 * 4 + 1
 
 
+def test_acu_broadcast_over_omega_serializes_like_any_messages():
+    """Messages from one source claim resources like any others: an ACU
+    send to all 8 PEs of an omega network takes the scheduler's passes
+    over its resource columns, more than one.  A fifth positional
+    argument is refused."""
+    net = build_network(MpNocKind.DELTA_OMEGA, 8)
+    srcs, dsts = [ACU_PORT] * 8, list(range(8))
+    passes, _conflicts = _greedy_passes(net.resource_columns([0] * 8, dsts), 8)
+    result = transfer(net, MpNocMode.ACU_TO_PE, srcs, dsts,
+                      pass_cycles=4, config_cycles=1)
+    assert result.passes == len(passes) > 1
+    assert result.latency == len(passes) * 4 + 1
+    with pytest.raises(TypeError):
+        transfer(net, MpNocMode.ACU_TO_PE, srcs, dsts, [0] * 8)
+
+
 def test_identity_over_shared_bus_serializes():
     net = build_network(MpNocKind.SHARED_BUS, 4)
     messages = [(pe, pe, pe * 10) for pe in range(4)]
@@ -229,7 +246,7 @@ def test_translations_skip_the_window_columns(monkeypatch):
             srcs = range(start, high, step)
             dsts = range(start + offset, high + offset, step)
             assert {srcs[0], dsts[0], srcs[-1], dsts[-1]} & {0, ports - 1}
-            result = transfer(net, MpNocMode.PE_TO_PE, srcs, dsts, [0] * len(srcs),
+            result = transfer(net, MpNocMode.PE_TO_PE, srcs, dsts,
                               pass_cycles=7, config_cycles=3)
             assert (result.passes, result.latency) == (1, 7 + 3)
 
@@ -238,8 +255,8 @@ def test_translations_skip_the_window_columns(monkeypatch):
 def test_list_translations_take_one_pass(kind, monkeypatch):
     """Every non-wrapping s -> sigma(s)+K set given as lists, from every
     source and from the sources a ``MASK mod:4:1`` leaves, takes one
-    pass; one source repeated under another word (tried at every 64th
-    offset) reaches the scheduler and takes a second pass."""
+    pass; a repeated message (tried at every 64th offset) reaches the
+    scheduler and takes a second pass."""
     ports, sigma = 1024, sigma_of(kind, 10)
     net = build_network(kind, ports)
     for offset in range(1 - ports, ports):
@@ -251,8 +268,7 @@ def test_list_translations_take_one_pass(kind, monkeypatch):
                                   pass_cycles=7, config_cycles=3)
                 assert (result.passes, result.latency) == (1, 7 + 3)
         if offset % 64 == 0:
-            src, dst, word = full[len(full) // 2]
-            repeated = columns(full + [(src, dst, word + 1)])
+            repeated = columns(full + [full[len(full) // 2]])
             assert transfer(net, MpNocMode.PE_TO_PE, *repeated).passes == 2
             with monkeypatch.context() as patch, pytest.raises(ScheduledError):
                 patch.setattr(MpNocNetwork, "resource_columns", refuse)

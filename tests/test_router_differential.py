@@ -32,8 +32,8 @@ SPECIAL = {MpNocMode.ACU_TO_PE: ACU_PORT, MpNocMode.DEVICE_TO_PE: DEVICE_PORT}
 
 
 def columns(messages):
-    """(src, dst, word) triples as the three columns ``transfer`` takes."""
-    return [[message[k] for message in messages] for k in range(3)]
+    """(src, dst, word) triples as the two columns ``transfer`` takes."""
+    return [[message[k] for message in messages] for k in range(2)]
 
 
 # -- reference: one record at a time, one oracle path per message ------------
@@ -46,23 +46,21 @@ def ref_path(kind, ports, src, dst):
 
 def ref_greedy_passes(records, resources_of):
     """Lowest-source-first greedy over records that begin (src_port,
-    dst_port, share_key); a resource may be shared only under one share
-    key."""
+    dst_port); a pass claims each resource at most once."""
     pending = sorted(records, key=lambda r: (r[0], r[1]))
     passes = []
     conflicts = 0
     while pending:
-        claimed = {}
+        claimed = set()
         routed = []
         deferred = []
         for rec in pending:
             res = resources_of(rec)
-            if any(claimed.get(r, rec[2]) != rec[2] for r in res):
+            if any(r in claimed for r in res):
                 conflicts += 1
                 deferred.append(rec)
                 continue
-            for r in res:
-                claimed[r] = rec[2]
+            claimed.update(res)
             routed.append(rec)
         passes.append(routed)
         pending = deferred
@@ -81,11 +79,10 @@ def ref_route_permutation(kind, ports, perm):
         return RoutingResult(passes=len(pairs),
                              per_pass=tuple((pair,) for pair in pairs),
                              conflicts=len(pairs) - 1)
-    records = [(src, dst, src, (src, dst)) for src, dst in pairs]
     passes, conflicts = ref_greedy_passes(
-        records, lambda rec: ref_path(kind, ports, rec[0], rec[1]))
+        pairs, lambda rec: ref_path(kind, ports, rec[0], rec[1]))
     return RoutingResult(passes=len(passes),
-                         per_pass=tuple(tuple(r[3] for r in p) for p in passes),
+                         per_pass=tuple(tuple(p) for p in passes),
                          conflicts=conflicts)
 
 
@@ -116,8 +113,7 @@ def ref_transfer(kind, ports, mode, messages, pass_cycles, config_cycles):
     def port_of(endpoint):
         return 0 if endpoint in (ACU_PORT, DEVICE_PORT) else endpoint
 
-    records = [(port_of(src), port_of(dst), (src, payload))
-               for src, dst, payload in messages]
+    records = [(port_of(src), port_of(dst)) for src, dst, _payload in messages]
     if not records:
         return TransferResult(passes=0, latency=config_cycles)
     if kind is MpNocKind.SHARED_BUS:
@@ -148,11 +144,10 @@ def networks(draw):
 
 @st.composite
 def message_sets(draw, ports, mode):
-    """A few sources, targets and words, so sources repeat with
-    identical words (multicast) and destinations collide.  In the ACU
-    and device modes each message has the sentinel port at one end, and
-    some sets also carry stray PE-to-PE messages, which those modes
-    cannot."""
+    """A few sources and targets, so sources repeat and destinations
+    collide.  In the ACU and device modes each message has the sentinel
+    port at one end, and some sets also carry stray PE-to-PE messages,
+    which those modes cannot."""
     pes = st.integers(0, ports - 1)
     sources = st.sampled_from(draw(st.lists(pes, min_size=1, max_size=6)))
     targets = st.sampled_from(draw(st.lists(pes, min_size=1, max_size=6)))
@@ -174,8 +169,8 @@ def translation_sets(draw, kind, ports, mode):
     butterfly also get plain shifts, which conflict there): from every
     source, from ``range(r, N, 2^j)`` or from any subset, with K in
     -N+1..N-1, wrapped mod N or cut where it leaves the ports.  Some
-    sets repeat one source, with its word or another, move one message
-    to another destination, or come unsorted.
+    sets repeat one message, move one message to another destination,
+    or come unsorted.
     In the ACU and device modes only the messages with a port-0 end
     stay, that end (the source if both) made the sentinel port."""
     n_bits = ports.bit_length() - 1
@@ -199,7 +194,7 @@ def translation_sets(draw, kind, ports, mode):
         i = draw(st.integers(0, len(messages) - 1))
         src, dst, word = messages[i]
         if draw(st.booleans()):
-            messages.insert(i + 1, (src, dst, word + draw(st.integers(0, 1))))
+            messages.insert(i + 1, messages[i])
         else:
             messages[i] = (src, draw(st.integers(0, ports - 1)), word)
     if draw(st.integers(0, 4)) == 0:
@@ -213,11 +208,10 @@ def translation_sets(draw, kind, ports, mode):
 
 @st.composite
 def hot_spot_sets(draw, ports, mode):
-    """Distinct senders aimed at one to three destinations, so share
-    keys never repeat and every message to one destination contends for
-    its output.  In the ACU and device modes either distinct PEs send to
-    the sentinel port, or the sentinel port sends distinct words to one
-    to three PEs."""
+    """Distinct senders aimed at one to three destinations, so every
+    message to one destination contends for its output.  In the ACU and
+    device modes either distinct PEs send to the sentinel port, or the
+    sentinel port sends distinct words to one to three PEs."""
     pes = st.integers(0, ports - 1)
     targets = st.sampled_from(draw(st.lists(pes, min_size=1, max_size=3)))
     word = st.integers(0, 1000)
@@ -234,17 +228,10 @@ def hot_spot_sets(draw, ports, mode):
 
 @st.composite
 def schedules(draw):
-    """Share keys and resource columns for ``_greedy_passes``: one or
-    several columns 2-64 wide, keys from a small pool (so multicast keys
-    repeat) or all distinct, and some columns holding a single value
-    (all-to-one)."""
+    """Resource columns for ``_greedy_passes``: one or several columns
+    2-64 wide, some holding a single value (all-to-one)."""
     width = draw(st.integers(2, 64))
     m = draw(st.integers(0, 80))
-    if draw(st.booleans()):
-        keys = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
-    else:
-        keys = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m,
-                             unique=True))
     columns = []
     for _ in range(draw(st.one_of(st.just(1), st.integers(2, 6)))):
         if draw(st.integers(0, 3)) == 0:
@@ -253,7 +240,7 @@ def schedules(draw):
             spread = draw(st.integers(1, width))
             columns.append(draw(st.lists(st.integers(0, spread - 1),
                                          min_size=m, max_size=m)))
-    return keys, columns, width
+    return columns, width
 
 
 def outcome(call):
@@ -267,7 +254,8 @@ def assert_transfer_matches(kind, ports, mode, messages, cost):
     network = build_network(kind, ports)
     pass_cycles = cost.noc_pass_cycles(network)
     got = outcome(lambda: transfer(network, mode, *columns(messages),
-                                   pass_cycles, cost.noc_config_cycles))
+                                   pass_cycles=pass_cycles,
+                                   config_cycles=cost.noc_config_cycles))
     want = outcome(lambda: ref_transfer(kind, ports, mode, messages,
                                         pass_cycles, cost.noc_config_cycles))
     assert got == want
@@ -341,8 +329,9 @@ def test_range_columns_match_per_message_reference(kind, mode, data):
     srcs, dsts = data.draw(range_pairs(ports))
     network, cost = build_network(kind, ports), CostModel()
     pass_cycles = cost.noc_pass_cycles(network)
-    got = outcome(lambda: transfer(network, mode, srcs, dsts, repeat(0),
-                                   pass_cycles, cost.noc_config_cycles))
+    got = outcome(lambda: transfer(network, mode, srcs, dsts,
+                                   pass_cycles=pass_cycles,
+                                   config_cycles=cost.noc_config_cycles))
     want = outcome(lambda: ref_transfer(
         kind, ports, mode, list(zip(srcs, dsts, repeat(0))), pass_cycles,
         cost.noc_config_cycles))
@@ -353,19 +342,19 @@ def test_transfer_refuses_columns_of_unequal_length():
     network = build_network(MpNocKind.DELTA_OMEGA, 4)
     for srcs, dsts in ((range(3), range(4)), ([0, 1], [1])):
         with pytest.raises(ValueError):
-            transfer(network, MpNocMode.PE_TO_PE, srcs, dsts, repeat(0))
+            transfer(network, MpNocMode.PE_TO_PE, srcs, dsts)
 
 
 @settings(max_examples=300, deadline=None)
 @given(schedule=schedules())
 def test_greedy_passes_matches_per_record_reference(schedule):
-    keys, columns, width = schedule
-    records = [(i, 0, key, i) for i, key in enumerate(keys)]
+    columns, width = schedule
+    records = [(i, 0) for i in range(len(columns[0]))]
     passes, conflicts = ref_greedy_passes(
         records, lambda rec: [(k, column[rec[0]])
                               for k, column in enumerate(columns)])
-    assert _greedy_passes(keys, columns, width) == (
-        [[rec[3] for rec in routed] for routed in passes], conflicts)
+    assert _greedy_passes(columns, width) == (
+        [[rec[0] for rec in routed] for routed in passes], conflicts)
 
 
 @settings(max_examples=150, deadline=None)
