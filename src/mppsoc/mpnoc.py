@@ -36,10 +36,13 @@ message holds one of its resources, and every pass it skips counts one
 conflict, so ``conflicts`` is the sum of the messages' pass indices.
 The scheduler sees a message as a tuple of integer resource ids,
 ``stage * N + window`` for each stage; the shared bus has the single
-resource 0 and the crossbar the destination port.  When no resource
-column holds a value twice, no two messages claim one resource, so
-every message lands in the first pass with no conflict; the scheduler
-returns that result directly, without the first-fit loop.
+resource 0 and the crossbar the destination port.  Each resource keeps
+one int whose bit p says pass p has claimed it, so a message's pass is
+the lowest clear bit of the OR of its resources' ints: O(messages *
+stages) int operations, each on ceil(P / 30) digits for P passes.  Two
+exits skip that loop: when no column holds a value twice, every message
+lands in pass 0; when one column holds a single value (the bus, or
+every message to one port), each pass carries one message.
 
 This module is a timing model: ``transfer`` answers how many passes and
 cycles a message set costs.  Which word each endpoint receives is the
@@ -105,10 +108,11 @@ class RoutingResult:
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Router passes and cycle cost of one whole transfer."""
+    """Router passes, cycle cost and scheduler conflicts of one transfer."""
 
     passes: int
     latency: int
+    conflicts: int = 0
 
 
 class MpNocNetwork:
@@ -173,35 +177,36 @@ def _greedy_passes(columns: list, width: int) -> tuple[list, int]:
     numbers and the contention count, the sum of the records' pass
     indices.
 
-    Every pass below ``free[r]`` has claimed resource r (a claim in
-    pass ``free[r]`` raises it by one), so the search for a record
-    starts at the highest ``free`` of its resources.
+    Bit p of ``used[r]`` says pass p has claimed resource r; a record
+    takes the lowest bit clear in all of its resources' ints.  No
+    repeated value in any column means one pass; a column of one value
+    means one record per pass.
     """
     m = len(columns[0])
     if not m:
         return [], 0
     if all(len(set(column)) == m for column in columns):
         return [list(range(m))], 0
+    if any(column.count(column[0]) == m for column in columns):
+        return [[i] for i in range(m)], m * (m - 1) // 2
     rows = zip(*([k * width + value for value in column]
                  for k, column in enumerate(columns)))
-    free = [0] * (len(columns) * width)
-    claims: list = []   # per pass: the resources it has claimed
+    used = [0] * (len(columns) * width)
     passes: list = []
     conflicts = 0
     for i, res in enumerate(rows):
-        for p in range(max(map(free.__getitem__, res)), len(claims)):
-            if claims[p].isdisjoint(res):
-                break
-        else:
-            p = len(claims)
-            claims.append(set())
-            passes.append([])
-        claims[p].update(res)
-        passes[p].append(i)
-        conflicts += p
+        taken = 0
         for r in res:
-            if free[r] == p:
-                free[r] = p + 1
+            taken |= used[r]
+        bit = ~taken & (taken + 1)
+        for r in res:
+            used[r] |= bit
+        p = bit.bit_length() - 1
+        if p < len(passes):
+            passes[p].append(i)
+        else:
+            passes.append([i])
+        conflicts += p
     return passes, conflicts
 
 
@@ -304,7 +309,8 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, *,
     # increasing sources are in that order already.
     if not all(map(lt, src_ports, src_ports[1:])):
         src_ports, dst_ports = zip(*sorted(zip(src_ports, dst_ports)))
-    passes, _conflicts = _greedy_passes(
+    passes, conflicts = _greedy_passes(
         net.resource_columns(src_ports, dst_ports), ports)
     latency = len(passes) * pass_cycles + config_cycles
-    return TransferResult(passes=len(passes), latency=latency)
+    return TransferResult(passes=len(passes), latency=latency,
+                          conflicts=conflicts)

@@ -3,12 +3,35 @@ re-derivations of what the rewriter should have touched."""
 
 import re
 
-from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
+from hypothesis import strategies as st
+
+from mppsoc.config import (
+    Methodology,
+    MpNocKind,
+    MppSoCConfig,
+    Neighborhood,
+    Processor,
+)
 from mppsoc.rewrite import tokenize_line
 from mppsoc.rules import validate
 from mppsoc.topology import DimensionMismatch, check_dimensions
 
 MEM_CHOICES = (4, 64, 256, 1024, 4096, 65536)
+
+# Configurations that construct, as hypothesis draws them; a byte size
+# need not be a whole number of words.
+valid_configs = st.builds(
+    MppSoCConfig,
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    acu_mem_bytes=st.integers(1, 1 << 16),
+    pe_mem_bytes=st.integers(1, 1 << 16),
+    processor=st.sampled_from(Processor),
+    methodology=st.sampled_from(Methodology),
+    neighborhood=st.one_of(st.none(), st.sampled_from(Neighborhood)),
+    mpnoc=st.sampled_from(MpNocKind),
+    mem_init=st.one_of(st.none(), st.just("image.mif")),
+)
 
 
 def random_valid_config(rng, with_mem_init=True):

@@ -7,6 +7,7 @@ import tempfile
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mppsoc.cli as cli_module
 from mppsoc.cli import _build_parser, main
-from mppsoc.config import ConfigError, parse_config
+from mppsoc.config import ConfigError, CostModel, parse_config
 from mppsoc.rewrite import TEMPLATE_FILES, VHDL_INTEGER_MAX, bundled_template_dir
 from mppsoc.simulator import MAX_PES
 
@@ -705,7 +706,8 @@ def recording_commands(monkeypatch):
 
 
 def _parse_outcome(parse, argv):
-    """(result or exit code, stdout, stderr) of one parse."""
+    """(result or exit code, stdout, stderr) of one parse or ``main``
+    call; argparse's usage error exits."""
     with redirect_stdout(io.StringIO()) as out, \
             redirect_stderr(io.StringIO()) as err:
         try:
@@ -799,3 +801,144 @@ def test_regenerating_over_the_output_is_a_no_op(name):
                 encoding="utf-8").splitlines() if "init_file" in line]
             assert line == f'      init_file => "{image}",'
             assert line.count('"') == 2
+
+
+# -- error contract of every command over drawn inputs -----------------------
+
+# Per required key: values that parse and build, then values that do
+# not (refused words, sizes that are no whole word, a shape past 2^31-1
+# or past the simulator's PE ceiling).
+_CONFIG_VALUES = {
+    "rows": (["2", "4", "1"], ["0", "-1", "0x4", "1048577", "9" * 30, "two"]),
+    "cols": (["2", "4", "8"], ["3", "0", "2147483648"]),
+    "acu_mem_bytes": (["64", "4096"], ["6", "0", "8589934592"]),
+    "pe_mem_bytes": (["64", "1024"], ["10", "8589934596"]),
+    "neighborhood": (["mesh2d", "torus2d", "xnet", "ring", "linear"],
+                     ["hex", ""]),
+    "mpnoc": (["crossbar", "sharedbus", "delta-omega", "delta-butterfly",
+               "delta-baseline"], ["ring"]),
+}
+_EXTRA_LINES = st.sampled_from([
+    "# comment", "", "rows", "= 4", "warp = 9", "rows = 4 4",
+    "processor = minimips", "processor = nios", "methodology = reduction",
+    "methodology = other", "mem_init = image.hex", "mem_init = missing.hex",
+    'mem_init = a"b.hex'])
+
+
+@st.composite
+def _config_texts(draw):
+    """A config file's bytes: each required key with a good value, most
+    of the time, a bad one or none; a few extra lines; a stray byte."""
+    lines = []
+    for key, (good, bad) in _CONFIG_VALUES.items():
+        choice = draw(st.integers(0, 15))
+        if choice == 15:
+            continue
+        lines.append(f"{key} = "
+                     + draw(st.sampled_from(bad if choice == 14 else good)))
+    if draw(st.integers(0, 2)) == 2:
+        lines.append(draw(_EXTRA_LINES))
+    tail = draw(st.sampled_from([b"\n"] * 14 + [b"", b"\xff"]))
+    return "\n".join(lines).encode() + tail
+
+
+_COST_LINES = st.tuples(
+    st.sampled_from([f.name for f in fields(CostModel)] * 3
+                    + ["warp_speed", "# c", ""]),
+    st.sampled_from(["0", "1", "2", "3"] * 3 + ["-1", "4294967296", "x"]),
+).map(" = ".join)
+
+
+@st.composite
+def _template_edits(draw):
+    """One bundled template with one line dropped, doubled or cut short,
+    or one byte put in."""
+    name = draw(st.sampled_from(TEMPLATE_FILES))
+    lines = (bundled_template_dir() / name).read_bytes().split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["drop", "double", "cut", "byte"]))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "double":
+        lines.insert(i, lines[i])
+    else:
+        at = draw(st.integers(0, len(lines[i])))
+        byte = draw(st.sampled_from([b"\xff", b'"', b";", b" ", b"\t"]))
+        lines[i] = lines[i][:at] + (byte + lines[i][at:] if edit == "byte"
+                                    else b"")
+    return name, b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    (root / "image.hex").write_text("cafef00d\n", encoding="utf-8")
+    return root
+
+
+def _rules_report(text):
+    """Whether ``text`` is the rule checker's INVALID report."""
+    first, *rest = text.splitlines() or [""]
+    return first == "INVALID" and all(line.startswith("  R") for line in rest)
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(["validate", "generate", "generate-templates",
+                                "generate-report-only", "simulate", "report",
+                                "usage-error"]),
+       config=_config_texts(),
+       costs=st.none() | st.lists(_COST_LINES, max_size=3).map(
+           lambda lines: "\n".join(lines).encode()),
+       values=st.none() | value_specs(4), template=_template_edits(),
+       out_is_a_file=st.booleans())
+def test_every_command_keeps_the_error_contract(contract_dir, command, config,
+                                                costs, values, template,
+                                                out_is_a_file):
+    """Drawn config text, cost-model text, ``--values`` specs, template
+    bytes and an output path that may be a file: every call exits 0-3
+    without raising, a failure prints exactly
+    one ``error:`` line (argparse's usage text above its own; the rules'
+    INVALID report beside it or in its place), and a rerun prints the
+    same stdout."""
+    config_path = contract_dir / "machine.cfg"
+    config_path.write_bytes(config)
+    templates = contract_dir / "templates"
+    templates.mkdir(exist_ok=True)
+    for name in TEMPLATE_FILES:
+        shutil.copyfile(bundled_template_dir() / name, templates / name)
+    (templates / template[0]).write_bytes(template[1])
+    out = str(config_path if out_is_a_file else contract_dir / "out")
+    argv = {
+        "validate": ["validate", str(config_path)],
+        "generate": ["generate", str(config_path), "-o", out],
+        "generate-templates": ["generate", str(config_path), "-o", out,
+                               "--templates", str(templates)],
+        "generate-report-only": ["generate", str(config_path),
+                                 "--force-report-only", "--templates",
+                                 str(templates)],
+        "simulate": ["simulate", str(config_path), "-o", out],
+        "report": ["report", "-o", out],
+        "usage-error": ["generate", str(config_path), "--report", "xml"],
+    }[command]
+    if command == "simulate":
+        if costs is not None:
+            (contract_dir / "costs.txt").write_bytes(costs)
+            argv += ["--cost-model", str(contract_dir / "costs.txt")]
+        if values is not None:
+            argv.append(f"--values={values}")
+
+    code, stdout, stderr = _parse_outcome(main, argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in stderr
+    lines = stderr.splitlines()
+    errors = [line for line in lines if "error:" in line]
+    if code == 2 and stderr.startswith("usage: mppsoc"):
+        # argparse's case: the usage text, wrapped, then its error line.
+        assert errors == lines[-1:] and errors[0].startswith("mppsoc"), stderr
+    elif code and not (code == 1 and not errors
+                       and _rules_report(stdout or stderr)):
+        assert len(errors) == 1 and errors[0].startswith("error: "), stderr
+        rest = "\n".join(line for line in lines if line != errors[0])
+        assert not rest or _rules_report(rest), stderr
+    else:
+        assert not errors, stderr
+    assert _parse_outcome(main, argv)[:2] == (code, stdout)

@@ -17,6 +17,7 @@ from mppsoc.config import (
     parse_config,
     serialize_config,
 )
+from sampling import valid_configs
 
 BASIC = ("processor=minimips\nmethodology=replication\nrows=2\ncols=4\n"
          "acu_mem_bytes=4096\npe_mem_bytes=1024\nmpnoc=crossbar")
@@ -99,20 +100,6 @@ def test_parse_duplicate_key_last_wins():
 def test_config_positivity_enforced():
     with pytest.raises(ValueError):
         MppSoCConfig(rows=0, cols=1, acu_mem_bytes=4, pe_mem_bytes=4)
-
-
-valid_configs = st.builds(
-    MppSoCConfig,
-    rows=st.integers(1, 8),
-    cols=st.integers(1, 8),
-    acu_mem_bytes=st.integers(1, 1 << 16),
-    pe_mem_bytes=st.integers(1, 1 << 16),
-    processor=st.sampled_from(Processor),
-    methodology=st.sampled_from(Methodology),
-    neighborhood=st.one_of(st.none(), st.sampled_from(Neighborhood)),
-    mpnoc=st.sampled_from(MpNocKind),
-    mem_init=st.one_of(st.none(), st.just("image.mif")),
-)
 
 
 @pytest.mark.parametrize("name", ["sum 16.hex", 'a"b.hex', "x\ty.hex",

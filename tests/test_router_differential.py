@@ -3,7 +3,8 @@ a per-message reference greedy scheduler driven by the independent
 stage-walk oracle, on random message sets, hot spots, translations,
 range columns and permutations over every router kind, port counts 1-64
 and every transfer mode; and the first-fit scheduler itself against the same
-reference."""
+reference, on resource columns of up to 300 records and 150 passes,
+shared resources included."""
 
 from functools import cache
 from itertools import repeat
@@ -115,16 +116,17 @@ def ref_transfer(kind, ports, mode, messages, pass_cycles, config_cycles):
 
     records = [(port_of(src), port_of(dst)) for src, dst, _payload in messages]
     if not records:
-        return TransferResult(passes=0, latency=config_cycles)
+        return TransferResult(passes=0, latency=config_cycles, conflicts=0)
     if kind is MpNocKind.SHARED_BUS:
         resources_of = lambda rec: (("bus",),)  # noqa: E731
     elif kind is MpNocKind.CROSSBAR:
         resources_of = lambda rec: (("out", rec[1]),)  # noqa: E731
     else:
         resources_of = lambda rec: ref_path(kind, ports, rec[0], rec[1])  # noqa: E731
-    passes, _conflicts = ref_greedy_passes(records, resources_of)
+    passes, conflicts = ref_greedy_passes(records, resources_of)
     return TransferResult(passes=len(passes),
-                          latency=len(passes) * pass_cycles + config_cycles)
+                          latency=len(passes) * pass_cycles + config_cycles,
+                          conflicts=conflicts)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -229,17 +231,27 @@ def hot_spot_sets(draw, ports, mode):
 @st.composite
 def schedules(draw):
     """Resource columns for ``_greedy_passes``: one or several columns
-    2-64 wide, some holding a single value (all-to-one)."""
+    2-64 wide, some holding a single value (all-to-one).  One schedule
+    in four is long, 150-300 records whose first column holds 2-3
+    values, so it takes 50-150 passes and its pass bitsets span several
+    30-bit digits; its varied columns come from a drawn ``Random``,
+    which keeps the draw small."""
     width = draw(st.integers(2, 64))
-    m = draw(st.integers(0, 80))
+    long = draw(st.integers(0, 3)) == 0
+    m = draw(st.integers(150, 300) if long else st.integers(0, 80))
+    rng = draw(st.randoms(use_true_random=False))
     columns = []
-    for _ in range(draw(st.one_of(st.just(1), st.integers(2, 6)))):
-        if draw(st.integers(0, 3)) == 0:
+    for k in range(draw(st.one_of(st.just(1), st.integers(2, 6)))):
+        if long and k == 0:
+            spread = draw(st.integers(2, min(3, width)))
+        elif draw(st.integers(0, 3)) == 0:
             columns.append([draw(st.integers(0, width - 1))] * m)
+            continue
         else:
             spread = draw(st.integers(1, width))
-            columns.append(draw(st.lists(st.integers(0, spread - 1),
-                                         min_size=m, max_size=m)))
+        columns.append([rng.randrange(spread) for _ in range(m)] if long else
+                       draw(st.lists(st.integers(0, spread - 1),
+                                     min_size=m, max_size=m)))
     return columns, width
 
 
@@ -355,6 +367,14 @@ def test_greedy_passes_matches_per_record_reference(schedule):
                               for k, column in enumerate(columns)])
     assert _greedy_passes(columns, width) == (
         [[rec[0] for rec in routed] for routed in passes], conflicts)
+
+
+def test_greedy_passes_serializes_records_that_share_a_resource():
+    """2^16 records that all claim one resource (one constant column
+    beside a varied one) take one pass each, in record order."""
+    m = 1 << 16
+    result = _greedy_passes([[i % 251 for i in range(m)], [7] * m], 256)
+    assert result == ([[i] for i in range(m)], m * (m - 1) // 2)
 
 
 @settings(max_examples=150, deadline=None)
