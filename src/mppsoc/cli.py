@@ -54,10 +54,13 @@ def _load(path_text: str, parse):
 
 
 def _parse_values(spec: str, count: int) -> list[int]:
+    """The values of ``--values``: ``A..B``, a comma list, or ``@FILE``
+    with whitespace-separated values and ``#`` comments to end of line."""
     try:
         if spec.startswith("@"):
-            tokens = Path(spec[1:]).read_text(encoding="utf-8").split()
-            values = [int(t, 0) for t in tokens if not t.startswith("#")]
+            lines = Path(spec[1:]).read_text(encoding="utf-8").splitlines()
+            values = [int(t, 0) for line in lines
+                      for t in line.partition("#")[0].split()]
         elif ".." in spec:
             lo, hi = spec.split("..", 1)
             values = range(int(lo), int(hi) + 1)
@@ -215,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="re-print reports from a run directory")
     p_report.add_argument("-o", "--out", default="./out")
-    p_report.add_argument("--report", choices=("text", "kv"), default="kv")
     p_report.set_defaults(func=_cmd_report)
 
     parser.commands = {"validate": p_validate, "generate": p_generate,

@@ -45,33 +45,20 @@ lands in pass 0; when one column holds a single value (the bus, or
 every message to one port), each pass carries one message.
 
 This module is a timing model: ``transfer`` answers how many passes and
-cycles a message set costs.  Which word each endpoint receives is the
-simulator's rule (``NOCSEND``), not this module's.
+cycles a set of port-to-port messages costs, every endpoint a port in
+0..N-1.  Who the endpoints are, and which word each receives, is the
+simulator's rule (``NOCSEND``), not this module's: it times a send to
+the ACU or the I/O device as a send to port 0.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from operator import lt, or_
 
 from mppsoc.config import DELTA_KINDS, CostModel, MpNocKind
 from mppsoc.errors import MppSocError, int_text
-
-# Distinguished injection ports for the two non-PE endpoints.
-ACU_PORT = -1
-DEVICE_PORT = -2
-
-
-class MpNocMode(enum.Enum):
-    PE_TO_PE = "pe"
-    ACU_TO_PE = "acu"
-    DEVICE_TO_PE = "dev"
-
-
-_SPECIAL_PORT = {MpNocMode.ACU_TO_PE: ACU_PORT,
-                 MpNocMode.DEVICE_TO_PE: DEVICE_PORT}
 
 
 class PortCountNotPowerOfTwo(MppSocError):
@@ -90,10 +77,6 @@ class PortOutOfRange(MppSocError):
     def __init__(self, src: int, dst: int, ports: int):
         super().__init__(f"message {int_text(src)}->{int_text(dst)} "
                          f"outside 0..{ports - 1}")
-
-
-class ModeMismatch(MppSocError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -236,50 +219,22 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
                          conflicts=conflicts)
 
 
-def _check_endpoints(net: MpNocNetwork, mode: MpNocMode, srcs, dsts):
-    """Raise for the first message whose endpoints ``mode`` cannot carry.
-    A range test over the endpoint columns passes a well-formed set
-    without looking at each message."""
-    top = net.ports - 1
-    port = _SPECIAL_PORT.get(mode)
-    if port is None:
-        if min(srcs) >= 0 and min(dsts) >= 0 and max(srcs) <= top \
-                and max(dsts) <= top:
-            return
-    elif any(min(ends) == max(ends) == port and min(pes) >= 0
-             and max(pes) <= top for ends, pes in ((srcs, dsts), (dsts, srcs))):
-        return
-    for src, dst in zip(srcs, dsts):
-        src_is_pe, dst_is_pe = 0 <= src <= top, 0 <= dst <= top
-        if port is None:
-            if src in (ACU_PORT, DEVICE_PORT) or dst in (ACU_PORT, DEVICE_PORT):
-                raise ModeMismatch(f"pe mode cannot carry {src}->{dst}")
-            if not (src_is_pe and dst_is_pe):
-                raise PortOutOfRange(src, dst, net.ports)
-        elif not ((src == port and dst_is_pe) or (dst == port and src_is_pe)):
-            if port in (src, dst):
-                raise PortOutOfRange(src, dst, net.ports)
-            raise ModeMismatch(
-                f"{mode.value} mode needs the distinguished port as one "
-                f"endpoint, got {src}->{dst}")
-
-
-def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, *,
+def transfer(net: MpNocNetwork, srcs, dsts, *,
              pass_cycles: int | None = None,
              config_cycles: int | None = None) -> TransferResult:
-    """Time the routing of one message set in one mode, given as columns:
-    message i goes from ``srcs[i]`` to ``dsts[i]``.  ``srcs`` and
-    ``dsts`` are sized sequences of one length (ranges or lists).
+    """Time the routing of one message set, given as columns: message i
+    goes from port ``srcs[i]`` to port ``dsts[i]``, both in 0..N-1.
+    ``srcs`` and ``dsts`` are sized sequences of one length (ranges or
+    lists); the first message with an end outside the ports raises
+    ``PortOutOfRange``.
 
-    The ACU and device endpoints use the sentinel ports ACU_PORT and
-    DEVICE_PORT; internally they inject through port 0.  Latency is
-    passes * pass_cycles plus one mode-configuration charge; either
-    charge left as None comes from a default CostModel.  Messages that
-    claim a common resource go in successive passes, lowest source
+    Latency is passes * pass_cycles plus one configuration charge;
+    either charge left as None comes from a default CostModel.  Messages
+    that claim a common resource go in successive passes, lowest source
     first, whether or not they share a source: messages to one port
     reach it one pass after another.
 
-    On omega, two PE ranges with one positive step whose ends lie inside
+    On omega, two ranges with one positive step whose ends lie inside
     the ports are a translation (see the module docstring): one pass,
     timed in O(1) without looking at a message.
     """
@@ -292,25 +247,21 @@ def transfer(net: MpNocNetwork, mode: MpNocMode, srcs, dsts, *,
     if not srcs:
         return TransferResult(passes=0, latency=config_cycles)
     ports = net.ports
-    if (net.kind is MpNocKind.DELTA_OMEGA and mode is MpNocMode.PE_TO_PE
+    if (net.kind is MpNocKind.DELTA_OMEGA
             and isinstance(srcs, range) and isinstance(dsts, range)
             and srcs.step == dsts.step > 0
             and min(srcs.start, dsts.start) >= 0
             and max(srcs[-1], dsts[-1]) < ports):
         return TransferResult(passes=1, latency=pass_cycles + config_cycles)
-
-    _check_endpoints(net, mode, srcs, dsts)
-    src_ports, dst_ports = srcs, dsts
-    if mode is not MpNocMode.PE_TO_PE:
-        # Checked above: every negative endpoint is the sentinel port.
-        src_ports = [src if src >= 0 else 0 for src in srcs]
-        dst_ports = [dst if dst >= 0 else 0 for dst in dsts]
+    if min(min(srcs), min(dsts)) < 0 or max(max(srcs), max(dsts)) >= ports:
+        src, dst = next((src, dst) for src, dst in zip(srcs, dsts)
+                        if not (0 <= src < ports and 0 <= dst < ports))
+        raise PortOutOfRange(src, dst, ports)
     # Lowest source port first, then lowest destination port.  Strictly
     # increasing sources are in that order already.
-    if not all(map(lt, src_ports, src_ports[1:])):
-        src_ports, dst_ports = zip(*sorted(zip(src_ports, dst_ports)))
-    passes, conflicts = _greedy_passes(
-        net.resource_columns(src_ports, dst_ports), ports)
+    if not all(map(lt, srcs, srcs[1:])):
+        srcs, dsts = zip(*sorted(zip(srcs, dsts)))
+    passes, conflicts = _greedy_passes(net.resource_columns(srcs, dsts), ports)
     latency = len(passes) * pass_cycles + config_cycles
     return TransferResult(passes=len(passes), latency=latency,
                           conflicts=conflicts)

@@ -25,6 +25,7 @@ charge from the CostModel.  Nothing else advances the clock.
 
 from __future__ import annotations
 
+import enum
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -33,16 +34,7 @@ from itertools import repeat
 
 from mppsoc.config import CostModel, MppSoCConfig
 from mppsoc.errors import MppSocError, int_text
-from mppsoc.mpnoc import (
-    ACU_PORT,
-    DEVICE_PORT,
-    ModeMismatch,
-    MpNocMode,
-    MpNocNetwork,
-    PortOutOfRange,
-    build_network,
-    transfer,
-)
+from mppsoc.mpnoc import MpNocNetwork, PortOutOfRange, build_network, transfer
 from mppsoc.topology import (
     LANE_BITS,
     OPPOSITE,
@@ -124,6 +116,14 @@ class NoTransportAvailable(SimulationError):
     def __init__(self):
         super().__init__("reduction needs a neighbourhood network or a "
                          "global router, the configuration has neither")
+
+
+class MpNocMode(enum.Enum):
+    """NOCSEND's first operand: who receives the words."""
+
+    PE_TO_PE = "pe"
+    ACU_TO_PE = "acu"
+    DEVICE_TO_PE = "dev"
 
 
 @dataclass(frozen=True)
@@ -534,19 +534,22 @@ def _op_movd(machine: SimMachine, reg: int, direction: str, hops: int = 1):
 def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     """Send every active PE's word over the router and charge the
     transfer's latency.  The router gets the senders and destinations as
-    columns: the active range and, for ``idx±K``, that range moved by K,
-    so it times a translation on omega without a message list.  An active
-    PE-mode receiver keeps the word of the highest active sender aimed at
-    it; the ACU mailbox and the device sink take the words in PE order.
-    (The router puts messages to one port in successive passes, lowest
-    source first, so this is their arrival order.)"""
+    columns of ports: the active range and, for ``idx±K``, that range
+    moved by K, so it times a translation on omega without a message
+    list.  The ACU and the device reach the router through port 0, so
+    an ``acu`` or ``dev`` send is timed as the same senders sending to
+    port 0; a destination outside 0..N-1 is the router's
+    ``PortOutOfRange``.  An active PE-mode receiver keeps the word of the
+    highest active sender aimed at it; the ACU mailbox and the device
+    sink take the words in PE order.  (The router puts messages to one
+    port in successive passes, lowest source first, so this is their
+    arrival order.)"""
     net = machine.mpnoc
     if net is None:
         raise NocUnavailable()
     senders, column = machine.active, machine.regs[reg]
-    to_acu = mode is MpNocMode.ACU_TO_PE
     if mode is not MpNocMode.PE_TO_PE:
-        destinations = [ACU_PORT if to_acu else DEVICE_PORT] * len(senders)
+        destinations = [0] * len(senders)
     elif dst_expr.startswith("idx"):
         offset = int(dst_expr[3:] or 0)
         destinations = range(senders.start + offset, senders.stop + offset,
@@ -554,16 +557,13 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     else:
         target = int(dst_expr)
         destinations = [target] * len(senders)
-    # Checked here because -1 and -2 double as the sentinel ports; the
-    # router checks the top end.  Both destination kinds ascend.
-    if mode is MpNocMode.PE_TO_PE and senders and destinations[0] < 0:
-        raise PortOutOfRange(senders[0], destinations[0], machine.n_pes)
-    result = transfer(net, mode, senders, destinations,
+    result = transfer(net, senders, destinations,
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
     if mode is not MpNocMode.PE_TO_PE:
-        sink = machine.acu_mailbox if to_acu else machine.device_sink
+        sink = (machine.acu_mailbox if mode is MpNocMode.ACU_TO_PE
+                else machine.device_sink)
         if senders:  # unpack only the lanes from the first sender to the last
             span = senders[-1] - senders.start + 1
             lanes = column >> LANE_BITS * senders.start & (1 << LANE_BITS * span) - 1
@@ -623,7 +623,7 @@ def run(machine: SimMachine, program: SimProgram,
         except SimulationError as err:
             err.line = instr.line
             raise
-        except (PortOutOfRange, ModeMismatch) as err:
+        except PortOutOfRange as err:
             raise SimulationError(str(err), instr.line) from err
         if count > 1:  # the issue of the run's other lines
             machine.cycles += (count - 1) * cost.issue_cycles
@@ -682,7 +682,7 @@ def reduce_sum(config: MppSoCConfig, values,
     2^s hops on every topology (the regular networks are equivalent for
     this schedule; a point-to-point router pays its per-pass setup
     instead).  Without one, the global router carries the step's
-    messages in PE-PE mode.  The steps are timed, not executed: the
+    PE-to-PE messages.  The steps are timed, not executed: the
     exact sum they leave on PE 0 is ``sum(values)``.
     """
     check_pe_count(config.n_pes)
@@ -715,8 +715,7 @@ def reduce_sum(config: MppSoCConfig, values,
             total_cycles += hops * cost.hop_cycles
             hop_counts.append(hops)
         else:
-            outcome = transfer(net, MpNocMode.PE_TO_PE,
-                               range(stride, n, 2 * stride),
+            outcome = transfer(net, range(stride, n, 2 * stride),
                                range(0, n, 2 * stride),
                                pass_cycles=cost.noc_pass_cycles(net),
                                config_cycles=cost.noc_config_cycles)

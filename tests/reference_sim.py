@@ -6,18 +6,19 @@ each PE's local memory as its own bytearray.  It is kept as the oracle
 that ``tests/test_sim_differential.py`` compares the column-store
 ``mppsoc.simulator.run`` against.  Two changes since.  First, a PE-mode
 ``NOCSEND`` checks each active PE's destination against 0..N-1 before
-routing, so ``idx-1`` from PE 0 is a port out of range, not a mode
-mismatch with the ACU sentinel port -1.  Second, ``NOCSEND`` takes only
-the latency from the router and delivers from its own message list in
-sender order: the ACU mailbox and device sink append every word, and
-an active PE-mode receiver keeps the last word aimed at it.  Program
+routing, and an ``acu`` or ``dev`` send is routed as a send to port 0,
+the port through which the ACU and the device reach the router.
+Second, ``NOCSEND`` takes only the latency from the router and delivers
+from its own message list in sender order: the mode names the sink, the
+ACU mailbox and device sink append every word, and an active PE-mode
+receiver keeps the last word aimed at it.  Program
 loading, the error types, the cost model and ``SimReport`` are shared
 with the package; only the execution semantics are restated here.
 MOVD walks the per-PE adjacency dicts of ``topology_reference``, not
 the package's grid shift, so the two share no neighbour arithmetic.
 
 Known differences from ``mppsoc.simulator.run``, both intended:
-router errors (``PortOutOfRange``, ``ModeMismatch``) propagate as they
+router errors (``PortOutOfRange``) propagate as they
 are instead of as a ``SimulationError`` with a source line, and
 ``snapshot_memory=True`` reads the partial word at the end of a memory
 whose size is not a multiple of 4 (and so raises).
@@ -26,19 +27,12 @@ whose size is not a multiple of 4 (and so raises).
 from __future__ import annotations
 
 from mppsoc.config import CostModel, MppSoCConfig
-from mppsoc.mpnoc import (
-    ACU_PORT,
-    DEVICE_PORT,
-    MpNocMode,
-    MpNocNetwork,
-    PortOutOfRange,
-    build_network,
-    transfer,
-)
+from mppsoc.mpnoc import MpNocNetwork, PortOutOfRange, build_network, transfer
 from mppsoc.simulator import (
     DirectionUnavailable,
     Instruction,
     MemoryOutOfBounds,
+    MpNocMode,
     NocUnavailable,
     SimProgram,
     SimReport,
@@ -234,21 +228,19 @@ def _execute_nocsend(machine: SimMachine, instr: Instruction):
             dst = _evaluate_dst(dst_expr, pe)
             if not 0 <= dst < machine.n_pes:
                 raise PortOutOfRange(pe, dst, machine.n_pes)
-        elif mode is MpNocMode.ACU_TO_PE:
-            dst = ACU_PORT
         else:
-            dst = DEVICE_PORT
+            dst = 0
         messages.append((pe, dst, machine.pe_regs[pe][reg]))
     srcs, dsts = ([m[k] for m in messages] for k in range(2))
-    result = transfer(net, mode, srcs, dsts,
+    result = transfer(net, srcs, dsts,
                       pass_cycles=machine.cost.noc_pass_cycles(net),
                       config_cycles=machine.cost.noc_config_cycles)
     machine.cycles += result.latency
+    sink = {MpNocMode.ACU_TO_PE: machine.acu_mailbox,
+            MpNocMode.DEVICE_TO_PE: machine.device_sink}.get(mode)
     # Messages are in sender order: a later sender's word overwrites.
     for _pe, dst, payload in messages:
-        if dst == ACU_PORT:
-            machine.acu_mailbox.append(payload)
-        elif dst == DEVICE_PORT:
-            machine.device_sink.append(payload)
+        if sink is not None:
+            sink.append(payload)
         elif machine.pe_active[dst]:
             machine.pe_regs[dst][reg] = payload

@@ -179,6 +179,24 @@ def test_simulate_values_from_file_and_kv_report(cfg, tmp_path, capsys):
     assert "sum=120" in out and "steps=4" in out
 
 
+def test_values_file_comments_run_to_the_end_of_their_line(cfg, tmp_path,
+                                                          capsys):
+    """A whole-line and a trailing ``#`` comment in a values file leave
+    the same values, in the same order, as ``--values 0..15``."""
+    program = tmp_path / "prog.asm"
+    program.write_text("HALT\n")
+    values = tmp_path / "values.txt"
+    values.write_text("# sixteen values\n0 1 2 3 4 5 6 7  # first half\n"
+                      "8 9 10 11 12 13 14 15#\n")
+    stdouts = []
+    for spec in ("0..15", f"@{values}"):
+        assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+                     "--values", spec, "-o", str(tmp_path / "out")]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[1] == stdouts[0]
+    assert "pe15: r0=15 " in stdouts[0]
+
+
 def test_simulate_value_count_mismatch(cfg, tmp_path, capsys):
     assert main(["simulate", str(cfg), "--values", "0..3",
                  "-o", str(tmp_path / "out")]) == 3
@@ -330,7 +348,7 @@ def test_simulate_huge_operand_is_load_error(cfg, tmp_path, capsys, operand):
      "direction NE does not exist on mesh2d (line 2)"),
     ("LDI r0,1\n\nLD r0,1024\nHALT\n",
      "PE 0: illegal word access at byte address 1024 (line 3)"),
-    # -1 and -2 are also the ACU and device sentinel ports.
+    # Negative destinations are outside the ports too.
     ("NOCSEND pe,idx-1,r0\nHALT\n", "message 0->-1 outside 0..15 (line 1)"),
     ("NOCSEND pe,-2,r0\nHALT\n", "message 0->-2 outside 0..15 (line 1)"),
 ])
@@ -386,6 +404,12 @@ def test_report_reprints_last_runs(cfg, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "files_written=5" in text
     assert "sum=120" in text
+    # ``report`` prints the saved kv files as they are; it takes no
+    # ``--report`` format.
+    with pytest.raises(SystemExit) as exit_:
+        main(["report", "-o", str(out), "--report", "text"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --report text" in capsys.readouterr().err
 
 
 def test_report_empty_directory(tmp_path, capsys):

@@ -28,7 +28,10 @@ def _run_demo(name: str, *args: str) -> str:
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, str(DEMOS / name), *args],
+    # Development mode with warnings as errors: a ResourceWarning or a
+    # DeprecationWarning raised by the runtime code fails the demo.
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                           str(DEMOS / name), *args],
                           capture_output=True, text=True, env=env,
                           cwd=ROOT, timeout=120)
     assert done.returncode == 0, done.stderr

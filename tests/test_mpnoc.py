@@ -7,10 +7,6 @@ import pytest
 from delta_oracle import assert_pass_conflict_free, oracle_path
 from mppsoc.config import CostModel, MpNocKind
 from mppsoc.mpnoc import (
-    ACU_PORT,
-    DEVICE_PORT,
-    ModeMismatch,
-    MpNocMode,
     MpNocNetwork,
     NotAPermutation,
     PortCountNotPowerOfTwo,
@@ -164,33 +160,33 @@ def test_route_is_deterministic():
 
 
 def test_acu_broadcast_over_crossbar_is_one_pass():
+    """The ACU reaches the router through port 0."""
     net = build_network(MpNocKind.CROSSBAR, 8)
-    messages = [(ACU_PORT, pe, 42) for pe in range(8)]
-    result = transfer(net, MpNocMode.ACU_TO_PE, *columns(messages), pass_cycles=4)
+    messages = [(0, pe, 42) for pe in range(8)]
+    result = transfer(net, *columns(messages), pass_cycles=4)
     assert result.passes == 1
     assert result.latency == 1 * 4 + 1
 
 
 def test_acu_broadcast_over_omega_serializes_like_any_messages():
     """Messages from one source claim resources like any others: an ACU
-    send to all 8 PEs of an omega network takes the scheduler's passes
-    over its resource columns, more than one.  A fifth positional
-    argument is refused."""
+    send (from port 0) to all 8 PEs of an omega network takes the
+    scheduler's passes over its resource columns, more than one.  A
+    fourth positional argument is refused."""
     net = build_network(MpNocKind.DELTA_OMEGA, 8)
-    srcs, dsts = [ACU_PORT] * 8, list(range(8))
-    passes, _conflicts = _greedy_passes(net.resource_columns([0] * 8, dsts), 8)
-    result = transfer(net, MpNocMode.ACU_TO_PE, srcs, dsts,
-                      pass_cycles=4, config_cycles=1)
+    srcs, dsts = [0] * 8, list(range(8))
+    passes, _conflicts = _greedy_passes(net.resource_columns(srcs, dsts), 8)
+    result = transfer(net, srcs, dsts, pass_cycles=4, config_cycles=1)
     assert result.passes == len(passes) > 1
     assert result.latency == len(passes) * 4 + 1
     with pytest.raises(TypeError):
-        transfer(net, MpNocMode.ACU_TO_PE, srcs, dsts, [0] * 8)
+        transfer(net, srcs, dsts, [0] * 8)
 
 
 def test_identity_over_shared_bus_serializes():
     net = build_network(MpNocKind.SHARED_BUS, 4)
     messages = [(pe, pe, pe * 10) for pe in range(4)]
-    result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages), pass_cycles=1)
+    result = transfer(net, *columns(messages), pass_cycles=1)
     assert result.passes == 4
     assert result.latency == 4 * 1 + 1
 
@@ -199,8 +195,7 @@ def test_bit_reversal_transfer_latency_tracks_passes():
     net = build_network(MpNocKind.DELTA_OMEGA, 8)
     perm = bit_reversal(3)
     messages = [(src, dst, src) for src, dst in enumerate(perm)]
-    result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages), pass_cycles=12,
-                      config_cycles=1)
+    result = transfer(net, *columns(messages), pass_cycles=12, config_cycles=1)
     expected_passes = route_permutation(net, perm).passes
     assert result.passes == expected_passes
     assert result.latency == expected_passes * 12 + 1
@@ -246,8 +241,7 @@ def test_translations_skip_the_window_columns(monkeypatch):
             srcs = range(start, high, step)
             dsts = range(start + offset, high + offset, step)
             assert {srcs[0], dsts[0], srcs[-1], dsts[-1]} & {0, ports - 1}
-            result = transfer(net, MpNocMode.PE_TO_PE, srcs, dsts,
-                              pass_cycles=7, config_cycles=3)
+            result = transfer(net, srcs, dsts, pass_cycles=7, config_cycles=3)
             assert (result.passes, result.latency) == (1, 7 + 3)
 
 
@@ -264,15 +258,15 @@ def test_list_translations_take_one_pass(kind, monkeypatch):
                 if 0 <= sigma[s] + offset < ports]
         for messages in (full, [m for m in full if m[0] % 4 == 1]):
             if messages:
-                result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages),
+                result = transfer(net, *columns(messages),
                                   pass_cycles=7, config_cycles=3)
                 assert (result.passes, result.latency) == (1, 7 + 3)
         if offset % 64 == 0:
             repeated = columns(full + [full[len(full) // 2]])
-            assert transfer(net, MpNocMode.PE_TO_PE, *repeated).passes == 2
+            assert transfer(net, *repeated).passes == 2
             with monkeypatch.context() as patch, pytest.raises(ScheduledError):
                 patch.setattr(MpNocNetwork, "resource_columns", refuse)
-                transfer(net, MpNocMode.PE_TO_PE, *repeated)
+                transfer(net, *repeated)
 
 
 def test_transfer_passes_cover_the_busiest_destination():
@@ -281,7 +275,7 @@ def test_transfer_passes_cover_the_busiest_destination():
         net = build_network(kind, 8)
         messages = [(src, rng.randrange(8), rng.randrange(1 << 32))
                     for src in range(8)]
-        result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages))
+        result = transfer(net, *columns(messages))
         # Messages to one port share its last resource, so each takes
         # its own pass.
         busiest = max(Counter(dst for _, dst, _ in messages).values())
@@ -301,24 +295,21 @@ def test_transfer_passes_cover_the_busiest_destination():
 def test_duplicate_destination_serializes_on_crossbar():
     net = build_network(MpNocKind.CROSSBAR, 4)
     messages = [(0, 3, 1), (1, 3, 2), (2, 0, 3)]
-    result = transfer(net, MpNocMode.PE_TO_PE, *columns(messages))
+    result = transfer(net, *columns(messages))
     assert result.passes == 2
     assert result.latency == 2 * CostModel().noc_pass_cycles(net) + 1
 
 
-def test_mode_mismatch_and_port_range():
+def test_port_range():
+    """Every endpoint is a port in 0..N-1; the first message outside
+    the range is named."""
     net = build_network(MpNocKind.CROSSBAR, 4)
-    with pytest.raises(ModeMismatch):
-        transfer(net, MpNocMode.DEVICE_TO_PE, *columns([(0, 1, 5)]))
-    with pytest.raises(ModeMismatch):
-        transfer(net, MpNocMode.PE_TO_PE, *columns([(ACU_PORT, 1, 5)]))
-    with pytest.raises(PortOutOfRange):
-        transfer(net, MpNocMode.PE_TO_PE, *columns([(0, 9, 5)]))
-    with pytest.raises(PortOutOfRange):
-        transfer(net, MpNocMode.ACU_TO_PE, *columns([(ACU_PORT, 9, 5)]))
-    # A PE-to-device message takes one pass.
-    result = transfer(net, MpNocMode.DEVICE_TO_PE, *columns([(2, DEVICE_PORT, 5)]),
-                      pass_cycles=3, config_cycles=2)
+    for src, dst in ((-1, 1), (0, -2), (0, 9), (4, 0)):
+        with pytest.raises(PortOutOfRange,
+                           match=f"^message {src}->{dst} outside 0..3$"):
+            transfer(net, *columns([(0, 1, 5), (src, dst, 5), (-3, 9, 5)]))
+    # A PE-to-device message goes to port 0 and takes one pass.
+    result = transfer(net, *columns([(2, 0, 5)]), pass_cycles=3, config_cycles=2)
     assert (result.passes, result.latency) == (1, 1 * 3 + 2)
 
 

@@ -1,8 +1,10 @@
 """Differential test: the column-wise router in ``mppsoc.mpnoc`` against
 a per-message reference greedy scheduler driven by the independent
 stage-walk oracle, on random message sets, hot spots, translations,
-range columns and permutations over every router kind, port counts 1-64
-and every transfer mode; and the first-fit scheduler itself against the same
+range columns and permutations over every router kind and port counts
+1-64, port 0 sending to many PEs or many PEs sending to it (the shapes of
+an ACU or device send) among them; and the first-fit scheduler itself
+against the same
 reference, on resource columns of up to 300 records and 150 passes,
 shared resources included."""
 
@@ -15,10 +17,6 @@ from hypothesis import given, settings, strategies as st
 from delta_oracle import oracle_path
 from mppsoc.config import CostModel, MpNocKind
 from mppsoc.mpnoc import (
-    ACU_PORT,
-    DEVICE_PORT,
-    ModeMismatch,
-    MpNocMode,
     NotAPermutation,
     PortOutOfRange,
     RoutingResult,
@@ -28,9 +26,6 @@ from mppsoc.mpnoc import (
     route_permutation,
     transfer,
 )
-
-SPECIAL = {MpNocMode.ACU_TO_PE: ACU_PORT, MpNocMode.DEVICE_TO_PE: DEVICE_PORT}
-
 
 def columns(messages):
     """(src, dst, word) triples as the two columns ``transfer`` takes."""
@@ -87,34 +82,11 @@ def ref_route_permutation(kind, ports, perm):
                          conflicts=conflicts)
 
 
-def ref_check_endpoint(ports, mode, src, dst):
-    def is_pe(p):
-        return 0 <= p < ports
-
-    if mode is MpNocMode.PE_TO_PE:
-        if src in (ACU_PORT, DEVICE_PORT) or dst in (ACU_PORT, DEVICE_PORT):
-            raise ModeMismatch(f"pe mode cannot carry {src}->{dst}")
-        if not (is_pe(src) and is_pe(dst)):
-            raise PortOutOfRange(src, dst, ports)
-        return
-    port = SPECIAL[mode]
-    if (src == port and is_pe(dst)) or (dst == port and is_pe(src)):
-        return
-    if src == port or dst == port:
-        raise PortOutOfRange(src, dst, ports)
-    raise ModeMismatch(
-        f"{mode.value} mode needs the distinguished port as one endpoint, "
-        f"got {src}->{dst}")
-
-
-def ref_transfer(kind, ports, mode, messages, pass_cycles, config_cycles):
+def ref_transfer(kind, ports, messages, pass_cycles, config_cycles):
     for src, dst, _payload in messages:
-        ref_check_endpoint(ports, mode, src, dst)
-
-    def port_of(endpoint):
-        return 0 if endpoint in (ACU_PORT, DEVICE_PORT) else endpoint
-
-    records = [(port_of(src), port_of(dst)) for src, dst, _payload in messages]
+        if not (0 <= src < ports and 0 <= dst < ports):
+            raise PortOutOfRange(src, dst, ports)
+    records = [(src, dst) for src, dst, _payload in messages]
     if not records:
         return TransferResult(passes=0, latency=config_cycles, conflicts=0)
     if kind is MpNocKind.SHARED_BUS:
@@ -145,36 +117,33 @@ def networks(draw):
 
 
 @st.composite
-def message_sets(draw, ports, mode):
+def message_sets(draw, ports):
     """A few sources and targets, so sources repeat and destinations
-    collide.  In the ACU and device modes each message has the sentinel
-    port at one end, and some sets also carry stray PE-to-PE messages,
-    which those modes cannot."""
+    collide.  Half the sets have port 0 at one end of each message, as
+    an ACU or device send does, and some of those also carry other
+    PE-to-PE messages."""
     pes = st.integers(0, ports - 1)
     sources = st.sampled_from(draw(st.lists(pes, min_size=1, max_size=6)))
     targets = st.sampled_from(draw(st.lists(pes, min_size=1, max_size=6)))
     words = st.integers(0, 2)
     shapes = [st.tuples(sources, targets, words)]
-    if mode is not MpNocMode.PE_TO_PE:
-        port = SPECIAL[mode]
-        shapes = [st.tuples(st.just(port), targets, words),
-                  st.tuples(sources, st.just(port), words)] + (
+    if draw(st.booleans()):
+        shapes = [st.tuples(st.just(0), targets, words),
+                  st.tuples(sources, st.just(0), words)] + (
             shapes if draw(st.integers(0, 3)) == 0 else [])
     size = draw(st.integers(0, min(3 * ports, 60)))
     return draw(st.lists(st.one_of(*shapes), min_size=size, max_size=size))
 
 
 @st.composite
-def translation_sets(draw, kind, ports, mode):
+def translation_sets(draw, kind, ports):
     """Messages s -> sigma(s) + K from distinct ascending sources, with
     sigma the identity or the bit reversal on every kind (so baseline and
     butterfly also get plain shifts, which conflict there): from every
     source, from ``range(r, N, 2^j)`` or from any subset, with K in
     -N+1..N-1, wrapped mod N or cut where it leaves the ports.  Some
     sets repeat one message, move one message to another destination,
-    or come unsorted.
-    In the ACU and device modes only the messages with a port-0 end
-    stay, that end (the source if both) made the sentinel port."""
+    or come unsorted."""
     n_bits = ports.bit_length() - 1
     if ports == 1 << n_bits and draw(st.booleans()):
         sigma = [int(format(s, f"0{n_bits}b")[::-1], 2) for s in range(ports)]
@@ -201,29 +170,24 @@ def translation_sets(draw, kind, ports, mode):
             messages[i] = (src, draw(st.integers(0, ports - 1)), word)
     if draw(st.integers(0, 4)) == 0:
         messages = draw(st.permutations(messages))
-    if mode is not MpNocMode.PE_TO_PE:
-        port = SPECIAL[mode]
-        messages = [(port, dst, word) if src == 0 else (src, port, word)
-                    for src, dst, word in messages if 0 in (src, dst)]
     return messages
 
 
 @st.composite
-def hot_spot_sets(draw, ports, mode):
+def hot_spot_sets(draw, ports):
     """Distinct senders aimed at one to three destinations, so every
-    message to one destination contends for its output.  In the ACU and
-    device modes either distinct PEs send to the sentinel port, or the
-    sentinel port sends distinct words to one to three PEs."""
+    message to one destination contends for its output; or the two
+    shapes of an ACU or device send: distinct PEs sending to port 0, or
+    port 0 sending distinct words to one to three PEs."""
     pes = st.integers(0, ports - 1)
     targets = st.sampled_from(draw(st.lists(pes, min_size=1, max_size=3)))
     word = st.integers(0, 1000)
-    if mode is not MpNocMode.PE_TO_PE:
-        port = SPECIAL[mode]
-        if draw(st.booleans()):
-            words = draw(st.lists(word, min_size=1, max_size=ports,
-                                  unique=True))
-            return [(port, draw(targets), w) for w in words]
-        targets = st.just(port)
+    shape = draw(st.sampled_from(("to targets", "to port 0", "from port 0")))
+    if shape == "from port 0":
+        words = draw(st.lists(word, min_size=1, max_size=ports, unique=True))
+        return [(0, draw(targets), w) for w in words]
+    if shape == "to port 0":
+        targets = st.just(0)
     sources = draw(st.lists(pes, min_size=1, max_size=ports, unique=True))
     return [(src, draw(targets), draw(word)) for src in sources]
 
@@ -258,62 +222,59 @@ def schedules(draw):
 def outcome(call):
     try:
         return call()
-    except (ModeMismatch, PortOutOfRange, NotAPermutation) as err:
+    except (PortOutOfRange, NotAPermutation) as err:
         return type(err), str(err)
 
 
-def assert_transfer_matches(kind, ports, mode, messages, cost):
+def assert_transfer_matches(kind, ports, messages, cost):
     network = build_network(kind, ports)
     pass_cycles = cost.noc_pass_cycles(network)
-    got = outcome(lambda: transfer(network, mode, *columns(messages),
+    got = outcome(lambda: transfer(network, *columns(messages),
                                    pass_cycles=pass_cycles,
                                    config_cycles=cost.noc_config_cycles))
-    want = outcome(lambda: ref_transfer(kind, ports, mode, messages,
-                                        pass_cycles, cost.noc_config_cycles))
+    want = outcome(lambda: ref_transfer(kind, ports, messages, pass_cycles,
+                                        cost.noc_config_cycles))
     assert got == want
 
 
 @settings(max_examples=300, deadline=None)
-@given(net=networks(), mode=st.sampled_from(list(MpNocMode)),
+@given(net=networks(),
        cost=st.builds(CostModel, *(st.integers(0, 3) for _ in range(6))),
        data=st.data())
-def test_transfer_matches_per_message_reference(net, mode, cost, data):
+def test_transfer_matches_per_message_reference(net, cost, data):
     kind, ports = net
-    messages = data.draw(st.one_of(message_sets(ports, mode),
-                                   translation_sets(kind, ports, mode)))
-    assert_transfer_matches(kind, ports, mode, messages, cost)
+    messages = data.draw(st.one_of(message_sets(ports),
+                                   translation_sets(kind, ports)))
+    assert_transfer_matches(kind, ports, messages, cost)
     if not messages:
         return
     # The same set with one endpoint of one message made bad: a port
-    # just past either end of the range or a sentinel, in every mode.
+    # just past either end of the range.
     i = data.draw(st.integers(0, len(messages) - 1))
     for end in (0, 1):
-        for bad in (-3, DEVICE_PORT, ACU_PORT, ports, ports + 1):
+        for bad in (-3, -2, -1, ports, ports + 1):
             variant = list(messages)
             variant[i] = tuple(bad if j == end else v
                                for j, v in enumerate(messages[i]))
-            assert_transfer_matches(kind, ports, mode, variant, cost)
+            assert_transfer_matches(kind, ports, variant, cost)
 
 
-@pytest.mark.parametrize("mode", list(MpNocMode))
 @pytest.mark.parametrize("kind", list(MpNocKind))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(data=st.data())
-def test_transfer_matches_per_message_reference_on_hot_spots(kind, mode, data):
+def test_transfer_matches_per_message_reference_on_hot_spots(kind, data):
     ports = data.draw(port_counts(kind))
-    messages = data.draw(hot_spot_sets(ports, mode))
-    assert_transfer_matches(kind, ports, mode, messages, CostModel())
+    messages = data.draw(hot_spot_sets(ports))
+    assert_transfer_matches(kind, ports, messages, CostModel())
 
 
-@pytest.mark.parametrize("mode", list(MpNocMode))
 @pytest.mark.parametrize("kind", list(MpNocKind))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_transfer_matches_per_message_reference_on_translations(kind, mode,
-                                                                data):
+def test_transfer_matches_per_message_reference_on_translations(kind, data):
     ports = data.draw(port_counts(kind))
-    messages = data.draw(translation_sets(kind, ports, mode))
-    assert_transfer_matches(kind, ports, mode, messages, CostModel())
+    messages = data.draw(translation_sets(kind, ports))
+    assert_transfer_matches(kind, ports, messages, CostModel())
 
 
 @st.composite
@@ -332,20 +293,19 @@ def range_pairs(draw, ports):
     return srcs, range(start + offset, srcs.stop + offset, step)
 
 
-@pytest.mark.parametrize("mode", list(MpNocMode))
 @pytest.mark.parametrize("kind", list(MpNocKind))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_range_columns_match_per_message_reference(kind, mode, data):
+def test_range_columns_match_per_message_reference(kind, data):
     ports = data.draw(port_counts(kind))
     srcs, dsts = data.draw(range_pairs(ports))
     network, cost = build_network(kind, ports), CostModel()
     pass_cycles = cost.noc_pass_cycles(network)
-    got = outcome(lambda: transfer(network, mode, srcs, dsts,
+    got = outcome(lambda: transfer(network, srcs, dsts,
                                    pass_cycles=pass_cycles,
                                    config_cycles=cost.noc_config_cycles))
     want = outcome(lambda: ref_transfer(
-        kind, ports, mode, list(zip(srcs, dsts, repeat(0))), pass_cycles,
+        kind, ports, list(zip(srcs, dsts, repeat(0))), pass_cycles,
         cost.noc_config_cycles))
     assert got == want
 
@@ -354,7 +314,7 @@ def test_transfer_refuses_columns_of_unequal_length():
     network = build_network(MpNocKind.DELTA_OMEGA, 4)
     for srcs, dsts in ((range(3), range(4)), ([0, 1], [1])):
         with pytest.raises(ValueError):
-            transfer(network, MpNocMode.PE_TO_PE, srcs, dsts)
+            transfer(network, srcs, dsts)
 
 
 @settings(max_examples=300, deadline=None)

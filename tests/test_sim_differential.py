@@ -8,7 +8,7 @@ import reference_sim as ref
 from hypothesis import given, settings, strategies as st
 
 from mppsoc.config import CostModel, MpNocKind, MppSoCConfig, Neighborhood
-from mppsoc.mpnoc import ModeMismatch, PortOutOfRange
+from mppsoc.mpnoc import PortOutOfRange
 from mppsoc.simulator import SimMachine, SimulationError, load_program, run
 
 # (rows, cols, neighbourhood, router): every neighbourhood and every
@@ -135,7 +135,7 @@ def state(machine, config, registers):
 def error_of(err):
     """Type and message; router errors surface from ``run`` as a
     ``SimulationError`` with the same message."""
-    if isinstance(err, (PortOutOfRange, ModeMismatch)):
+    if isinstance(err, PortOutOfRange):
         return SimulationError, str(err)
     return type(err), str(err)
 

@@ -279,6 +279,32 @@ def test_nocsend_acu_mode_fills_mailbox():
     assert machine.acu_mailbox == [4, 3, 2, 1]
 
 
+@pytest.mark.parametrize("pred", ["all", "mod:4:1", "none"])
+@pytest.mark.parametrize("pes", [8, 64])
+@pytest.mark.parametrize("kind", list(MpNocKind))
+def test_acu_and_device_sends_are_timed_as_sends_to_port_0(kind, pes, pred):
+    """The ACU and the device reach the router through port 0: an acu or
+    dev send charges exactly the cycles of the same senders' send to PE
+    0, its words reach the mailbox or the sink in PE order, and no
+    register changes."""
+    values = [pe * 7 + 3 for pe in range(pes)]
+    senders = {"all": range(pes), "mod:4:1": range(1, pes, 4),
+               "none": range(0)}[pred]
+    words = [values[pe] for pe in senders]
+    cycles = {}
+    for mode in ("pe", "acu", "dev"):
+        machine = machine_for(1, pes, mpnoc=kind)
+        machine.set_column(1, values)
+        report = run(machine, load_program(
+            f"MASK {pred}\nNOCSEND {mode},0,r1\nHALT"))
+        cycles[mode] = report.cycles
+        assert machine.acu_mailbox == (words if mode == "acu" else [])
+        assert machine.device_sink == (words if mode == "dev" else [])
+        if mode != "pe":
+            assert machine.column(1) == values
+    assert cycles["acu"] == cycles["dev"] == cycles["pe"]
+
+
 @pytest.mark.parametrize("kind", list(MpNocKind))
 def test_nocsend_to_one_pe_keeps_the_highest_active_senders_word(kind):
     machine = machine_for(1, 8, mpnoc=kind)
