@@ -53,12 +53,21 @@ def _load(path_text: str, parse):
         raise ConfigError(f"{location}: {err}") from err
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file's text; one that does not decode is I/O
+    trouble (an ``OSError``), like one that cannot be opened."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeError as err:
+        raise OSError(f"{path}: cannot read: {err}") from err
+
+
 def _parse_values(spec: str, count: int) -> list[int]:
     """The values of ``--values``: ``A..B``, a comma list, or ``@FILE``
     with whitespace-separated values and ``#`` comments to end of line."""
     try:
         if spec.startswith("@"):
-            lines = Path(spec[1:]).read_text(encoding="utf-8").splitlines()
+            lines = _read_text(Path(spec[1:])).splitlines()
             values = [int(t, 0) for line in lines
                       for t in line.partition("#")[0].split()]
         elif ".." in spec:
@@ -135,17 +144,12 @@ def _cmd_simulate(args) -> int:
             else CostModel())
     check_pe_count(config.n_pes)
 
-    if args.app == "reduce" or args.app is None:
+    if args.app == "reduce":
         values = (_parse_values(args.values, config.n_pes) if args.values
                   else list(range(config.n_pes)))
         outcome = reduce_sum(config, values, cost)
     elif args.app.startswith("asm:"):
-        path = Path(args.app[4:])
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeError as err:
-            raise OSError(f"{path}: cannot read: {err}") from err
-        program = load_program(text)
+        program = load_program(_read_text(Path(args.app[4:])))
         machine = SimMachine(config, cost)
         if args.values:
             machine.set_values(_parse_values(args.values, config.n_pes))

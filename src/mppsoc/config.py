@@ -309,6 +309,12 @@ class CostModel:
         depth = max(1, (net.ports - 1).bit_length())
         return self.noc_pass_base * depth
 
+    def noc_cycles(self, net: MpNocNetwork, passes: int) -> int:
+        """Cycles of one router transfer that took ``passes`` passes:
+        each pass's transit plus one configuration charge, so an empty
+        transfer still pays the mode switch."""
+        return passes * self.noc_pass_cycles(net) + self.noc_config_cycles
+
 
 def serialize_config(config: MppSoCConfig) -> str:
     """Emit the canonical file form of a configuration.

@@ -44,11 +44,13 @@ exits skip that loop: when no column holds a value twice, every message
 lands in pass 0; when one column holds a single value (the bus, or
 every message to one port), each pass carries one message.
 
-This module is a timing model: ``transfer`` answers how many passes and
-cycles a set of port-to-port messages costs, every endpoint a port in
-0..N-1.  Who the endpoints are, and which word each receives, is the
-simulator's rule (``NOCSEND``), not this module's: it times a send to
-the ACU or the I/O device as a send to port 0.
+This module is a scheduler: ``transfer`` answers how many passes a set
+of port-to-port messages takes, every endpoint a port in 0..N-1, and how
+many conflicts the first fit met.  What the passes cost in cycles is
+the cost model's rule (``noc_cycles`` in ``mppsoc.config``), and who
+the endpoints are, and which word each receives, is the simulator's
+(``NOCSEND``): it schedules a send to the ACU or the I/O device as a
+send to port 0.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import lt, or_
 
-from mppsoc.config import DELTA_KINDS, CostModel, MpNocKind
+from mppsoc.config import DELTA_KINDS, MpNocKind
 from mppsoc.errors import MppSocError, int_text
 
 
@@ -91,10 +93,9 @@ class RoutingResult:
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Router passes, cycle cost and scheduler conflicts of one transfer."""
+    """Router passes and scheduler conflicts of one transfer."""
 
     passes: int
-    latency: int
     conflicts: int = 0
 
 
@@ -106,7 +107,6 @@ class MpNocNetwork:
         self.ports = ports
         self.is_delta = kind in DELTA_KINDS
         self.stage_count = ports.bit_length() - 1 if self.is_delta else 0
-        self.switches_per_stage = ports // 2 if self.is_delta else 0
 
     @cached_property
     def source_tags(self) -> list:
@@ -219,40 +219,33 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
                          conflicts=conflicts)
 
 
-def transfer(net: MpNocNetwork, srcs, dsts, *,
-             pass_cycles: int | None = None,
-             config_cycles: int | None = None) -> TransferResult:
-    """Time the routing of one message set, given as columns: message i
-    goes from port ``srcs[i]`` to port ``dsts[i]``, both in 0..N-1.
-    ``srcs`` and ``dsts`` are sized sequences of one length (ranges or
-    lists); the first message with an end outside the ports raises
+def transfer(net: MpNocNetwork, srcs, dsts) -> TransferResult:
+    """Schedule one message set, given as columns: message i goes from
+    port ``srcs[i]`` to port ``dsts[i]``, both in 0..N-1.  ``srcs`` and
+    ``dsts`` are sized sequences of one length (ranges or lists); the
+    first message with an end outside the ports raises
     ``PortOutOfRange``.
 
-    Latency is passes * pass_cycles plus one configuration charge;
-    either charge left as None comes from a default CostModel.  Messages
-    that claim a common resource go in successive passes, lowest source
-    first, whether or not they share a source: messages to one port
-    reach it one pass after another.
+    Messages that claim a common resource go in successive passes,
+    lowest source first, whether or not they share a source: messages
+    to one port reach it one pass after another.  An empty set takes no
+    pass.
 
     On omega, two ranges with one positive step whose ends lie inside
     the ports are a translation (see the module docstring): one pass,
-    timed in O(1) without looking at a message.
+    found in O(1) without looking at a message.
     """
     if len(srcs) != len(dsts):
         raise ValueError(f"{len(srcs)} sources for {len(dsts)} destinations")
-    if pass_cycles is None:
-        pass_cycles = CostModel().noc_pass_cycles(net)
-    if config_cycles is None:
-        config_cycles = CostModel().noc_config_cycles
     if not srcs:
-        return TransferResult(passes=0, latency=config_cycles)
+        return TransferResult(passes=0)
     ports = net.ports
     if (net.kind is MpNocKind.DELTA_OMEGA
             and isinstance(srcs, range) and isinstance(dsts, range)
             and srcs.step == dsts.step > 0
             and min(srcs.start, dsts.start) >= 0
             and max(srcs[-1], dsts[-1]) < ports):
-        return TransferResult(passes=1, latency=pass_cycles + config_cycles)
+        return TransferResult(passes=1)
     if min(min(srcs), min(dsts)) < 0 or max(max(srcs), max(dsts)) >= ports:
         src, dst = next((src, dst) for src, dst in zip(srcs, dsts)
                         if not (0 <= src < ports and 0 <= dst < ports))
@@ -262,6 +255,4 @@ def transfer(net: MpNocNetwork, srcs, dsts, *,
     if not all(map(lt, srcs, srcs[1:])):
         srcs, dsts = zip(*sorted(zip(srcs, dsts)))
     passes, conflicts = _greedy_passes(net.resource_columns(srcs, dsts), ports)
-    latency = len(passes) * pass_cycles + config_cycles
-    return TransferResult(passes=len(passes), latency=latency,
-                          conflicts=conflicts)
+    return TransferResult(passes=len(passes), conflicts=conflicts)

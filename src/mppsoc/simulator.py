@@ -532,18 +532,18 @@ def _op_movd(machine: SimMachine, reg: int, direction: str, hops: int = 1):
 
 
 def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
-    """Send every active PE's word over the router and charge the
-    transfer's latency.  The router gets the senders and destinations as
-    columns of ports: the active range and, for ``idx±K``, that range
-    moved by K, so it times a translation on omega without a message
-    list.  The ACU and the device reach the router through port 0, so
-    an ``acu`` or ``dev`` send is timed as the same senders sending to
-    port 0; a destination outside 0..N-1 is the router's
-    ``PortOutOfRange``.  An active PE-mode receiver keeps the word of the
-    highest active sender aimed at it; the ACU mailbox and the device
-    sink take the words in PE order.  (The router puts messages to one
-    port in successive passes, lowest source first, so this is their
-    arrival order.)"""
+    """Send every active PE's word over the router and charge its
+    passes through ``CostModel.noc_cycles``.  The router gets the
+    senders and destinations as columns of ports: the active range and,
+    for ``idx±K``, that range moved by K, so it schedules a translation
+    on omega without a message list.  The ACU and the device reach the
+    router through port 0, so an ``acu`` or ``dev`` send is scheduled as
+    the same senders sending to port 0; a destination outside 0..N-1 is
+    the router's ``PortOutOfRange``.  An active PE-mode receiver keeps
+    the word of the highest active sender aimed at it; the ACU mailbox
+    and the device sink take the words in PE order.  (The router puts
+    messages to one port in successive passes, lowest source first, so
+    this is their arrival order.)"""
     net = machine.mpnoc
     if net is None:
         raise NocUnavailable()
@@ -557,10 +557,8 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     else:
         target = int(dst_expr)
         destinations = [target] * len(senders)
-    result = transfer(net, senders, destinations,
-                      pass_cycles=machine.cost.noc_pass_cycles(net),
-                      config_cycles=machine.cost.noc_config_cycles)
-    machine.cycles += result.latency
+    result = transfer(net, senders, destinations)
+    machine.cycles += machine.cost.noc_cycles(net, result.passes)
     if mode is not MpNocMode.PE_TO_PE:
         sink = (machine.acu_mailbox if mode is MpNocMode.ACU_TO_PE
                 else machine.device_sink)
@@ -681,9 +679,10 @@ def reduce_sum(config: MppSoCConfig, values,
     position per hop cycle along the row-major chain, so step s costs
     2^s hops on every topology (the regular networks are equivalent for
     this schedule; a point-to-point router pays its per-pass setup
-    instead).  Without one, the global router carries the step's
-    PE-to-PE messages.  The steps are timed, not executed: the
-    exact sum they leave on PE 0 is ``sum(values)``.
+    instead).  Without one, the global router schedules the step's
+    PE-to-PE messages and ``cost.noc_cycles`` charges its passes.  The
+    steps are timed, not executed: the exact sum they leave on PE 0 is
+    ``sum(values)``.
     """
     check_pe_count(config.n_pes)
     cost = cost or CostModel()
@@ -716,10 +715,8 @@ def reduce_sum(config: MppSoCConfig, values,
             hop_counts.append(hops)
         else:
             outcome = transfer(net, range(stride, n, 2 * stride),
-                               range(0, n, 2 * stride),
-                               pass_cycles=cost.noc_pass_cycles(net),
-                               config_cycles=cost.noc_config_cycles)
-            total_cycles += outcome.latency
+                               range(0, n, 2 * stride))
+            total_cycles += cost.noc_cycles(net, outcome.passes)
             hop_counts.append(outcome.passes)
         total_cycles += cost.op_cycles
 

@@ -8,12 +8,13 @@ that ``tests/test_sim_differential.py`` compares the column-store
 ``NOCSEND`` checks each active PE's destination against 0..N-1 before
 routing, and an ``acu`` or ``dev`` send is routed as a send to port 0,
 the port through which the ACU and the device reach the router.
-Second, ``NOCSEND`` takes only the latency from the router and delivers
-from its own message list in sender order: the mode names the sink, the
-ACU mailbox and device sink append every word, and an active PE-mode
-receiver keeps the last word aimed at it.  Program
-loading, the error types, the cost model and ``SimReport`` are shared
-with the package; only the execution semantics are restated here.
+Second, ``NOCSEND`` takes only the pass count from the router, charges
+it as passes times the pass charge plus one configuration charge, and
+delivers from its own message list in sender order: the mode names the
+sink, the ACU mailbox and device sink append every word, and an active
+PE-mode receiver keeps the last word aimed at it.  Program loading,
+the error types, the cost model and ``SimReport`` are shared with the
+package; only the execution semantics are restated here.
 MOVD walks the per-PE adjacency dicts of ``topology_reference``, not
 the package's grid shift, so the two share no neighbour arithmetic.
 
@@ -232,10 +233,11 @@ def _execute_nocsend(machine: SimMachine, instr: Instruction):
             dst = 0
         messages.append((pe, dst, machine.pe_regs[pe][reg]))
     srcs, dsts = ([m[k] for m in messages] for k in range(2))
-    result = transfer(net, srcs, dsts,
-                      pass_cycles=machine.cost.noc_pass_cycles(net),
-                      config_cycles=machine.cost.noc_config_cycles)
-    machine.cycles += result.latency
+    # The charge is restated here, not read from CostModel.noc_cycles,
+    # so the differential checks that method too.
+    passes = transfer(net, srcs, dsts).passes
+    machine.cycles += (passes * machine.cost.noc_pass_cycles(net)
+                       + machine.cost.noc_config_cycles)
     sink = {MpNocMode.ACU_TO_PE: machine.acu_mailbox,
             MpNocMode.DEVICE_TO_PE: machine.device_sink}.get(mode)
     # Messages are in sender order: a later sender's word overwrites.

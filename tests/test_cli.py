@@ -378,12 +378,19 @@ def test_simulate_send_too_far_to_print_is_runtime_error(cfg, tmp_path,
                  "-o", str(tmp_path / "out")]) == 0
 
 
-def test_simulate_non_utf8_program_is_io_error(cfg, tmp_path, capsys):
-    program = tmp_path / "prog.asm"
-    program.write_bytes(b"LDI r0,\xff\nHALT\n")
-    assert main(["simulate", str(cfg), "--app", f"asm:{program}",
+@pytest.mark.parametrize("option, prefix, data", [
+    ("--app", "asm:", b"LDI r0,\xff\nHALT\n"),
+    ("--values", "@", b"\xff\xfe 1 2\n"),
+])
+def test_simulate_non_utf8_program_is_io_error(cfg, tmp_path, capsys,
+                                               option, prefix, data):
+    """A program or values file that is not UTF-8 is I/O trouble: exit 2
+    and one ``cannot read`` line, as for a file that cannot be opened."""
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    assert main(["simulate", str(cfg), option, f"{prefix}{path}",
                  "-o", str(tmp_path / "out")]) == 2
-    assert single_error_line(capsys).startswith(f"error: {program}: cannot read")
+    assert single_error_line(capsys).startswith(f"error: {path}: cannot read")
 
 
 @pytest.mark.parametrize("spec", ["abc", "0..x", "@values.txt"])
@@ -761,16 +768,20 @@ def test_main_parses_exactly_like_the_root_parser(recording_commands, argv):
     assert _parse_outcome(via_main, argv) == _parse_outcome(via_root, argv)
 
 
-def test_module_entry_point_reads_sys_argv():
-    """``python -m mppsoc.cli`` parses ``sys.argv`` (``main(None)``)."""
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    """``python -m mppsoc.cli`` parses ``sys.argv`` (``main(None)``).
+    Every command, and each of its write paths, also runs clean under
+    ``-X dev -W error``: an unclosed file or a deprecated call would
+    turn its warning into a failure."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
 
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "mppsoc.cli", *args],
-                              capture_output=True, text=True, env=env,
-                              cwd=ROOT, timeout=60)
+    def run(*args, dev=False):
+        flags = ["-X", "dev", "-W", "error"] if dev else []
+        return subprocess.run([sys.executable, *flags, "-m", "mppsoc.cli",
+                               *args], capture_output=True, text=True,
+                              env=env, cwd=ROOT, timeout=60)
 
     bare = run()
     assert (bare.returncode, bare.stdout) == (2, "")
@@ -779,6 +790,20 @@ def test_module_entry_point_reads_sys_argv():
     assert error.startswith("mppsoc: error: ")
     valid = run("validate", "demos/mesh16.cfg")
     assert (valid.returncode, valid.stdout, valid.stderr) == (0, "VALID\n", "")
+
+    out, program = tmp_path / "out", tmp_path / "send.asm"
+    program.write_text("LDI r0,5\nMASK mod:2:0\nNOCSEND pe,idx+1,r0\nUNMASK\n"
+                       "NOCSEND acu,0,r0\nHALT\n")
+    for args in (["validate", "demos/mesh16.cfg"],
+                 ["generate", "demos/mesh16.cfg", "-o", str(out),
+                  "--manifest", str(tmp_path / "manifest.txt"), "--report", "kv"],
+                 ["generate", "demos/mesh16.cfg", "--force-report-only"],
+                 ["simulate", "demos/mesh16.cfg", "-o", str(out)],
+                 ["simulate", "demos/delta8.cfg", "--app", f"asm:{program}",
+                  "-o", str(out)],
+                 ["report", "-o", str(out)]):
+        done = run(*args, dev=True)
+        assert done.returncode == 0, (args, done.stderr)
 
 
 def _quiet_main(argv):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delta_oracle import oracle_path
-from mppsoc.config import CostModel, MpNocKind
+from mppsoc.config import MpNocKind
 from mppsoc.mpnoc import (
     NotAPermutation,
     PortOutOfRange,
@@ -82,13 +82,13 @@ def ref_route_permutation(kind, ports, perm):
                          conflicts=conflicts)
 
 
-def ref_transfer(kind, ports, messages, pass_cycles, config_cycles):
+def ref_transfer(kind, ports, messages):
     for src, dst, _payload in messages:
         if not (0 <= src < ports and 0 <= dst < ports):
             raise PortOutOfRange(src, dst, ports)
     records = [(src, dst) for src, dst, _payload in messages]
     if not records:
-        return TransferResult(passes=0, latency=config_cycles, conflicts=0)
+        return TransferResult(passes=0, conflicts=0)
     if kind is MpNocKind.SHARED_BUS:
         resources_of = lambda rec: (("bus",),)  # noqa: E731
     elif kind is MpNocKind.CROSSBAR:
@@ -96,9 +96,7 @@ def ref_transfer(kind, ports, messages, pass_cycles, config_cycles):
     else:
         resources_of = lambda rec: ref_path(kind, ports, rec[0], rec[1])  # noqa: E731
     passes, conflicts = ref_greedy_passes(records, resources_of)
-    return TransferResult(passes=len(passes),
-                          latency=len(passes) * pass_cycles + config_cycles,
-                          conflicts=conflicts)
+    return TransferResult(passes=len(passes), conflicts=conflicts)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -226,26 +224,19 @@ def outcome(call):
         return type(err), str(err)
 
 
-def assert_transfer_matches(kind, ports, messages, cost):
+def assert_transfer_matches(kind, ports, messages):
     network = build_network(kind, ports)
-    pass_cycles = cost.noc_pass_cycles(network)
-    got = outcome(lambda: transfer(network, *columns(messages),
-                                   pass_cycles=pass_cycles,
-                                   config_cycles=cost.noc_config_cycles))
-    want = outcome(lambda: ref_transfer(kind, ports, messages, pass_cycles,
-                                        cost.noc_config_cycles))
-    assert got == want
+    got = outcome(lambda: transfer(network, *columns(messages)))
+    assert got == outcome(lambda: ref_transfer(kind, ports, messages))
 
 
 @settings(max_examples=300, deadline=None)
-@given(net=networks(),
-       cost=st.builds(CostModel, *(st.integers(0, 3) for _ in range(6))),
-       data=st.data())
-def test_transfer_matches_per_message_reference(net, cost, data):
+@given(net=networks(), data=st.data())
+def test_transfer_matches_per_message_reference(net, data):
     kind, ports = net
     messages = data.draw(st.one_of(message_sets(ports),
                                    translation_sets(kind, ports)))
-    assert_transfer_matches(kind, ports, messages, cost)
+    assert_transfer_matches(kind, ports, messages)
     if not messages:
         return
     # The same set with one endpoint of one message made bad: a port
@@ -256,7 +247,7 @@ def test_transfer_matches_per_message_reference(net, cost, data):
             variant = list(messages)
             variant[i] = tuple(bad if j == end else v
                                for j, v in enumerate(messages[i]))
-            assert_transfer_matches(kind, ports, variant, cost)
+            assert_transfer_matches(kind, ports, variant)
 
 
 @pytest.mark.parametrize("kind", list(MpNocKind))
@@ -265,7 +256,7 @@ def test_transfer_matches_per_message_reference(net, cost, data):
 def test_transfer_matches_per_message_reference_on_hot_spots(kind, data):
     ports = data.draw(port_counts(kind))
     messages = data.draw(hot_spot_sets(ports))
-    assert_transfer_matches(kind, ports, messages, CostModel())
+    assert_transfer_matches(kind, ports, messages)
 
 
 @pytest.mark.parametrize("kind", list(MpNocKind))
@@ -274,7 +265,7 @@ def test_transfer_matches_per_message_reference_on_hot_spots(kind, data):
 def test_transfer_matches_per_message_reference_on_translations(kind, data):
     ports = data.draw(port_counts(kind))
     messages = data.draw(translation_sets(kind, ports))
-    assert_transfer_matches(kind, ports, messages, CostModel())
+    assert_transfer_matches(kind, ports, messages)
 
 
 @st.composite
@@ -299,15 +290,10 @@ def range_pairs(draw, ports):
 def test_range_columns_match_per_message_reference(kind, data):
     ports = data.draw(port_counts(kind))
     srcs, dsts = data.draw(range_pairs(ports))
-    network, cost = build_network(kind, ports), CostModel()
-    pass_cycles = cost.noc_pass_cycles(network)
-    got = outcome(lambda: transfer(network, srcs, dsts,
-                                   pass_cycles=pass_cycles,
-                                   config_cycles=cost.noc_config_cycles))
-    want = outcome(lambda: ref_transfer(
-        kind, ports, list(zip(srcs, dsts, repeat(0))), pass_cycles,
-        cost.noc_config_cycles))
-    assert got == want
+    network = build_network(kind, ports)
+    got = outcome(lambda: transfer(network, srcs, dsts))
+    assert got == outcome(lambda: ref_transfer(
+        kind, ports, list(zip(srcs, dsts, repeat(0)))))
 
 
 def test_transfer_refuses_columns_of_unequal_length():

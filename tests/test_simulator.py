@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -6,7 +7,7 @@ import pytest
 import reference_sim as ref
 from mppsoc import simulator, topology
 from mppsoc.config import MpNocKind, MppSoCConfig, Neighborhood
-from mppsoc.mpnoc import MpNocNetwork
+from mppsoc.mpnoc import MpNocNetwork, build_network, transfer
 from mppsoc.simulator import (
     MAX_PES,
     BadOperand,
@@ -480,6 +481,36 @@ def test_reduce_cycles_match_hand_formula_router():
                    cost.noc_config_cycles for s in range(k)) + k * cost.op_cycles
     assert report.per_step_hop_counts == (1, 1, 1)
     assert report.total_cycles == expected
+
+
+@pytest.mark.parametrize("kind", list(MpNocKind))
+@pytest.mark.parametrize("rows, cols", [(2, 4), (8, 8)])
+def test_router_charge_is_the_cost_models_noc_cycles(kind, rows, cols):
+    """Every router transfer, in ``run`` and in ``reduce_sum``, costs
+    ``CostModel.noc_cycles`` of the passes the router schedules, and the
+    router takes no charge: its signature is the message columns."""
+    assert list(inspect.signature(transfer).parameters) == ["net", "srcs",
+                                                            "dsts"]
+    cost = CostModel(noc_pass_base=7, bus_pass_cycles=5, noc_config_cycles=3)
+    config = reduction_config(rows, cols, mpnoc=kind)
+    n = config.n_pes
+    net = build_network(kind, n)
+    program = load_program(
+        "MASK mod:2:0\nNOCSEND pe,idx+1,r0\nUNMASK\nNOCSEND pe,3,r0\n"
+        "NOCSEND acu,0,r0\nNOCSEND dev,0,r0\nMASK none\nNOCSEND pe,idx,r0\n"
+        "HALT")
+    sends = [(range(0, n, 2), range(1, n + 1, 2)), (range(n), [3] * n),
+             (range(n), [0] * n), (range(n), [0] * n), ([], [])]
+    report = run(SimMachine(config, cost), program)
+    assert report.cycles == len(program) * cost.issue_cycles + sum(
+        cost.noc_cycles(net, transfer(net, *send).passes) for send in sends)
+
+    steps = n.bit_length() - 1
+    charges = [cost.noc_cycles(net, transfer(
+        net, range(1 << s, n, 2 << s), range(0, n, 2 << s)).passes)
+        for s in range(steps)]
+    assert reduce_sum(config, range(n), cost).total_cycles == (
+        sum(charges) + steps * cost.op_cycles)
 
 
 def test_reduce_matches_sequential_fold_everywhere():
