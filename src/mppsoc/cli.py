@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from mppsoc.config import ConfigError, CostModel, parse_config
-from mppsoc.errors import MppSocError, int_text
+from mppsoc.errors import MppSocError, int_text, read_text
 from mppsoc.rewrite import (
     TEMPLATE_FILES,
     RewriteError,
@@ -43,8 +43,8 @@ def _load(path_text: str, parse):
     it, prefixing every problem with ``path:line``."""
     path = Path(path_text)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeError) as err:
+        text = read_text(path, ConfigError)
+    except OSError as err:
         raise ConfigError(f"{path}: cannot read: {err}") from err
     try:
         return parse(text)
@@ -53,21 +53,12 @@ def _load(path_text: str, parse):
         raise ConfigError(f"{location}: {err}") from err
 
 
-def _read_text(path: Path) -> str:
-    """A UTF-8 input file's text; one that does not decode is I/O
-    trouble (an ``OSError``), like one that cannot be opened."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeError as err:
-        raise OSError(f"{path}: cannot read: {err}") from err
-
-
 def _parse_values(spec: str, count: int) -> list[int]:
     """The values of ``--values``: ``A..B``, a comma list, or ``@FILE``
     with whitespace-separated values and ``#`` comments to end of line."""
     try:
         if spec.startswith("@"):
-            lines = _read_text(Path(spec[1:])).splitlines()
+            lines = read_text(Path(spec[1:]), OSError).splitlines()
             values = [int(t, 0) for line in lines
                       for t in line.partition("#")[0].split()]
         elif ".." in spec:
@@ -149,7 +140,7 @@ def _cmd_simulate(args) -> int:
                   else list(range(config.n_pes)))
         outcome = reduce_sum(config, values, cost)
     elif args.app.startswith("asm:"):
-        program = load_program(_read_text(Path(args.app[4:])))
+        program = load_program(read_text(Path(args.app[4:]), OSError))
         machine = SimMachine(config, cost)
         if args.values:
             machine.set_values(_parse_values(args.values, config.n_pes))
@@ -172,7 +163,7 @@ def _cmd_report(args) -> int:
         path = out_dir / name
         if path.is_file():
             found = True
-            print(path.read_text(encoding="utf-8").rstrip("\n"))
+            print(read_text(path, OSError).rstrip("\n"))
     if not found:
         print(f"error: no reports in {out_dir}", file=sys.stderr)
         return 2

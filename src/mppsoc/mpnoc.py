@@ -83,8 +83,9 @@ class PortOutOfRange(MppSocError):
 
 @dataclass(frozen=True)
 class RoutingResult:
-    """Outcome of routing one permutation: per-pass routed sets plus a
-    count of switch-output contentions encountered along the way."""
+    """Outcome of routing one permutation: the (src, dst) pairs of each
+    pass, and the first fit's conflicts, the sum of the messages' pass
+    indices as in ``TransferResult``."""
 
     passes: int
     per_pass: tuple[tuple[tuple[int, int], ...], ...]
@@ -194,24 +195,17 @@ def _greedy_passes(columns: list, width: int) -> tuple[list, int]:
 
 
 def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
-    """Route a full permutation of the ports.
-
-    Shared bus: one message per pass (serialization; conflicts = N-1
-    by convention).  Crossbar and delta: first-fit multi-pass routing
-    with lowest-source-first priority (see the module docstring); a
-    crossbar permutation never collides, so it takes one pass.
+    """Route a full permutation of the ports: message s goes from port
+    s to ``perm[s]``, scheduled by the first fit ``transfer`` runs, so
+    passes and conflicts (the sum of pass indices) equal
+    ``transfer(net, range(N), perm)``'s on every kind.  The shared bus
+    takes one message per pass; a crossbar permutation, one pass.
     """
     perm = list(perm)
     if sorted(perm) != list(range(net.ports)):
         raise NotAPermutation(
             f"expected a permutation of 0..{net.ports - 1}, got {perm!r}")
     pairs = list(enumerate(perm))
-
-    if net.kind is MpNocKind.SHARED_BUS:
-        per_pass = tuple((pair,) for pair in pairs)
-        return RoutingResult(passes=len(pairs), per_pass=per_pass,
-                             conflicts=len(pairs) - 1)
-
     passes, conflicts = _greedy_passes(
         net.resource_columns(range(net.ports), perm), net.ports)
     per_pass = tuple(tuple(map(pairs.__getitem__, p)) for p in passes)

@@ -31,7 +31,7 @@ from mppsoc.config import (
     Neighborhood,
     derive_geometry,
 )
-from mppsoc.errors import MppSocError, int_text
+from mppsoc.errors import MppSocError, int_text, read_text
 
 TEMPLATE_FILES = (
     "user_library.vhd",
@@ -335,15 +335,7 @@ def _load_template(directory: Path, name: str) -> TemplateFile:
     path = directory / name
     if not path.is_file():
         raise TemplateMissing(name, directory)
-    return TemplateFile.from_text(name, _read_text(path, RewriteError))
-
-
-def _read_text(path: Path, error: type[RewriteError]) -> str:
-    """The UTF-8 text of ``path``; ``error`` when it does not decode."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeError as err:
-        raise error(f"{path}: cannot read: {err}") from err
+    return TemplateFile.from_text(name, read_text(path, RewriteError))
 
 
 def check_memory_image(path: Path, max_words: int) -> int:
@@ -352,7 +344,7 @@ def check_memory_image(path: Path, max_words: int) -> int:
     word count."""
     if not path.is_file():
         raise MemoryImageError(f"memory image {path} does not exist")
-    text = _read_text(path, MemoryImageError)
+    text = read_text(path, MemoryImageError)
     words = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

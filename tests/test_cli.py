@@ -424,6 +424,15 @@ def test_report_empty_directory(tmp_path, capsys):
     assert single_error_line(capsys) == f"error: no reports in {tmp_path}"
 
 
+def test_report_non_utf8_report_is_io_error(tmp_path, capsys):
+    """A saved report that does not decode is I/O trouble, as any other
+    input is: exit 2 and one ``cannot read`` line, no traceback."""
+    path = tmp_path / "generation-report.kv"
+    path.write_bytes(b"files_written=\xff\n")
+    assert main(["report", "-o", str(tmp_path)]) == 2
+    assert single_error_line(capsys).startswith(f"error: {path}: cannot read")
+
+
 def test_simulate_unbuildable_topology_is_runtime_error(tmp_path, capsys):
     # A 1x2 ring passes the configuration rules but cannot be built.
     path = tmp_path / "tiny_ring.cfg"

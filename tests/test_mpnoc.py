@@ -98,11 +98,16 @@ def test_crossbar_single_pass_for_sampled_permutations():
 
 
 def test_shared_bus_serializes():
+    """The bus carries one message per pass, in source order, for a
+    permutation and a transfer alike.  Message k waits k passes, so N
+    messages meet N(N-1)/2 conflicts under both APIs; a permutation
+    once counted N-1 by a convention of its own."""
     net = build_network(MpNocKind.SHARED_BUS, 4)
-    result = route_permutation(net, [0, 1, 2, 3])
-    assert result.passes == 4
-    assert result.conflicts == 3
-    assert result.per_pass == (((0, 0),), ((1, 1),), ((2, 2),), ((3, 3),))
+    routed = route_permutation(net, [0, 1, 2, 3])
+    assert routed.per_pass == (((0, 0),), ((1, 1),), ((2, 2),), ((3, 3),))
+    sent = transfer(net, range(4), [0, 1, 2, 3])
+    assert ((routed.passes, routed.conflicts)
+            == (sent.passes, sent.conflicts) == (4, 0 + 1 + 2 + 3))
 
 
 def test_not_a_permutation():
@@ -180,20 +185,27 @@ def test_acu_broadcast_over_omega_serializes_like_any_messages():
         transfer(net, srcs, dsts, [0] * 8)
 
 
-def test_identity_over_shared_bus_serializes():
-    net = build_network(MpNocKind.SHARED_BUS, 4)
-    messages = [(pe, pe, pe * 10) for pe in range(4)]
-    result = transfer(net, *columns(messages))
-    assert (result.passes, result.conflicts) == (4, 0 + 1 + 2 + 3)
-
-
 def test_bit_reversal_transfer_matches_route_permutation():
-    net = build_network(MpNocKind.DELTA_OMEGA, 8)
-    perm = bit_reversal(3)
-    messages = [(src, dst, src) for src, dst in enumerate(perm)]
-    result = transfer(net, *columns(messages))
-    routed = route_permutation(net, perm)
-    assert (result.passes, result.conflicts) == (routed.passes, routed.conflicts)
+    """``route_permutation`` and ``transfer`` are one first fit: on every
+    kind a permutation gets the same passes and conflicts from both,
+    and conflicts is the sum of the messages' pass indices.  Bit
+    reversal at 8 ports on omega, then drawn permutations at every bus
+    and crossbar size up to 64 and every delta size 2..64."""
+    rng = random.Random(26)
+    cases = [(MpNocKind.DELTA_OMEGA, bit_reversal(3))]
+    for kind in MpNocKind:
+        sizes = ([1 << n for n in range(1, 7)] if kind in DELTAS
+                 else range(1, 65))
+        for ports in sizes:
+            for _ in range(3):
+                cases.append((kind, rng.sample(range(ports), ports)))
+    for kind, perm in cases:
+        net = build_network(kind, len(perm))
+        routed = route_permutation(net, perm)
+        sent = transfer(net, range(len(perm)), perm)
+        assert (routed.passes, routed.conflicts) == (sent.passes, sent.conflicts)
+        assert routed.conflicts == sum(
+            p * len(routed_pass) for p, routed_pass in enumerate(routed.per_pass))
 
 
 def sigma_of(kind, n_bits):

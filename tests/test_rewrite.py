@@ -451,7 +451,7 @@ def _refuse_read(path, error):
 def test_bundled_templates_are_read_once_per_process(monkeypatch):
     config = mesh16(mpnoc=MpNocKind.CROSSBAR)
     first = generate_in_memory(config)
-    monkeypatch.setattr(rewrite_module, "_read_text", _refuse_read)
+    monkeypatch.setattr(rewrite_module, "read_text", _refuse_read)
     assert generate_in_memory(config) == first
 
 
@@ -459,7 +459,7 @@ def test_a_failed_bundled_read_is_not_cached(monkeypatch):
     expected = generate_in_memory(mesh16())
     rewrite_module._bundled_template.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(rewrite_module, "_read_text", _refuse_read)
+        patch.setattr(rewrite_module, "read_text", _refuse_read)
         with pytest.raises(RewriteError, match="read again"):
             generate_in_memory(mesh16())
     assert generate_in_memory(mesh16()) == expected

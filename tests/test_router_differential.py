@@ -63,6 +63,16 @@ def ref_greedy_passes(records, resources_of):
     return passes, conflicts
 
 
+def ref_resources(kind, ports):
+    """What a (src, dst) record claims: the one bus, the crossbar output
+    at its destination, or the delta links on its oracle path."""
+    if kind is MpNocKind.SHARED_BUS:
+        return lambda rec: (("bus",),)
+    if kind is MpNocKind.CROSSBAR:
+        return lambda rec: (("out", rec[1]),)
+    return lambda rec: ref_path(kind, ports, rec[0], rec[1])
+
+
 def ref_route_permutation(kind, ports, perm):
     perm = list(perm)
     if sorted(perm) != list(range(ports)):
@@ -71,12 +81,7 @@ def ref_route_permutation(kind, ports, perm):
     pairs = list(enumerate(perm))
     if kind is MpNocKind.CROSSBAR:
         return RoutingResult(passes=1, per_pass=(tuple(pairs),), conflicts=0)
-    if kind is MpNocKind.SHARED_BUS:
-        return RoutingResult(passes=len(pairs),
-                             per_pass=tuple((pair,) for pair in pairs),
-                             conflicts=len(pairs) - 1)
-    passes, conflicts = ref_greedy_passes(
-        pairs, lambda rec: ref_path(kind, ports, rec[0], rec[1]))
+    passes, conflicts = ref_greedy_passes(pairs, ref_resources(kind, ports))
     return RoutingResult(passes=len(passes),
                          per_pass=tuple(tuple(p) for p in passes),
                          conflicts=conflicts)
@@ -89,13 +94,7 @@ def ref_transfer(kind, ports, messages):
     records = [(src, dst) for src, dst, _payload in messages]
     if not records:
         return TransferResult(passes=0, conflicts=0)
-    if kind is MpNocKind.SHARED_BUS:
-        resources_of = lambda rec: (("bus",),)  # noqa: E731
-    elif kind is MpNocKind.CROSSBAR:
-        resources_of = lambda rec: (("out", rec[1]),)  # noqa: E731
-    else:
-        resources_of = lambda rec: ref_path(kind, ports, rec[0], rec[1])  # noqa: E731
-    passes, conflicts = ref_greedy_passes(records, resources_of)
+    passes, conflicts = ref_greedy_passes(records, ref_resources(kind, ports))
     return TransferResult(passes=len(passes), conflicts=conflicts)
 
 
