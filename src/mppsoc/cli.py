@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from mppsoc.config import ConfigError, CostModel, parse_config
-from mppsoc.errors import MppSocError, int_text, read_text
+from mppsoc.errors import MppSocError, content_lines, int_text, read_text
 from mppsoc.rewrite import (
     TEMPLATE_FILES,
     RewriteError,
@@ -42,10 +42,7 @@ def _load(path_text: str, parse):
     """Read a ``key = value`` file (configuration or cost model) and parse
     it, prefixing every problem with ``path:line``."""
     path = Path(path_text)
-    try:
-        text = read_text(path, ConfigError)
-    except OSError as err:
-        raise ConfigError(f"{path}: cannot read: {err}") from err
+    text = read_text(path, ConfigError)
     try:
         return parse(text)
     except ConfigError as err:
@@ -55,12 +52,13 @@ def _load(path_text: str, parse):
 
 def _parse_values(spec: str, count: int) -> list[int]:
     """The values of ``--values``: ``A..B``, a comma list, or ``@FILE``
-    with whitespace-separated values and ``#`` comments to end of line."""
+    with whitespace-separated values on the lines ``content_lines``
+    keeps."""
     try:
         if spec.startswith("@"):
-            lines = read_text(Path(spec[1:]), OSError).splitlines()
-            values = [int(t, 0) for line in lines
-                      for t in line.partition("#")[0].split()]
+            text = read_text(Path(spec[1:]), OSError)
+            values = [int(t, 0) for _, line in content_lines(text)
+                      for t in line.split()]
         elif ".." in spec:
             lo, hi = spec.split("..", 1)
             values = range(int(lo), int(hi) + 1)

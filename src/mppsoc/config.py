@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from mppsoc.errors import MppSocError
+from mppsoc.errors import MppSocError, content_lines
 
 if TYPE_CHECKING:
     from mppsoc.mpnoc import MpNocNetwork
@@ -81,11 +81,11 @@ class UnknownKey(ConfigError):
 
 
 class BadValue(ConfigError):
-    def __init__(self, key: str, token: str, line: int | None = None, why: str = ""):
-        detail = f" ({why})" if why else ""
-        super().__init__(f"bad value for '{key}': {token!r}{detail}", line)
+    def __init__(self, key: str, token: str, line: int, why: str):
+        super().__init__(f"bad value for '{key}': {token!r} ({why})", line)
         self.key = key
         self.token = token
+        self.why = why
 
 
 class MissingRequiredKey(ConfigError):
@@ -109,11 +109,38 @@ class NotDivisible(ConfigError):
         self.word_bytes = word_bytes
 
 
-def _is_vhdl_file_name(name: str) -> bool:
-    """Whether ``name`` can be spliced into a VHDL string literal that a
-    rerun of generate reads back as one whitespace token: printable and
-    free of ``"`` and spaces (every other whitespace is unprintable)."""
-    return '"' not in name and " " not in name and name.isprintable()
+def _positive(value: int):
+    if not isinstance(value, int) or value < 1:
+        raise ValueError("must be an integer >= 1")
+
+
+def _file_name(name: str):
+    """The rule of ``mem_init``: a name that a config line holds whole
+    (no ``#``) and a rerun of generate reads back from a VHDL string
+    literal as one token (printable, no ``"`` or space)."""
+    if not name:
+        raise ValueError("must not be empty")
+    if "#" in name or '"' in name or " " in name or not name.isprintable():
+        raise ValueError("must not hold '#', '\"', whitespace or "
+                         "unprintable characters")
+
+
+def _charge(value: int):
+    # A negative charge would run the clock backwards, and a charge
+    # past 32 bits could make ``cycles`` too long to print.
+    if not 0 <= value < 1 << 32:
+        raise ValueError(f"must be in 0..{(1 << 32) - 1}")
+
+
+def _check_fields(instance, rules: dict):
+    """Apply each field's rule to its set value, naming the field."""
+    for name, rule in rules.items():
+        value = getattr(instance, name)
+        if value is not None:
+            try:
+                rule(value)
+            except ValueError as err:
+                raise ValueError(f"{name} {err}") from None
 
 
 @dataclass(frozen=True)
@@ -136,13 +163,7 @@ class MppSoCConfig:
     mem_init: str | None = None
 
     def __post_init__(self):
-        for name in ("rows", "cols", "acu_mem_bytes", "pe_mem_bytes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.mem_init is not None and not _is_vhdl_file_name(self.mem_init):
-            raise ValueError("mem_init must not hold '\"', whitespace or "
-                             f"unprintable characters, got {self.mem_init!r}")
+        _check_fields(self, _CONFIG_RULES)
 
     @property
     def n_pes(self) -> int:
@@ -180,84 +201,80 @@ def derive_geometry(nbytes: int, word_bytes: int = WORD_BYTES) -> MemoryGeometry
 
 
 _REQUIRED_KEYS = ("rows", "cols", "acu_mem_bytes", "pe_mem_bytes")
-_INT_KEYS = frozenset(_REQUIRED_KEYS)
-_ENUM_KEYS = {
-    "processor": Processor,
-    "methodology": Methodology,
-    "neighborhood": Neighborhood,
-    "mpnoc": MpNocKind,
-}
+# One rule per checked field, which the constructor and the file reader
+# both apply.
+_CONFIG_RULES = {**dict.fromkeys(_REQUIRED_KEYS, _positive),
+                 "mem_init": _file_name}
 
 
-def _kv_lines(text: str):
-    """Yield (lineno, key, value) for each ``key = value`` line.
-
-    Blank lines and ``#`` comments are skipped; whitespace around key and
-    value is dropped.  Raises BadValue for a line without ``=`` or with an
-    empty key.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq or not key:
-            raise BadValue(line.split()[0], line, lineno,
-                           "expected 'key = value'")
-        yield lineno, key, value.strip()
-
-
-def _parse_int(key: str, token: str, line: int) -> int:
+def _integer(token: str) -> int:
     try:
         return int(token, 10)
     except ValueError:
-        raise BadValue(key, token, line, "expected an integer") from None
+        raise ValueError("expected an integer") from None
 
 
-def _parse_enum(key: str, token: str, line: int, enum_cls):
-    try:
-        return enum_cls(token)
-    except ValueError:
-        valid = ", ".join(member.value for member in enum_cls)
-        raise BadValue(key, token, line, f"expected one of: {valid}") from None
+def _member(enum_cls):
+    def parse(token: str):
+        try:
+            return enum_cls(token)
+        except ValueError:
+            valid = ", ".join(member.value for member in enum_cls)
+            raise ValueError(f"expected one of: {valid}") from None
+    return parse
+
+
+# Key -> token parser, in the order serialize_config writes the keys.
+_CONFIG_PARSERS = {
+    "processor": _member(Processor),
+    "methodology": _member(Methodology),
+    **dict.fromkeys(_REQUIRED_KEYS, _integer),
+    "neighborhood": _member(Neighborhood),
+    "mpnoc": _member(MpNocKind),
+    "mem_init": str,
+}
+
+
+def _read_kv(text: str, parsers: dict, rules: dict) -> dict:
+    """The ``key = value`` lines of ``text``, each value parsed by its
+    key's entry in ``parsers`` and checked by its rule, if it has one; a
+    key set twice keeps its last value.  Raises UnknownKey or BadValue,
+    both with the line number."""
+    values = {}
+    for lineno, line in content_lines(text):
+        key, eq, token = line.partition("=")
+        key, token = key.strip(), token.strip()
+        if not eq or not key:
+            raise BadValue(line.split()[0], line, lineno,
+                           "expected 'key = value'")
+        parse = parsers.get(key)
+        if parse is None:
+            raise UnknownKey(key, lineno)
+        try:
+            values[key] = parse(token)
+            if key in rules:
+                rules[key](values[key])
+        except ValueError as err:
+            raise BadValue(key, token, lineno, str(err)) from None
+    return values
 
 
 def parse_config(text: str) -> MppSoCConfig:
     """Parse configuration file text into an MppSoCConfig.
 
-    Grammar: each line is blank, a ``#`` comment, or ``key = value`` with
-    optional surrounding whitespace.  Unset optional keys take their
-    defaults.  When the same key appears twice the last occurrence wins.
-
-    ``mem_init`` must be printable and free of ``"`` and whitespace.
+    Grammar: each line that ``content_lines`` keeps is ``key = value``
+    with optional surrounding whitespace.  Unset optional keys take
+    their defaults.  Each value meets its field's rule in MppSoCConfig.
 
     Raises UnknownKey, BadValue, MissingRequiredKey or NoNetworkSelected.
     """
-    seen: dict[str, object] = {}
-    for lineno, key, value in _kv_lines(text):
-        if key in _INT_KEYS:
-            seen[key] = _parse_int(key, value, lineno)
-            if seen[key] < 1:
-                raise BadValue(key, value, lineno, "must be >= 1")
-        elif key in _ENUM_KEYS:
-            seen[key] = _parse_enum(key, value, lineno, _ENUM_KEYS[key])
-        elif key == "mem_init":
-            if not value:
-                raise BadValue(key, value, lineno, "empty file name")
-            if not _is_vhdl_file_name(value):
-                raise BadValue(key, value, lineno, "must not hold '\"', "
-                               "whitespace or unprintable characters")
-            seen[key] = value
-        else:
-            raise UnknownKey(key, lineno)
-
+    seen = _read_kv(text, _CONFIG_PARSERS, _CONFIG_RULES)
     for key in _REQUIRED_KEYS:
         if key not in seen:
             raise MissingRequiredKey(key)
     if "neighborhood" not in seen and "mpnoc" not in seen:
         raise NoNetworkSelected()
-    return MppSoCConfig(**seen)  # type: ignore[arg-type]
+    return MppSoCConfig(**seen)
 
 
 @dataclass
@@ -274,12 +291,7 @@ class CostModel:
     boundary_value: int = 0      # received at array edges on non-wrapping nets
 
     def __post_init__(self):
-        # A negative charge would run the clock backwards, and a charge
-        # past 32 bits could make ``cycles`` too long to print.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "boundary_value" and not 0 <= value < 1 << 32:
-                raise ValueError(f"{f.name} must be in 0..{(1 << 32) - 1}")
+        _check_fields(self, _COST_RULES)
 
     @classmethod
     def from_text(cls, text: str) -> "CostModel":
@@ -287,18 +299,7 @@ class CostModel:
 
         Raises UnknownKey or BadValue, both with the line number.
         """
-        names = {f.name for f in fields(cls)}
-        values = {}
-        for lineno, key, token in _kv_lines(text):
-            if key not in names:
-                raise UnknownKey(key, lineno)
-            value = _parse_int(key, token, lineno)
-            try:
-                cls(**{key: value})  # __post_init__ holds the range rule
-            except ValueError as err:
-                raise BadValue(key, token, lineno, str(err)) from None
-            values[key] = value
-        return cls(**values)
+        return cls(**_read_kv(text, _COST_PARSERS, _COST_RULES))
 
     def noc_pass_cycles(self, net: MpNocNetwork) -> int:
         """Transit cycles of one router pass: noc_pass_base per routing
@@ -316,23 +317,22 @@ class CostModel:
         return passes * self.noc_pass_cycles(net) + self.noc_config_cycles
 
 
-def serialize_config(config: MppSoCConfig) -> str:
-    """Emit the canonical file form of a configuration.
+# Every charge is in 0..2^32-1; boundary_value is any integer.
+_COST_RULES = {f.name: _charge for f in fields(CostModel)
+               if f.name != "boundary_value"}
+_COST_PARSERS = {f.name: _integer for f in fields(CostModel)}
 
-    parse_config(serialize_config(c)) == c for every parseable config.
+
+def serialize_config(config: MppSoCConfig) -> str:
+    """Emit the canonical file form of a configuration: one line per set
+    key, in the order of _CONFIG_PARSERS.
+
+    parse_config(serialize_config(c)) == c for every config.
     """
-    lines = [
-        f"processor = {config.processor.value}",
-        f"methodology = {config.methodology.value}",
-        f"rows = {config.rows}",
-        f"cols = {config.cols}",
-        f"acu_mem_bytes = {config.acu_mem_bytes}",
-        f"pe_mem_bytes = {config.pe_mem_bytes}",
-    ]
-    if config.neighborhood is not None:
-        lines.append(f"neighborhood = {config.neighborhood.value}")
-    if config.mpnoc is not None:
-        lines.append(f"mpnoc = {config.mpnoc.value}")
-    if config.mem_init is not None:
-        lines.append(f"mem_init = {config.mem_init}")
-    return "\n".join(lines) + "\n"
+    lines = []
+    for key in _CONFIG_PARSERS:
+        value = getattr(config, key)
+        if value is not None:
+            text = value.value if isinstance(value, enum.Enum) else value
+            lines.append(f"{key} = {text}\n")
+    return "".join(lines)

@@ -1,7 +1,9 @@
-"""Common exception base for the toolkit.
+"""Common exception base and text front end for the toolkit.
 
 Every module-specific error derives from MppSocError so callers (notably
 the CLI) can map failures to exit codes without enumerating modules.
+Text inputs break into lines by ``split_lines`` and, templates aside,
+are read through ``content_lines``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,24 @@ def int_text(value: int) -> str:
 
 def read_text(path: Path, error: type[Exception]) -> str:
     """The UTF-8 text of ``path``; ``error`` saying ``PATH: cannot
-    read: …`` when it does not decode."""
+    read: …`` when it cannot be opened or does not decode."""
     try:
         return path.read_text(encoding="utf-8")
-    except UnicodeError as err:
+    except (OSError, UnicodeError) as err:
         raise error(f"{path}: cannot read: {err}") from err
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, broken only at ``\\n``, ``\\r\\n`` and
+    ``\\r``, as an editor numbers them (unlike ``str.splitlines``)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def content_lines(text: str):
+    """Yield ``(lineno, content)`` for every line of ``text`` that holds
+    more than a comment: a ``#`` starts a comment that runs to the end
+    of its line, and the rest is stripped of surrounding whitespace."""
+    for lineno, line in enumerate(split_lines(text), 1):
+        content = line.partition("#")[0].strip()
+        if content:
+            yield lineno, content

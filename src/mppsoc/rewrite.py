@@ -31,7 +31,13 @@ from mppsoc.config import (
     Neighborhood,
     derive_geometry,
 )
-from mppsoc.errors import MppSocError, int_text, read_text
+from mppsoc.errors import (
+    MppSocError,
+    content_lines,
+    int_text,
+    read_text,
+    split_lines,
+)
 
 TEMPLATE_FILES = (
     "user_library.vhd",
@@ -153,8 +159,7 @@ class TemplateFile:
 
     @classmethod
     def from_text(cls, name: str, text: str) -> "TemplateFile":
-        normalized = text.replace("\r\n", "\n").replace("\r", "\n")
-        return cls(name=name, lines=tuple(normalized.split("\n")))
+        return cls(name=name, lines=tuple(split_lines(text)))
 
     def to_text(self) -> str:
         return "\n".join(self.lines)
@@ -339,17 +344,13 @@ def _load_template(directory: Path, name: str) -> TemplateFile:
 
 
 def check_memory_image(path: Path, max_words: int) -> int:
-    """Validate a memory image file: one hex 32-bit word per line,
-    ``#`` comments allowed, word count within the memory.  Returns the
+    """Validate a memory image file: one hex 32-bit word per line, read
+    by ``content_lines``, word count within the memory.  Returns the
     word count."""
     if not path.is_file():
         raise MemoryImageError(f"memory image {path} does not exist")
-    text = read_text(path, MemoryImageError)
     words = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(read_text(path, MemoryImageError)):
         if not re.fullmatch(r"[0-9a-fA-F]{1,8}", line):
             raise MemoryImageError(
                 f"{path}:{lineno}: {line!r} is not a 32-bit hex word")

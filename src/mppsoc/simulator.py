@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from mppsoc.config import CostModel, MppSoCConfig
-from mppsoc.errors import MppSocError, int_text
+from mppsoc.errors import MppSocError, content_lines, int_text
 from mppsoc.mpnoc import MpNocNetwork, PortOutOfRange, build_network, transfer
 from mppsoc.topology import (
     LANE_BITS,
@@ -65,21 +65,17 @@ class SimulationError(MppSocError):
         self.line = line
 
 
-class ProgramError(SimulationError):
-    pass
-
-
-class UnknownMnemonic(ProgramError):
+class UnknownMnemonic(SimulationError):
     def __init__(self, mnemonic: str, line: int):
         super().__init__(f"unknown mnemonic '{mnemonic}'", line)
 
 
-class BadOperand(ProgramError):
+class BadOperand(SimulationError):
     def __init__(self, detail: str, line: int):
         super().__init__(f"bad operand: {detail}", line)
 
 
-class MissingHalt(ProgramError):
+class MissingHalt(SimulationError):
     def __init__(self):
         super().__init__("program does not end with HALT")
 
@@ -162,60 +158,60 @@ _DST_EXPR_RE = re.compile(r"^idx([+-]\d+)?$|^-?\d+$", re.IGNORECASE)
 _PREDICATE_RE = re.compile(r"^(all|none|even|odd|(lt|ge):\d+|mod:\d+:\d+)$")
 
 
-def _parse_register(token: str, line: int) -> int:
+def _parse_register(token: str) -> int:
     match = _REG_RE.match(token)
     if not match:
-        raise BadOperand(f"expected a register r0..r7, got {token!r}", line)
+        raise ValueError(f"expected a register r0..r7, got {token!r}")
     return int(match.group(1))
 
 
-def _parse_int(token: str, line: int) -> int:
+def _parse_int(token: str) -> int:
     try:
         return int(token, 10)
     except ValueError:
-        raise BadOperand(f"expected an integer, got {token!r}", line) from None
+        raise ValueError(f"expected an integer, got {token!r}") from None
 
 
-def _parse_direction(token: str, line: int) -> str:
+def _parse_direction(token: str) -> str:
     direction = token.upper()
     if direction not in OPPOSITE:
-        raise BadOperand(f"unknown direction {direction!r}", line)
+        raise ValueError(f"unknown direction {direction!r}")
     return direction
 
 
-def _parse_mode(token: str, line: int) -> MpNocMode:
+def _parse_mode(token: str) -> MpNocMode:
     try:
         return MpNocMode(token.lower())
     except ValueError:
-        raise BadOperand(f"unknown mode {token!r} (pe, acu or dev)",
-                         line) from None
+        raise ValueError(f"unknown mode {token!r} (pe, acu or dev)") from None
 
 
 # The next two parsers check every number through ``_parse_int`` (one
-# too long for ``int`` is a BadOperand) but return the operand as text.
+# too long for ``int`` is a bad operand) but return the operand as text.
 
 
-def _parse_dst_expr(token: str, line: int) -> str:
+def _parse_dst_expr(token: str) -> str:
     if not _DST_EXPR_RE.match(token):
-        raise BadOperand(f"bad destination expression {token!r}", line)
+        raise ValueError(f"bad destination expression {token!r}")
     expr = token.lower()
     number = expr[3:] if expr.startswith("idx") else expr
     if number:
-        _parse_int(number, line)
+        _parse_int(number)
     return expr
 
 
-def _parse_predicate(token: str, line: int) -> str:
+def _parse_predicate(token: str) -> str:
     pred = token.lower()
     if not _PREDICATE_RE.match(pred):
-        raise BadOperand(f"bad predicate {token!r}", line)
-    numbers = [_parse_int(field, line) for field in pred.split(":")[1:]]
+        raise ValueError(f"bad predicate {token!r}")
+    numbers = [_parse_int(field) for field in pred.split(":")[1:]]
     if pred.startswith("mod:") and numbers[0] < 1:
-        raise BadOperand(f"bad predicate {token!r} (modulus must be >= 1)", line)
+        raise ValueError(f"bad predicate {token!r} (modulus must be >= 1)")
     return pred
 
 
-# Mnemonic -> one parser per comma-separated operand, in order.
+# Mnemonic -> one parser per comma-separated operand, in order; a
+# parser raises ValueError, which load_program reports as BadOperand.
 _OPERAND_PARSERS = {
     "HALT": (),
     "UNMASK": (),
@@ -230,27 +226,28 @@ _OPERAND_PARSERS = {
 
 
 def load_program(text: str) -> SimProgram:
-    """Parse assembly text: one instruction per line, ``#`` comments.
+    """Parse assembly text: one instruction per line that
+    ``content_lines`` keeps, a mnemonic then comma-separated operands.
 
     Direction and router availability are checked at execution, not
     here, so one program can target several machine shapes.
     """
     instructions: list[Instruction] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        mnemonic, _, rest = line.partition(" ")
+    for lineno, line in content_lines(text):
+        mnemonic = line.split(None, 1)[0]
         op = mnemonic.upper()
         parsers = _OPERAND_PARSERS.get(op)
         if parsers is None:
             raise UnknownMnemonic(mnemonic, lineno)
-        rest = rest.strip()
+        rest = line[len(mnemonic):].strip()
         tokens = [t.strip() for t in rest.split(",")] if rest else []
-        if len(tokens) != len(parsers) or not all(tokens):
-            raise BadOperand(f"{op} takes {len(parsers)} comma-separated "
-                             f"operands, got {rest!r}", lineno)
-        args = tuple(parse(token, lineno) for parse, token in zip(parsers, tokens))
+        try:
+            if len(tokens) != len(parsers) or not all(tokens):
+                raise ValueError(f"{op} takes {len(parsers)} comma-separated "
+                                 f"operands, got {rest!r}")
+            args = tuple(parse(token) for parse, token in zip(parsers, tokens))
+        except ValueError as err:
+            raise BadOperand(str(err), lineno) from None
         instructions.append(Instruction(op, args, lineno))
 
     if not instructions or instructions[-1].op != "HALT":

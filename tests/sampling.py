@@ -18,6 +18,21 @@ from mppsoc.topology import DimensionMismatch, check_dimensions
 
 MEM_CHOICES = (4, 64, 256, 1024, 4096, 65536)
 
+# ``mem_init`` names as drawn: empty, or holding ``#``, ``"``, spaces,
+# other whitespace or unprintable characters among them (line breaks
+# aside, which a config file cannot hold inside a value).
+file_names = st.text(
+    st.sampled_from('ab.x"# =\\-\t\x0c') | st.characters(
+        blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+    max_size=12)
+
+
+def is_file_name(name):
+    """The ``mem_init`` rule, restated: non-empty, printable and free of
+    ``#`` (a comment in a config file), ``"`` and spaces."""
+    return bool(name) and name.isprintable() and not set('#" ') & set(name)
+
+
 # Configurations that construct, as hypothesis draws them; a byte size
 # need not be a whole number of words.
 valid_configs = st.builds(
@@ -30,7 +45,7 @@ valid_configs = st.builds(
     methodology=st.sampled_from(Methodology),
     neighborhood=st.one_of(st.none(), st.sampled_from(Neighborhood)),
     mpnoc=st.sampled_from(MpNocKind),
-    mem_init=st.one_of(st.none(), st.just("image.mif")),
+    mem_init=st.one_of(st.none(), file_names.filter(is_file_name)),
 )
 
 

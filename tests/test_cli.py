@@ -381,13 +381,17 @@ def test_simulate_send_too_far_to_print_is_runtime_error(cfg, tmp_path,
 @pytest.mark.parametrize("option, prefix, data", [
     ("--app", "asm:", b"LDI r0,\xff\nHALT\n"),
     ("--values", "@", b"\xff\xfe 1 2\n"),
+    ("--app", "asm:", None),
+    ("--values", "@", None),
 ])
 def test_simulate_non_utf8_program_is_io_error(cfg, tmp_path, capsys,
                                                option, prefix, data):
-    """A program or values file that is not UTF-8 is I/O trouble: exit 2
-    and one ``cannot read`` line, as for a file that cannot be opened."""
+    """A program or values file that is not UTF-8 (or, with no data,
+    cannot be opened) is I/O trouble: exit 2 and one ``cannot read``
+    line."""
     path = tmp_path / "input.txt"
-    path.write_bytes(data)
+    if data is not None:
+        path.write_bytes(data)
     assert main(["simulate", str(cfg), option, f"{prefix}{path}",
                  "-o", str(tmp_path / "out")]) == 2
     assert single_error_line(capsys).startswith(f"error: {path}: cannot read")
@@ -880,7 +884,9 @@ _EXTRA_LINES = st.sampled_from([
     "# comment", "", "rows", "= 4", "warp = 9", "rows = 4 4",
     "processor = minimips", "processor = nios", "methodology = reduction",
     "methodology = other", "mem_init = image.hex", "mem_init = missing.hex",
-    'mem_init = a"b.hex'])
+    'mem_init = a"b.hex', "rows = 4  # grid", "mpnoc = crossbar#bus",
+    "mem_init = image.hex # words", "mem_init = # none", "= 4 # four",
+    "warp = 9 # speed"])
 
 
 @st.composite
@@ -904,7 +910,8 @@ _COST_LINES = st.tuples(
     st.sampled_from([f.name for f in fields(CostModel)] * 3
                     + ["warp_speed", "# c", ""]),
     st.sampled_from(["0", "1", "2", "3"] * 3 + ["-1", "4294967296", "x"]),
-).map(" = ".join)
+    st.sampled_from(["", "", "  # note", "#"]),
+).map(lambda parts: " = ".join(parts[:2]) + parts[2])
 
 
 @st.composite

@@ -17,7 +17,7 @@ from mppsoc.config import (
     parse_config,
     serialize_config,
 )
-from sampling import valid_configs
+from sampling import file_names, is_file_name, valid_configs
 
 BASIC = ("processor=minimips\nmethodology=replication\nrows=2\ncols=4\n"
          "acu_mem_bytes=4096\npe_mem_bytes=1024\nmpnoc=crossbar")
@@ -125,6 +125,50 @@ def test_config_refuses_mem_init_that_is_not_one_token(name):
 @given(valid_configs)
 def test_serialize_parse_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+BASIC_FIELDS = dict(rows=2, cols=4, acu_mem_bytes=4096, pe_mem_bytes=1024,
+                    methodology=Methodology.REPLICATION,
+                    mpnoc=MpNocKind.CROSSBAR)
+
+
+def _built(name):
+    """``mem_init`` as MppSoCConfig holds it, or the reason it refuses."""
+    try:
+        return MppSoCConfig(**BASIC_FIELDS, mem_init=name).mem_init
+    except ValueError as err:
+        return str(err)
+
+
+def _parsed(name):
+    """``mem_init`` as parse_config reads it from a ``mem_init = name``
+    line, or the reason it refuses."""
+    try:
+        return parse_config(BASIC + f"\nmem_init = {name}\n").mem_init
+    except BadValue as err:
+        return f"{err.key} {err.why}"
+
+
+@given(file_names)
+def test_mem_init_names_round_trip_or_are_refused_alike(name):
+    """Every name MppSoCConfig accepts survives serialize_config ->
+    parse_config.  A ``mem_init`` line reads as the constructor takes
+    what the line holds before any ``#``, stripped: the same name, or a
+    refusal for the same reason."""
+    assert (_built(name) == name) == is_file_name(name)
+    if is_file_name(name):
+        config = MppSoCConfig(**BASIC_FIELDS, mem_init=name)
+        assert parse_config(serialize_config(config)) == config
+    assert _parsed(name) == _built(name.partition("#")[0].strip())
+
+
+@pytest.mark.parametrize("name", ["", "#", "#a.hex", "a#b.hex"])
+def test_mem_init_refuses_empty_names_and_names_holding_a_comment(name):
+    """The constructor refuses ``""`` and every name holding ``#``; the
+    file reader cuts a name at ``#`` and refuses an empty rest for the
+    constructor's reason."""
+    assert _built(name).startswith("mem_init must not")
+    assert _parsed(name) == _built(name.partition("#")[0])
 
 
 def test_derive_geometry_examples():

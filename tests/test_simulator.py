@@ -87,6 +87,12 @@ def test_load_accepts_comments_and_case():
     assert [i.op for i in program.instructions] == ["LDI", "HALT"]
 
 
+def test_load_splits_the_mnemonic_at_any_whitespace():
+    program = load_program("LDI\tr0, 1\nADD\x0br1,r0,r0\nHALT")
+    assert [(i.op, i.args) for i in program.instructions] == [
+        ("LDI", (0, 1)), ("ADD", (1, 0, 0)), ("HALT", ())]
+
+
 def test_movd_direction_binding_is_deferred_to_run():
     # Loading succeeds; execution on a linear machine fails.
     program = load_program("MOVD r0,NE\nHALT")

@@ -149,6 +149,7 @@ def test_generated_values_are_lexemes_over_a_grid(image_dir):
 @settings(max_examples=100, deadline=None)
 @given(config=valid_configs.map(lambda config: replace(
     config, acu_mem_bytes=4 * config.acu_mem_bytes,
-    pe_mem_bytes=4 * config.pe_mem_bytes)))
+    pe_mem_bytes=4 * config.pe_mem_bytes,
+    mem_init=config.mem_init and "image.mif")))
 def test_generated_values_are_lexemes_for_drawn_configs(image_dir, config):
     assert_rewrites_are_lexemes(config, image_dir)
