@@ -50,20 +50,28 @@ def _load(path_text: str, parse):
         raise ConfigError(f"{location}: {err}") from err
 
 
+def _value(token: str, base: int = 0) -> int:
+    """One ``--values`` integer: Python's integer literal (``0x``, ``0o``
+    and ``0b`` prefixes too) in ASCII."""
+    if not token.isascii():
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token, base)
+
+
 def _parse_values(spec: str, count: int) -> list[int]:
-    """The values of ``--values``: ``A..B``, a comma list, or ``@FILE``
-    with whitespace-separated values on the lines ``content_lines``
-    keeps."""
+    """The values of ``--values``: ``A..B`` in decimal, a comma list, or
+    ``@FILE`` with whitespace-separated values on the lines
+    ``content_lines`` keeps."""
     try:
         if spec.startswith("@"):
             text = read_text(Path(spec[1:]), OSError)
-            values = [int(t, 0) for _, line in content_lines(text)
+            values = [_value(t) for _, line in content_lines(text)
                       for t in line.split()]
         elif ".." in spec:
             lo, hi = spec.split("..", 1)
-            values = range(int(lo), int(hi) + 1)
+            values = range(_value(lo, 10), _value(hi, 10) + 1)
         else:
-            values = [int(t, 0) for t in spec.split(",") if t.strip()]
+            values = [_value(t) for t in spec.split(",") if t.strip()]
     except ValueError as err:
         raise SimulationError(f"--values {spec!r}: {err}") from None
     # A range is counted before it is listed, so a wide one costs nothing

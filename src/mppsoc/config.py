@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from mppsoc.errors import MppSocError, content_lines
+from mppsoc.errors import MppSocError, content_lines, decimal_int
 
 if TYPE_CHECKING:
     from mppsoc.mpnoc import MpNocNetwork
@@ -207,13 +207,6 @@ _CONFIG_RULES = {**dict.fromkeys(_REQUIRED_KEYS, _positive),
                  "mem_init": _file_name}
 
 
-def _integer(token: str) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ValueError("expected an integer") from None
-
-
 def _member(enum_cls):
     def parse(token: str):
         try:
@@ -228,7 +221,7 @@ def _member(enum_cls):
 _CONFIG_PARSERS = {
     "processor": _member(Processor),
     "methodology": _member(Methodology),
-    **dict.fromkeys(_REQUIRED_KEYS, _integer),
+    **dict.fromkeys(_REQUIRED_KEYS, decimal_int),
     "neighborhood": _member(Neighborhood),
     "mpnoc": _member(MpNocKind),
     "mem_init": str,
@@ -320,7 +313,7 @@ class CostModel:
 # Every charge is in 0..2^32-1; boundary_value is any integer.
 _COST_RULES = {f.name: _charge for f in fields(CostModel)
                if f.name != "boundary_value"}
-_COST_PARSERS = {f.name: _integer for f in fields(CostModel)}
+_COST_PARSERS = {f.name: decimal_int for f in fields(CostModel)}
 
 
 def serialize_config(config: MppSoCConfig) -> str:

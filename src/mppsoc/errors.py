@@ -3,7 +3,8 @@
 Every module-specific error derives from MppSocError so callers (notably
 the CLI) can map failures to exit codes without enumerating modules.
 Text inputs break into lines by ``split_lines`` and, templates aside,
-are read through ``content_lines``.
+are read through ``content_lines``.  Config, cost-model and assembly
+integers are read through ``decimal_int``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,20 @@ def int_text(value: int) -> str:
         return str(value)
     except ValueError:
         return ("-" if value < 0 else "") + f"<{value.bit_length()}-bit integer>"
+
+
+def decimal_int(token: str) -> int:
+    """The integer that ``token`` spells as an optional sign and ASCII
+    digits, the one integer form of config, cost-model and assembly
+    text; ValueError for anything else, such as the ``_`` separators and
+    non-ASCII digits that ``int`` also takes."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # past Python's limit on decimal digits
+            pass
+    raise ValueError("expected an integer")
 
 
 def read_text(path: Path, error: type[Exception]) -> str:

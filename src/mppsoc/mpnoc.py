@@ -208,7 +208,10 @@ def route_permutation(net: MpNocNetwork, perm) -> RoutingResult:
     pairs = list(enumerate(perm))
     passes, conflicts = _greedy_passes(
         net.resource_columns(range(net.ports), perm), net.ports)
-    per_pass = tuple(tuple(map(pairs.__getitem__, p)) for p in passes)
+    if len(passes) == len(pairs):  # one message per pass, in source order
+        per_pass = tuple(zip(pairs))
+    else:
+        per_pass = tuple(tuple(map(pairs.__getitem__, p)) for p in passes)
     return RoutingResult(passes=len(passes), per_pass=per_pass,
                          conflicts=conflicts)
 

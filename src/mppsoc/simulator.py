@@ -7,17 +7,18 @@ global-router sends (NOCSEND).  reduce_sum ships the recursive-doubling
 reduction as the built-in application.
 
 The machine state is stored as packed columns: each register and each
-touched memory word is one int with a 64-bit lane per PE (SIMD within a
-register; Fisher & Dietz, LCPC 1998, and ``mppsoc.topology``).  Each
-instruction is then a few whole-int operations over the array, the way
-the SIMD hardware applies it, rather than a loop over PEs.  Every MASK
-predicate selects one slice of the PE indices, a ``range``; its lane
-mask holds 0xFFFFFFFF in each active lane and its complement in each
-idle one.  A masked write is ``old & idle | new & lanes``, which also
-truncates the new words to 32 bits.  MOVD is the topology's packed shift
-of one column, and under the full mask a run of k identical MOVDs is one
-k-hop shift (a shift over a distance, as the MasPar X-Net issues it;
-Blank, COMPCON 1990), still charged and counted as k instructions.
+touched memory word is one int with a 40-bit lane per PE, the word and
+8 guard bits (SIMD within a register; Fisher & Dietz, LCPC 1998, and
+``mppsoc.topology``).  Each instruction is then a few whole-int
+operations over the array, the way the SIMD hardware applies it, rather
+than a loop over PEs.  Every MASK predicate selects one slice of the PE
+indices, a ``range``; its lane mask holds 0xFFFFFFFF in each active lane
+and 0 in each idle one.  A masked write is ``old ^ (old ^ new) & lanes``,
+or ``new & lanes`` under the full mask; either truncates the new words
+to 32 bits.  MOVD is the topology's packed shift of one column, and
+under the full mask a run of k identical MOVDs is one k-hop shift (a
+shift over a distance, as the MasPar X-Net issues it; Blank, COMPCON
+1990), still charged and counted as k instructions.
 
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  Nothing else advances the clock.
@@ -33,7 +34,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from mppsoc.config import CostModel, MppSoCConfig
-from mppsoc.errors import MppSocError, content_lines, int_text
+from mppsoc.errors import MppSocError, content_lines, decimal_int, int_text
 from mppsoc.mpnoc import MpNocNetwork, PortOutOfRange, build_network, transfer
 from mppsoc.topology import (
     LANE_BITS,
@@ -47,9 +48,9 @@ from mppsoc.topology import (
     unpack,
 )
 
-_SIGN_FILL = WORD_MASK << 32  # the upper half of a negative int64 lane
+_SIGN_FILL = (1 << LANE_BITS) - 1 ^ WORD_MASK  # a lane's guard bits
 _REGISTER_COUNT = 8
-MAX_PES = 1 << 20  # eight register columns of 2^20 64-bit lanes: ~64 MiB
+MAX_PES = 1 << 20  # eight register columns of 2^20 40-bit lanes: ~40 MiB
 
 
 def _wrap(value: int) -> int:
@@ -154,8 +155,8 @@ class SimProgram:
 
 
 _REG_RE = re.compile(r"^r([0-7])$", re.IGNORECASE)
-_DST_EXPR_RE = re.compile(r"^idx([+-]\d+)?$|^-?\d+$", re.IGNORECASE)
-_PREDICATE_RE = re.compile(r"^(all|none|even|odd|(lt|ge):\d+|mod:\d+:\d+)$")
+_DST_EXPR_RE = re.compile(r"^(?:(idx)([+-][0-9]+)?|(-?[0-9]+))$", re.IGNORECASE)
+_PREDICATE_RE = re.compile(r"^(?:(lt|ge):([0-9]+)|(mod):([0-9]+):([0-9]+))$")
 
 
 def _parse_register(token: str) -> int:
@@ -167,7 +168,7 @@ def _parse_register(token: str) -> int:
 
 def _parse_int(token: str) -> int:
     try:
-        return int(token, 10)
+        return decimal_int(token)
     except ValueError:
         raise ValueError(f"expected an integer, got {token!r}") from None
 
@@ -186,28 +187,42 @@ def _parse_mode(token: str) -> MpNocMode:
         raise ValueError(f"unknown mode {token!r} (pe, acu or dev)") from None
 
 
-# The next two parsers check every number through ``_parse_int`` (one
-# too long for ``int`` is a bad operand) but return the operand as text.
+# The next two parsers return an operand as its kind and its numbers,
+# each read by ``_parse_int`` (one too long for ``int`` is a bad operand).
 
 
-def _parse_dst_expr(token: str) -> str:
-    if not _DST_EXPR_RE.match(token):
+def _parse_dst_expr(token: str) -> tuple[str, int]:
+    """``("idx", K)`` for ``idx±K`` (K = 0 for ``idx``), ``("pe", P)``
+    for PE P."""
+    match = _DST_EXPR_RE.match(token)
+    if not match:
         raise ValueError(f"bad destination expression {token!r}")
-    expr = token.lower()
-    number = expr[3:] if expr.startswith("idx") else expr
-    if number:
-        _parse_int(number)
-    return expr
+    relative, offset, target = match.groups()
+    if relative:
+        return "idx", _parse_int(offset) if offset else 0
+    return "pe", _parse_int(target)
 
 
-def _parse_predicate(token: str) -> str:
+# MASK predicates that are spelled as another one.
+_ALL = ("ge", 0)
+_PREDICATE_ALIASES = {"all": _ALL, "none": ("lt", 0),
+                      "even": ("mod", 2, 0), "odd": ("mod", 2, 1)}
+
+
+def _parse_predicate(token: str) -> tuple:
+    """``("lt", K)``, ``("ge", K)`` or ``("mod", M, R)``, with the
+    aliases spelled out."""
     pred = token.lower()
-    if not _PREDICATE_RE.match(pred):
+    if pred in _PREDICATE_ALIASES:
+        return _PREDICATE_ALIASES[pred]
+    match = _PREDICATE_RE.match(pred)
+    if not match:
         raise ValueError(f"bad predicate {token!r}")
-    numbers = [_parse_int(field) for field in pred.split(":")[1:]]
-    if pred.startswith("mod:") and numbers[0] < 1:
+    kind, *fields = filter(None, match.groups())
+    numbers = tuple(map(_parse_int, fields))
+    if kind == "mod" and numbers[0] < 1:
         raise ValueError(f"bad predicate {token!r} (modulus must be >= 1)")
-    return pred
+    return (kind, *numbers)
 
 
 # Mnemonic -> one parser per comma-separated operand, in order; a
@@ -255,22 +270,18 @@ def load_program(text: str) -> SimProgram:
     return SimProgram(instructions=tuple(instructions))
 
 
-# MASK predicates that are spelled as another one.
-_PREDICATE_ALIASES = {"all": "ge:0", "none": "lt:0",
-                      "even": "mod:2:0", "odd": "mod:2:1"}
-
-
-def _active_range(pred: str, n: int) -> range:
-    """The PEs that one MASK predicate makes active.  Every predicate
-    selects one slice of the PE indices: a prefix, a suffix or every
-    m-th PE from r on."""
-    head, _, rest = _PREDICATE_ALIASES.get(pred, pred).partition(":")
-    if head == "mod":
-        modulus, remainder = map(int, rest.split(":"))
-        start = min(remainder, n)  # the lane mask shifts by the start
-        return range(start, n, modulus) if remainder < modulus else range(0)
-    split = min(int(rest), n)
-    return range(split) if head == "lt" else range(split, n)
+def _active_range(pred: tuple, n: int) -> range:
+    """The PEs that one loaded MASK predicate makes active.  Every
+    predicate selects one slice of the PE indices: a prefix, a suffix or
+    every m-th PE from r on."""
+    kind = pred[0]
+    if kind == "lt":
+        return range(min(pred[1], n))
+    if kind == "ge":
+        return range(min(pred[1], n), n)
+    _, modulus, remainder = pred
+    start = min(remainder, n)  # the lane mask shifts by the start
+    return range(start, n, modulus) if remainder < modulus else range(0)
 
 
 @lru_cache(maxsize=8)
@@ -297,8 +308,8 @@ class SimMachine:
     every PE's local memory; a column is created by the first store to
     its address and absent words read 0, so memory costs nothing until
     it is used.  ``active`` is the range of PE indices that the last
-    MASK made active, ``lanes`` its lane mask and ``idle`` the mask of
-    the other lanes; instructions write only the active lanes.
+    MASK made active, ``lanes`` its lane mask and ``partial`` whether
+    any PE is idle; instructions write only the active lanes.
     """
 
     def __init__(self, config: MppSoCConfig, cost: CostModel | None = None):
@@ -320,26 +331,27 @@ class SimMachine:
     def reset(self):
         self.regs = [0] * _REGISTER_COUNT
         self.mem: dict[int, int] = {}
-        self.set_mask("all")
+        self.set_mask(_ALL)
         self.acu_mailbox: list[int] = []
         self.device_sink: list[int] = []
         self.cycles = 0
 
-    def set_mask(self, pred: str):
-        """Make the PEs that satisfy a (loaded) MASK predicate active.
-        The full mask leaves ``idle`` 0, which a MOVD run reads; any
-        other range takes its lanes from ``_range_lanes``."""
+    def set_mask(self, pred: tuple):
+        """Make the PEs that satisfy a loaded MASK predicate active.  The
+        full mask (UNMASK and its like) is not ``partial``, which a MOVD
+        run reads; any other range takes its lanes from
+        ``_range_lanes``."""
         active = self.active = _active_range(pred, self.n_pes)
-        if len(active) == self.n_pes:  # UNMASK and its like: no idle lane
-            self.lanes, self.idle = self.full, 0
-            return
-        self.lanes = _range_lanes(len(active), active.step, active.start)
-        self.idle = self.full ^ self.lanes
+        self.partial = len(active) != self.n_pes
+        self.lanes = (_range_lanes(len(active), active.step, active.start)
+                      if self.partial else self.full)
 
     def masked(self, old: int, new: int) -> int:
         """``new``'s 32-bit words in the active lanes, ``old``'s in the
-        others.  Under the full mask ``old & idle`` costs nothing."""
-        return old & self.idle | new & self.lanes
+        others; under the full mask ``old`` is not read."""
+        if self.partial:
+            return old ^ (old ^ new) & self.lanes
+        return new & self.lanes
 
     def column(self, reg: int) -> list[int]:
         """Register ``reg`` of every PE, in PE order."""
@@ -476,7 +488,7 @@ class SimReport:
 # -- one whole-column body per opcode ------------------------------------
 
 
-def _op_mask(machine: SimMachine, pred: str = "all"):
+def _op_mask(machine: SimMachine, pred: tuple = _ALL):
     machine.set_mask(pred)
 
 
@@ -518,7 +530,7 @@ def _op_movd(machine: SimMachine, reg: int, direction: str, hops: int = 1):
         raise DirectionUnavailable(direction, kind)
     machine.cycles += hops * machine.cost.hop_cycles
     fill, column = machine.boundary, machine.regs[reg]
-    if not machine.idle:  # every sender active, every lane written
+    if not machine.partial:  # every sender active, every lane written
         machine.regs[reg] = graph.shift(column, direction, fill, hops)
         return
     for _ in range(hops):
@@ -528,7 +540,7 @@ def _op_movd(machine: SimMachine, reg: int, direction: str, hops: int = 1):
     machine.regs[reg] = column
 
 
-def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
+def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst: tuple, reg: int):
     """Send every active PE's word over the router and charge its
     passes through ``CostModel.noc_cycles``.  The router gets the
     senders and destinations as columns of ports: the active range and,
@@ -545,15 +557,14 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
     if net is None:
         raise NocUnavailable()
     senders, column = machine.active, machine.regs[reg]
+    kind, number = dst
     if mode is not MpNocMode.PE_TO_PE:
         destinations = [0] * len(senders)
-    elif dst_expr.startswith("idx"):
-        offset = int(dst_expr[3:] or 0)
-        destinations = range(senders.start + offset, senders.stop + offset,
+    elif kind == "idx":
+        destinations = range(senders.start + number, senders.stop + number,
                              senders.step)
     else:
-        target = int(dst_expr)
-        destinations = [target] * len(senders)
+        destinations = [number] * len(senders)
     result = transfer(net, senders, destinations)
     machine.cycles += machine.cost.noc_cycles(net, result.passes)
     if mode is not MpNocMode.PE_TO_PE:
@@ -565,15 +576,15 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst_expr: str, reg: int):
             sink.extend(unpack(lanes, span)[::senders.step])
     elif isinstance(destinations, range):
         # Distinct destinations: each active one gets exactly one word,
-        # from the lane ``offset`` below it.  The router has checked that
-        # every destination is a PE, so the shift is under N lanes.
+        # from the lane K = ``number`` below it.  The router has checked
+        # that every destination is a PE, so the shift is under N lanes.
         if senders:
-            receivers = machine.lanes & shift_lanes(machine.lanes, offset)
+            receivers = machine.lanes & shift_lanes(machine.lanes, number)
             machine.regs[reg] = column ^ (
-                column ^ shift_lanes(column, offset)) & receivers
-    elif target in senders:
-        word = column >> LANE_BITS * senders[-1] ^ column >> LANE_BITS * target
-        machine.regs[reg] = column ^ (word & WORD_MASK) << LANE_BITS * target
+                column ^ shift_lanes(column, number)) & receivers
+    elif number in senders:
+        word = column >> LANE_BITS * senders[-1] ^ column >> LANE_BITS * number
+        machine.regs[reg] = column ^ (word & WORD_MASK) << LANE_BITS * number
 
 
 _EXECUTE = {

@@ -7,9 +7,11 @@ programs can name ports: E/W along rows, N/S along columns, plus the
 four diagonals for xnet.
 
 A column of per-PE words is packed into one non-negative int: PE i's
-32-bit word sits in lane i, bits ``64*i`` to ``64*i+31``, and the 32
+32-bit word sits in lane i, bits ``40*i`` to ``40*i+31``, and the 8
 bits above it are guard bits that hold 0 between instructions (a carry
-out of an add lands there, never in the next lane).  A graph stores only
+out of an add lands there, never in the next lane).  A lane is a whole
+number of bytes, so ``pack`` and ``unpack`` convert through int64
+arrays with one strided byte slice per lane byte.  A graph stores only
 its kind and shape.  ``TopologyGraph.shift`` moves a packed column one
 or more hops (MOVD) with one bit shift and a few masks per binary digit
 of the hop count, and ``adjacency`` is a lazy view: that shift of the
@@ -54,9 +56,12 @@ _DIRECTIONS_BY_KIND = {
 
 _WRAPPING_KINDS = frozenset({Neighborhood.RING, Neighborhood.TORUS2D})
 
-LANE_BITS = 64  # a PE's lane: its 32-bit word and 32 guard bits
+LANE_BITS = 40  # a PE's lane: its 32-bit word and 8 guard bits
 WORD_MASK = 0xFFFFFFFF
+_LANE_BYTES = LANE_BITS // 8
 _SWAP = sys.byteorder == "big"  # packed lanes are little-endian
+# Byte -> the byte that extends its top bit as a sign.
+_SIGN_BYTES = bytes(128) + b"\xff" * 128
 
 
 def spread(pattern: int, count: int, stride: int = 1) -> int:
@@ -75,20 +80,34 @@ def shift_lanes(column: int, lanes: int) -> int:
 
 
 def pack(words) -> int:
-    """The packed column of int64 ``words``, word i in lane i (a negative
-    one in two's complement); OverflowError for a word beyond int64."""
-    lanes = array("q", words)
+    """The packed column of int64 ``words``: the low ``LANE_BITS`` bits
+    of word i (two's complement for a negative one) in lane i.
+    OverflowError for a word beyond int64."""
+    words = array("q", words)
     if _SWAP:
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
+        words.byteswap()
+    raw = words.tobytes()
+    lanes = bytearray(_LANE_BYTES * len(words))
+    for k in range(_LANE_BYTES):
+        lanes[k::_LANE_BYTES] = raw[k::8]
+    return int.from_bytes(lanes, "little")
 
 
 def unpack(column: int, n: int, signed: bool = False) -> array:
-    """The n lanes of a packed column as uint64, or int64 if ``signed``."""
-    lanes = array("q" if signed else "Q", column.to_bytes(8 * n, "little"))
+    """The n lanes of a packed column as uint64, or as int64 if
+    ``signed``: each lane's top bit extends as its sign."""
+    lanes = column.to_bytes(_LANE_BYTES * n, "little")
+    raw = bytearray(8 * n)
+    for k in range(_LANE_BYTES):
+        raw[k::8] = lanes[k::_LANE_BYTES]
+    if signed:
+        sign = lanes[_LANE_BYTES - 1::_LANE_BYTES].translate(_SIGN_BYTES)
+        for k in range(_LANE_BYTES, 8):
+            raw[k::8] = sign
+    words = array("q" if signed else "Q", raw)
     if _SWAP:
-        lanes.byteswap()
-    return lanes
+        words.byteswap()
+    return words
 
 
 class DimensionMismatch(MppSocError):

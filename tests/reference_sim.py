@@ -12,9 +12,11 @@ Second, ``NOCSEND`` takes only the pass count from the router, charges
 it as passes times the pass charge plus one configuration charge, and
 delivers from its own message list in sender order: the mode names the
 sink, the ACU mailbox and device sink append every word, and an active
-PE-mode receiver keeps the last word aimed at it.  Program loading,
-the error types, the cost model and ``SimReport`` are shared with the
-package; only the execution semantics are restated here.
+PE-mode receiver keeps the last word aimed at it.  Program loading
+(which reads a MASK predicate and a NOCSEND destination into a kind and
+its numbers), the error types, the cost model and ``SimReport`` are
+shared with the package; only the execution semantics are restated
+here.
 MOVD walks the per-PE adjacency dicts of ``topology_reference``, not
 the package's grid shift, so the two share no neighbour arithmetic.
 
@@ -54,28 +56,22 @@ def _signed(value: int) -> int:
     return value - (1 << 32) if value >> 31 else value
 
 
-def _evaluate_mask(pred: str, idx: int) -> bool:
-    if pred == "all":
-        return True
-    if pred == "none":
-        return False
-    if pred == "even":
-        return idx % 2 == 0
-    if pred == "odd":
-        return idx % 2 == 1
-    head, _, rest = pred.partition(":")
-    if head == "lt":
-        return idx < int(rest)
-    if head == "ge":
-        return idx >= int(rest)
-    modulus, remainder = rest.split(":")
-    return idx % int(modulus) == int(remainder)
+def _evaluate_mask(pred: tuple, idx: int) -> bool:
+    """Whether PE ``idx`` satisfies a loaded MASK predicate: ``("lt",
+    K)``, ``("ge", K)`` or ``("mod", M, R)``."""
+    kind, number = pred[0], pred[1]
+    if kind == "lt":
+        return idx < number
+    if kind == "ge":
+        return idx >= number
+    return idx % number == pred[2]
 
 
-def _evaluate_dst(expr: str, idx: int) -> int:
-    if expr.startswith("idx"):
-        return idx + (int(expr[3:]) if len(expr) > 3 else 0)
-    return int(expr)
+def _evaluate_dst(dst: tuple, idx: int) -> int:
+    """PE ``idx``'s destination under a loaded NOCSEND destination:
+    ``("idx", K)`` or ``("pe", P)``."""
+    kind, number = dst
+    return idx + number if kind == "idx" else number
 
 
 class SimMachine:
@@ -217,7 +213,7 @@ def _execute_movd(machine: SimMachine, instr: Instruction):
 
 
 def _execute_nocsend(machine: SimMachine, instr: Instruction):
-    mode, dst_expr, reg = instr.args
+    mode, dst_operand, reg = instr.args
     net = machine.mpnoc
     if net is None:
         raise NocUnavailable()
@@ -226,7 +222,7 @@ def _execute_nocsend(machine: SimMachine, instr: Instruction):
         if not machine.pe_active[pe]:
             continue
         if mode is MpNocMode.PE_TO_PE:
-            dst = _evaluate_dst(dst_expr, pe)
+            dst = _evaluate_dst(dst_operand, pe)
             if not 0 <= dst < machine.n_pes:
                 raise PortOutOfRange(pe, dst, machine.n_pes)
         else:

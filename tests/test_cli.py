@@ -342,6 +342,39 @@ def test_simulate_huge_operand_is_load_error(cfg, tmp_path, capsys, operand):
     assert line.endswith("(line 2)")
 
 
+@pytest.mark.parametrize("token", ["1_6", "\uff14", "\u0663", "0x10", "+-4"])
+@pytest.mark.parametrize("where, code", [("config", 1), ("cost", 1),
+                                         ("program", 3)])
+def test_integers_are_a_sign_and_ascii_digits(cfg, tmp_path, capsys, token,
+                                               where, code):
+    """Config, cost-model and assembly integers are an optional sign and
+    ASCII digits: ``_`` separators, a fullwidth or Arabic-Indic digit or
+    a prefix, all of which ``int`` takes or half takes, end in one
+    ``error:`` line and the file's exit code."""
+    texts = {"config": VALID_CFG, "cost": "hop_cycles = +2\n",
+             "program": "LDI r0, -7\nHALT\n"}
+    texts[where] = {"config": VALID_CFG.replace("rows = 4", f"rows = {token}"),
+                    "cost": f"hop_cycles = {token}\n",
+                    "program": f"LDI r0, {token}\nHALT\n"}[where]
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "config"), "--cost-model",
+                 str(tmp_path / "cost"), "--app", f"asm:{tmp_path / 'program'}",
+                 "-o", str(tmp_path / "out")]) == code
+    assert "expected an integer" in single_error_line(capsys)
+
+
+@pytest.mark.parametrize("spec", ["0..\u0661\u0665", "\u0663" + ",1" * 15,
+                                  "@values.txt"])
+def test_values_are_ascii(cfg, tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "values.txt").write_text("0x3 " * 15 + "\uff14\n",
+                                         encoding="utf-8")
+    assert main(["simulate", str(cfg), "--values", spec,
+                 "-o", str(tmp_path / "out")]) == 3
+    assert "not an ASCII integer" in single_error_line(capsys)
+
+
 @pytest.mark.parametrize("source, message", [
     ("NOCSEND pe,idx+1,r0\nHALT\n", "message 15->16 outside 0..15 (line 1)"),
     ("LDI r0,1\nMOVD r0,NE\nHALT\n",

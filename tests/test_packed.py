@@ -1,5 +1,5 @@
 """Property tests for the packed columns: one int per register or
-memory column, PE i's word in the 64-bit lane i."""
+memory column, PE i's word in lane i, ``LANE_BITS`` wide."""
 
 import random
 from collections.abc import Sequence
@@ -9,8 +9,16 @@ import reference_sim as ref
 from hypothesis import given, settings, strategies as st
 
 from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
-from mppsoc.simulator import SimMachine, _active_range, load_program, run
+from mppsoc.simulator import (
+    _SIGN_FILL,
+    SimMachine,
+    _active_range,
+    _parse_predicate,
+    load_program,
+    run,
+)
 from mppsoc.topology import (
+    LANE_BITS,
     WORD_MASK,
     build_topology,
     pack,
@@ -30,14 +38,25 @@ def random_words(seed, n, low, high):
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32))
 def test_pack_unpack_round_trip(n, seed):
-    words = random_words(seed, n, 0, 1 << 32)
+    """Words that fit a lane read back as they were, unsigned and
+    signed; any int64 word keeps its low 32 bits under the word mask."""
+    words = random_words(seed, n, 0, 1 << LANE_BITS)
     column = pack(words)
-    assert column < 1 << 64 * n
+    assert column < 1 << LANE_BITS * n
     assert list(unpack(column, n)) == words
+    half = 1 << LANE_BITS - 1
+    signed = random_words(seed, n, -half, half)
+    assert list(unpack(pack(signed), n, signed=True)) == signed
     wide = random_words(seed, n, -(1 << 63), 1 << 63)
-    assert list(unpack(pack(wide), n, signed=True)) == wide
     assert list(unpack(pack(wide) & spread(WORD_MASK, n), n)) == [
         w & WORD_MASK for w in wide]
+
+
+def test_a_lane_is_whole_bytes_and_holds_a_sum():
+    """``pack`` and ``unpack`` move whole bytes per lane, and the sum of
+    two 32-bit words (33 bits) stays inside its lane."""
+    assert LANE_BITS % 8 == 0
+    assert LANE_BITS >= 33
 
 
 def test_spread_places_a_pattern_every_stride_lanes():
@@ -97,11 +116,38 @@ def test_mask_lanes_match_the_active_range(n, data):
     machine = SimMachine(MppSoCConfig(rows=1, cols=n, acu_mem_bytes=64,
                                       pe_mem_bytes=4))
     run(machine, load_program(f"MASK {pred}\nHALT"))
-    active = _active_range(pred, n)
+    loaded = _parse_predicate(pred)
+    active = _active_range(loaded, n)
     assert machine.active == active
-    want = [WORD_MASK if ref._evaluate_mask(pred, pe) else 0 for pe in range(n)]
+    want = [WORD_MASK if ref._evaluate_mask(loaded, pe) else 0 for pe in range(n)]
     assert list(unpack(machine.lanes, n)) == want
-    assert list(unpack(machine.idle, n)) == [WORD_MASK - w for w in want]
+    # A masked write takes the active lanes' words from the new column
+    # and keeps the others' from the old one.
+    full = spread(WORD_MASK, n)
+    assert machine.masked(0, full) == machine.lanes
+    assert list(unpack(machine.masked(full, 0), n)) == [WORD_MASK - w for w in want]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from((1, 3, 4096)), data=st.data())
+def test_adds_of_full_words_leave_every_guard_byte_clear(n, data):
+    """ADDs of all-0xFFFFFFFF columns, each carrying out of every lane,
+    under random MASKs leave every guard bit 0, and the report reads
+    each word back sign-extended from its bit 31."""
+    lines = ["LDI r1, -1", "LDI r2, -1"]
+    for pred in data.draw(st.lists(predicates(n), min_size=1, max_size=6)):
+        lines += [f"MASK {pred}", "ADD r1, r1, r2", "ADD r3, r2, r2",
+                  "ADD r2, r2, r2"]
+    machine = SimMachine(MppSoCConfig(rows=1, cols=n, acu_mem_bytes=64,
+                                      pe_mem_bytes=4))
+    report = run(machine, load_program("\n".join(lines + ["HALT"])))
+    guard = spread(_SIGN_FILL, n)
+    assert all(column & guard == 0 for column in machine.regs)
+    for reg in (1, 2, 3):
+        assert [row[reg] for row in report.registers] == [
+            signed_word(word) for word in machine.column(reg)]
+    for word in (-1, -(1 << 31), -(1 << LANE_BITS - 1), (1 << LANE_BITS - 1) - 1):
+        assert list(unpack(pack([word] * n), n, signed=True)) == [word] * n
 
 
 SHAPES = tuple((kind, rows, cols)

@@ -8,7 +8,7 @@ from reference_sim import _evaluate_mask
 from topology_reference import reference_adjacency
 
 from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
-from mppsoc.simulator import SimMachine, load_program, run
+from mppsoc.simulator import SimMachine, _parse_predicate, load_program, run
 from mppsoc.topology import (
     OPPOSITE,
     WORD_MASK,
@@ -231,7 +231,7 @@ def test_shift_and_masked_movd_match_dict_walk(shape, data):
     machine = SimMachine(config, CostModel(boundary_value=boundary))
     machine.set_column(1, column)
     run(machine, load_program(f"MASK {pred}\nMOVD r1, {direction}\nHALT"))
-    active = [_evaluate_mask(pred, pe) for pe in range(n)]
+    active = [_evaluate_mask(_parse_predicate(pred), pe) for pe in range(n)]
     assert machine.column(1) == [
         column[pe] if not active[pe]
         else column[s] if s is not None and active[s] else boundary
