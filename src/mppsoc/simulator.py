@@ -12,13 +12,15 @@ touched memory word is one int with a 40-bit lane per PE, the word and
 ``mppsoc.topology``).  Each instruction is then a few whole-int
 operations over the array, the way the SIMD hardware applies it, rather
 than a loop over PEs.  Every MASK predicate selects one slice of the PE
-indices, a ``range``; its lane mask holds 0xFFFFFFFF in each active lane
-and 0 in each idle one.  A masked write is ``old ^ (old ^ new) & lanes``,
-or ``new & lanes`` under the full mask; either truncates the new words
-to 32 bits.  MOVD is the topology's packed shift of one column, and
-under the full mask a run of k identical MOVDs is one k-hop shift (a
-shift over a distance, as the MasPar X-Net issues it; Blank, COMPCON
-1990), still charged and counted as k instructions.
+indices and loads as that slice's ``(start, stop, step)``; slicing
+``range(N)`` with it gives the active PEs, whose lane mask holds
+0xFFFFFFFF in each active lane and 0 in each idle one.  A masked write
+is ``old ^ (old ^ new) & lanes``, or ``new & lanes`` under the full
+mask; either truncates the new words to 32 bits.  MOVD is the
+topology's packed shift of one column, and under the full mask a run
+of k identical MOVDs is one k-hop shift (a shift over a distance, as
+the MasPar X-Net issues it; Blank, COMPCON 1990), still charged and
+counted as k instructions.
 
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  Nothing else advances the clock.
@@ -33,7 +35,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
 
-from mppsoc.config import CostModel, MppSoCConfig
+from mppsoc.config import WORD_BYTES, CostModel, MppSoCConfig
 from mppsoc.errors import MppSocError, content_lines, decimal_int, int_text
 from mppsoc.mpnoc import MpNocNetwork, PortOutOfRange, build_network, transfer
 from mppsoc.topology import (
@@ -48,7 +50,6 @@ from mppsoc.topology import (
     unpack,
 )
 
-_SIGN_FILL = (1 << LANE_BITS) - 1 ^ WORD_MASK  # a lane's guard bits
 _REGISTER_COUNT = 8
 MAX_PES = 1 << 20  # eight register columns of 2^20 40-bit lanes: ~40 MiB
 
@@ -203,15 +204,18 @@ def _parse_dst_expr(token: str) -> tuple[str, int]:
     return "pe", _parse_int(target)
 
 
-# MASK predicates that are spelled as another one.
-_ALL = ("ge", 0)
-_PREDICATE_ALIASES = {"all": _ALL, "none": ("lt", 0),
-                      "even": ("mod", 2, 0), "odd": ("mod", 2, 1)}
+# A loaded MASK predicate is the ``(start, stop, step)`` of the slice of
+# the PE indices it selects, ``stop`` None for "to the end" (a tuple, as
+# a ``slice`` is unhashable before Python 3.12).
+_ALL = (0, None, 1)
+_NONE = (0, 0, 1)
+_PREDICATE_ALIASES = {"all": _ALL, "none": _NONE,
+                      "even": (0, None, 2), "odd": (1, None, 2)}
 
 
 def _parse_predicate(token: str) -> tuple:
-    """``("lt", K)``, ``("ge", K)`` or ``("mod", M, R)``, with the
-    aliases spelled out."""
+    """``lt:K`` as ``(0, K, 1)``, ``ge:K`` as ``(K, None, 1)`` and
+    ``mod:M:R`` as ``(R, None, M)``, or as no PE when R >= M."""
     pred = token.lower()
     if pred in _PREDICATE_ALIASES:
         return _PREDICATE_ALIASES[pred]
@@ -220,9 +224,14 @@ def _parse_predicate(token: str) -> tuple:
         raise ValueError(f"bad predicate {token!r}")
     kind, *fields = filter(None, match.groups())
     numbers = tuple(map(_parse_int, fields))
-    if kind == "mod" and numbers[0] < 1:
+    if kind == "lt":
+        return 0, numbers[0], 1
+    if kind == "ge":
+        return numbers[0], None, 1
+    modulus, remainder = numbers
+    if modulus < 1:
         raise ValueError(f"bad predicate {token!r} (modulus must be >= 1)")
-    return (kind, *numbers)
+    return (remainder, None, modulus) if remainder < modulus else _NONE
 
 
 # Mnemonic -> one parser per comma-separated operand, in order; a
@@ -268,20 +277,6 @@ def load_program(text: str) -> SimProgram:
     if not instructions or instructions[-1].op != "HALT":
         raise MissingHalt()
     return SimProgram(instructions=tuple(instructions))
-
-
-def _active_range(pred: tuple, n: int) -> range:
-    """The PEs that one loaded MASK predicate makes active.  Every
-    predicate selects one slice of the PE indices: a prefix, a suffix or
-    every m-th PE from r on."""
-    kind = pred[0]
-    if kind == "lt":
-        return range(min(pred[1], n))
-    if kind == "ge":
-        return range(min(pred[1], n), n)
-    _, modulus, remainder = pred
-    start = min(remainder, n)  # the lane mask shifts by the start
-    return range(start, n, modulus) if remainder < modulus else range(0)
 
 
 @lru_cache(maxsize=8)
@@ -337,11 +332,11 @@ class SimMachine:
         self.cycles = 0
 
     def set_mask(self, pred: tuple):
-        """Make the PEs that satisfy a loaded MASK predicate active.  The
-        full mask (UNMASK and its like) is not ``partial``, which a MOVD
-        run reads; any other range takes its lanes from
-        ``_range_lanes``."""
-        active = self.active = _active_range(pred, self.n_pes)
+        """Make the slice of the PEs that a loaded MASK predicate selects
+        active; slicing clamps its bounds to the N PEs.  The full mask
+        (UNMASK and its like) is not ``partial``, which a MOVD run reads;
+        any other range takes its lanes from ``_range_lanes``."""
+        active = self.active = range(self.n_pes)[slice(*pred)]
         self.partial = len(active) != self.n_pes
         self.lanes = (_range_lanes(len(active), active.step, active.start)
                       if self.partial else self.full)
@@ -366,9 +361,9 @@ class SimMachine:
         if len(words) != self.n_pes:
             raise ValueError(f"expected {self.n_pes} values, got {len(words)}")
         try:
-            return pack(words) & self.full
+            return pack(words)
         except OverflowError:  # a word beyond int64
-            return pack(map(_wrap, words)) & self.full
+            return pack(map(_wrap, words))
 
     # -- PE memory (word-aligned byte addressing) -------------------------
 
@@ -383,7 +378,7 @@ class SimMachine:
         self.mem[addr] = column ^ (old ^ _wrap(value)) << LANE_BITS * pe
 
     def _check_addr(self, pe: int, addr: int):
-        if addr < 0 or addr % 4 != 0 or addr + 4 > self.config.pe_mem_bytes:
+        if addr < 0 or addr % WORD_BYTES or addr + WORD_BYTES > self.config.pe_mem_bytes:
             raise MemoryOutOfBounds(pe, addr)
 
     def _word_access(self, addr: int) -> bool:
@@ -433,14 +428,8 @@ class _LaneRows(Sequence):
         n = self._n
         if not self._columns:
             return iter(((),) * n)
-        if self._signed:  # bit 31 fills the guard bits of its lane
-            ones = _all_lanes(n)[0]
-            lanes = [unpack(col | (col >> 31 & ones) * _SIGN_FILL, n, signed=True)
-                     if col else repeat(0, n) for col in self._columns]
-        else:
-            lanes = [unpack(col, n) if col else repeat(0, n)
-                     for col in self._columns]
-        return zip(*lanes)
+        return zip(*(unpack(col, n, self._signed) if col else repeat(0, n)
+                     for col in self._columns))
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _LaneRows)):
@@ -638,8 +627,8 @@ def run(machine: SimMachine, program: SimProgram,
     memory_words = None
     if snapshot_memory:
         memory_words = _LaneRows(
-            tuple(machine.mem.get(addr, 0)
-                  for addr in range(0, machine.config.pe_mem_bytes - 3, 4)),
+            tuple(machine.mem.get(addr, 0) for addr in range(
+                0, machine.config.pe_mem_bytes - WORD_BYTES + 1, WORD_BYTES)),
             n, signed=False)
     return SimReport(
         cycles=machine.cycles,

@@ -9,9 +9,10 @@ four diagonals for xnet.
 A column of per-PE words is packed into one non-negative int: PE i's
 32-bit word sits in lane i, bits ``40*i`` to ``40*i+31``, and the 8
 bits above it are guard bits that hold 0 between instructions (a carry
-out of an add lands there, never in the next lane).  A lane is a whole
-number of bytes, so ``pack`` and ``unpack`` convert through int64
-arrays with one strided byte slice per lane byte.  A graph stores only
+out of an add lands there, never in the next lane).  ``pack`` and
+``unpack`` move only the 4 word bytes of each lane, through int64
+arrays with one strided byte slice per word byte: ``pack`` leaves the
+guard byte 0 and ``unpack`` never reads it.  A graph stores only
 its kind and shape.  ``TopologyGraph.shift`` moves a packed column one
 or more hops (MOVD) with one bit shift and a few masks per binary digit
 of the hop count, and ``adjacency`` is a lazy view: that shift of the
@@ -26,7 +27,12 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from mppsoc.config import ONE_D_NEIGHBORHOODS, TWO_D_NEIGHBORHOODS, Neighborhood
+from mppsoc.config import (
+    ONE_D_NEIGHBORHOODS,
+    TWO_D_NEIGHBORHOODS,
+    WORD_BYTES,
+    Neighborhood,
+)
 from mppsoc.errors import MppSocError
 
 # Direction label -> (row delta, col delta).  N decreases the row index.
@@ -57,7 +63,7 @@ _DIRECTIONS_BY_KIND = {
 _WRAPPING_KINDS = frozenset({Neighborhood.RING, Neighborhood.TORUS2D})
 
 LANE_BITS = 40  # a PE's lane: its 32-bit word and 8 guard bits
-WORD_MASK = 0xFFFFFFFF
+WORD_MASK = (1 << 8 * WORD_BYTES) - 1
 _LANE_BYTES = LANE_BITS // 8
 _SWAP = sys.byteorder == "big"  # packed lanes are little-endian
 # Byte -> the byte that extends its top bit as a sign.
@@ -80,29 +86,29 @@ def shift_lanes(column: int, lanes: int) -> int:
 
 
 def pack(words) -> int:
-    """The packed column of int64 ``words``: the low ``LANE_BITS`` bits
-    of word i (two's complement for a negative one) in lane i.
+    """The packed column of int64 ``words``: the low 32 bits of word i
+    (two's complement for a negative one) in lane i, its guard bits 0.
     OverflowError for a word beyond int64."""
     words = array("q", words)
     if _SWAP:
         words.byteswap()
     raw = words.tobytes()
     lanes = bytearray(_LANE_BYTES * len(words))
-    for k in range(_LANE_BYTES):
+    for k in range(WORD_BYTES):
         lanes[k::_LANE_BYTES] = raw[k::8]
     return int.from_bytes(lanes, "little")
 
 
 def unpack(column: int, n: int, signed: bool = False) -> array:
-    """The n lanes of a packed column as uint64, or as int64 if
-    ``signed``: each lane's top bit extends as its sign."""
+    """The 32-bit words of a packed column's n lanes as uint64, or as
+    int64 extended from bit 31 if ``signed``; guard bits are not read."""
     lanes = column.to_bytes(_LANE_BYTES * n, "little")
     raw = bytearray(8 * n)
-    for k in range(_LANE_BYTES):
+    for k in range(WORD_BYTES):
         raw[k::8] = lanes[k::_LANE_BYTES]
     if signed:
-        sign = lanes[_LANE_BYTES - 1::_LANE_BYTES].translate(_SIGN_BYTES)
-        for k in range(_LANE_BYTES, 8):
+        sign = lanes[WORD_BYTES - 1::_LANE_BYTES].translate(_SIGN_BYTES)
+        for k in range(WORD_BYTES, 8):
             raw[k::8] = sign
     words = array("q" if signed else "Q", raw)
     if _SWAP:

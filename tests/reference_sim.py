@@ -13,8 +13,9 @@ it as passes times the pass charge plus one configuration charge, and
 delivers from its own message list in sender order: the mode names the
 sink, the ACU mailbox and device sink append every word, and an active
 PE-mode receiver keeps the last word aimed at it.  Program loading
-(which reads a MASK predicate and a NOCSEND destination into a kind and
-its numbers), the error types, the cost model and ``SimReport`` are
+(which reads a MASK predicate into the ``(start, stop, step)`` of the
+PEs it selects, and a NOCSEND destination into a kind and its number),
+the error types, the cost model and ``SimReport`` are
 shared with the package; only the execution semantics are restated
 here.
 MOVD walks the per-PE adjacency dicts of ``topology_reference``, not
@@ -57,14 +58,12 @@ def _signed(value: int) -> int:
 
 
 def _evaluate_mask(pred: tuple, idx: int) -> bool:
-    """Whether PE ``idx`` satisfies a loaded MASK predicate: ``("lt",
-    K)``, ``("ge", K)`` or ``("mod", M, R)``."""
-    kind, number = pred[0], pred[1]
-    if kind == "lt":
-        return idx < number
-    if kind == "ge":
-        return idx >= number
-    return idx % number == pred[2]
+    """Whether PE ``idx`` satisfies a loaded MASK predicate ``(start,
+    stop, step)``: at or past ``start``, before ``stop`` (None for no
+    end) and a whole number of steps from ``start``."""
+    start, stop, step = pred
+    return (start <= idx and (stop is None or idx < stop)
+            and (idx - start) % step == 0)
 
 
 def _evaluate_dst(dst: tuple, idx: int) -> int:

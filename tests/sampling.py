@@ -49,6 +49,22 @@ valid_configs = st.builds(
 )
 
 
+def predicates(n):
+    """MASK predicate texts for N PEs, of every shape: the aliases,
+    prefixes and suffixes, and strided ones, with bounds, moduli and
+    remainders past the N PEs (empty ranges) and operands past
+    ``sys.maxsize``."""
+    return st.one_of(
+        st.sampled_from(("all", "none", "even", "odd")),
+        st.builds("{}:{}".format, st.sampled_from(("lt", "ge")),
+                  st.integers(0, max(10, n + 3))),
+        st.builds("mod:{}:{}".format, st.integers(1, max(5, n + 3)),
+                  st.integers(0, max(6, n + 3))),
+        st.sampled_from((f"lt:{10**30}", f"ge:{10**30}", f"mod:{10**30}:3",
+                         f"mod:3:{10**30}")),
+    )
+
+
 def random_valid_config(rng, with_mem_init=True):
     """Draw one configuration that passes the rule checker and whose
     neighbourhood (if any) is actually buildable."""

@@ -6,6 +6,7 @@ import dataclasses
 
 import reference_sim as ref
 from hypothesis import given, settings, strategies as st
+from sampling import predicates
 
 from mppsoc.config import CostModel, MpNocKind, MppSoCConfig, Neighborhood
 from mppsoc.mpnoc import PortOutOfRange
@@ -39,17 +40,6 @@ DIRECTIONS = ("E", "W", "N", "S", "NE", "NW", "SE", "SW")
 
 regs = st.integers(0, 3).map("r{}".format)
 words = st.integers(-(1 << 33), 1 << 33)
-
-
-def predicates(n):
-    """Every predicate kind, with bounds reaching past the N PEs."""
-    return st.one_of(
-        st.sampled_from(("all", "none", "even", "odd")),
-        st.builds("{}:{}".format, st.sampled_from(("lt", "ge")),
-                  st.integers(0, max(10, n + 2))),
-        st.builds("mod:{}:{}".format, st.integers(1, max(5, n + 2)),
-                  st.integers(0, max(6, n + 2))),
-    )
 
 
 costs = st.builds(CostModel, *(st.integers(0, 3) for _ in range(6)),

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_sim import _evaluate_mask
+from sampling import predicates
 from topology_reference import reference_adjacency
 
 from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
@@ -220,12 +221,7 @@ def test_shift_and_masked_movd_match_dict_walk(shape, data):
     assert list(unpack(graph.shift(pack(column), direction, fill), n)) == [
         boundary if s is None else column[s] for s in senders]
 
-    pred = data.draw(st.one_of(
-        st.sampled_from(("all", "none", "even", "odd")),
-        st.builds("{}:{}".format, st.sampled_from(("lt", "ge")),
-                  st.integers(0, n + 2)),
-        st.builds("mod:{}:{}".format, st.integers(1, n + 2),
-                  st.integers(0, n + 2))))
+    pred = data.draw(predicates(n))
     config = MppSoCConfig(rows=rows, cols=cols, acu_mem_bytes=64,
                           pe_mem_bytes=4, neighborhood=kind)
     machine = SimMachine(config, CostModel(boundary_value=boundary))
