@@ -27,6 +27,7 @@ from mppsoc.rules import validate
 from mppsoc.simulator import (
     SimMachine,
     SimulationError,
+    check_columns,
     check_pe_count,
     load_program,
     reduce_sum,
@@ -147,6 +148,7 @@ def _cmd_simulate(args) -> int:
         outcome = reduce_sum(config, values, cost)
     elif args.app.startswith("asm:"):
         program = load_program(read_text(Path(args.app[4:]), OSError))
+        check_columns(config, program, preloaded=bool(args.values))
         machine = SimMachine(config, cost)
         if args.values:
             machine.set_values(_parse_values(args.values, config.n_pes))

@@ -52,6 +52,7 @@ from mppsoc.topology import (
 
 _REGISTER_COUNT = 8
 MAX_PES = 1 << 20  # eight register columns of 2^20 40-bit lanes: ~40 MiB
+MAX_COLUMN_BYTES = 1 << 28  # 256 MiB of packed lanes, registers and memory
 
 
 def _wrap(value: int) -> int:
@@ -110,6 +111,28 @@ def check_pe_count(n: int):  # called before anything is allocated
             f"{int_text(n)} PEs exceed the simulator's limit of {MAX_PES} PEs")
 
 
+def _legal_address(addr: int, mem_bytes: int) -> bool:
+    """Whether a PE's word at byte address ``addr`` is in its memory."""
+    return addr >= 0 and not addr % WORD_BYTES and addr + WORD_BYTES <= mem_bytes
+
+
+def check_columns(config: MppSoCConfig, program: SimProgram,
+                  preloaded: bool = False):
+    """Refuse, before anything is allocated, a run whose register and
+    memory columns could take over ``MAX_COLUMN_BYTES``: the 8 registers
+    and one column per legal address that the program stores to, with
+    address 0 among them when ``set_values`` preloads it.  A column
+    holds one ``LANE_BITS`` lane per PE."""
+    addresses = program.store_addresses | ({0} if preloaded else set())
+    columns = _REGISTER_COUNT + sum(
+        _legal_address(addr, config.pe_mem_bytes) for addr in addresses)
+    need = columns * config.n_pes * (LANE_BITS // 8)
+    if need > MAX_COLUMN_BYTES:
+        raise SimulationError(
+            f"{columns} columns of {config.n_pes} PEs take {need} bytes, over "
+            f"the simulator's budget of {MAX_COLUMN_BYTES} bytes")
+
+
 class NoTransportAvailable(SimulationError):
     def __init__(self):
         super().__init__("reduction needs a neighbourhood network or a "
@@ -153,6 +176,13 @@ class SimProgram:
                 runs.append([instr, 1])
         return tuple((replace(instr, args=(*instr.args, count)) if count > 1
                       else instr, count) for instr, count in runs)
+
+    @cached_property
+    def store_addresses(self) -> frozenset[int]:
+        """The distinct addresses of the program's STs: each is one
+        memory column once stored to."""
+        return frozenset(instr.args[1] for instr in self.instructions
+                         if instr.op == "ST")
 
 
 _REG_RE = re.compile(r"^r([0-7])$", re.IGNORECASE)
@@ -360,10 +390,7 @@ class SimMachine:
         words = list(words)
         if len(words) != self.n_pes:
             raise ValueError(f"expected {self.n_pes} values, got {len(words)}")
-        try:
-            return pack(words)
-        except OverflowError:  # a word beyond int64
-            return pack(map(_wrap, words))
+        return pack(words)
 
     # -- PE memory (word-aligned byte addressing) -------------------------
 
@@ -378,7 +405,7 @@ class SimMachine:
         self.mem[addr] = column ^ (old ^ _wrap(value)) << LANE_BITS * pe
 
     def _check_addr(self, pe: int, addr: int):
-        if addr < 0 or addr % WORD_BYTES or addr + WORD_BYTES > self.config.pe_mem_bytes:
+        if not _legal_address(addr, self.config.pe_mem_bytes):
             raise MemoryOutOfBounds(pe, addr)
 
     def _word_access(self, addr: int) -> bool:

@@ -17,7 +17,13 @@ import mppsoc.cli as cli_module
 from mppsoc.cli import _build_parser, main
 from mppsoc.config import ConfigError, CostModel, parse_config
 from mppsoc.rewrite import TEMPLATE_FILES, VHDL_INTEGER_MAX, bundled_template_dir
-from mppsoc.simulator import MAX_PES
+from mppsoc.simulator import (
+    MAX_COLUMN_BYTES,
+    MAX_PES,
+    SimulationError,
+    check_columns,
+    load_program,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -601,6 +607,59 @@ def test_pe_count_too_long_to_print_is_reported(tmp_path, capsys):
     assert single_error_line(capsys) == (
         f"error: <26576-bit integer> PEs exceed the simulator's limit of "
         f"{MAX_PES} PEs")
+
+
+BUDGET_CFG = ("rows = 256\ncols = 256\nacu_mem_bytes = 64\n"
+              "pe_mem_bytes = 65536\nneighborhood = mesh2d\n")
+
+
+def test_simulate_refuses_a_run_over_the_column_budget(tmp_path):
+    """3000 distinct STs on 256x256 PEs would hold ~1 GiB of columns.
+    The run is refused before anything is allocated, so a child limited
+    to 600 MiB of address space exits 3 with one ``error:`` line and no
+    traceback, where running it would end in a MemoryError."""
+    resource = pytest.importorskip("resource")
+    (tmp_path / "big.cfg").write_text(BUDGET_CFG)
+    (tmp_path / "prog.asm").write_text("\n".join(
+        ["LDI r0, 1", *(f"ST r0, {4 * i}" for i in range(3000)), "HALT"]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "mppsoc.cli", "simulate", "big.cfg",
+         "--app", "asm:prog.asm", "-o", "out"], capture_output=True,
+        text=True, env=env, cwd=tmp_path, timeout=60, preexec_fn=limit)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        f"error: 3008 columns of 65536 PEs take {3008 * 65536 * 5} bytes, "
+        f"over the simulator's budget of {MAX_COLUMN_BYTES} bytes\n")
+
+
+def test_the_column_budget_counts_registers_and_legal_stores():
+    """On 65536 PEs 819 columns of 5-byte lanes fit the budget and 820
+    do not: 8 registers, each distinct legal ST address once, and
+    address 0 once more unless a ST already counts it.  An illegal
+    address never makes a column."""
+    config = parse_config(BUDGET_CFG)
+    assert 819 * 65536 * 5 <= MAX_COLUMN_BYTES < 820 * 65536 * 5
+    illegal = ["ST r0, -4", "ST r0, 2", "ST r0, 65536", "ST r1, 2"]
+
+    def program(addresses):
+        return load_program("\n".join(
+            [*(f"ST r0, {a}" for a in addresses), *illegal, "HALT"]))
+
+    fits = program(range(4, 4 * 812, 4))  # 811 columns
+    check_columns(config, fits)
+    check_columns(config, program([*range(4, 4 * 812, 4), 4]), preloaded=False)
+    with pytest.raises(SimulationError, match="^820 columns of 65536 PEs"):
+        check_columns(config, fits, preloaded=True)
+    check_columns(config, program(range(0, 4 * 811, 4)), preloaded=True)
+    with pytest.raises(SimulationError, match="^820 columns"):
+        check_columns(config, program(range(4, 4 * 813, 4)))
 
 
 def test_simulate_cost_past_32_bits_is_refused(tmp_path, capsys):

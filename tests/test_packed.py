@@ -12,6 +12,7 @@ from sampling import predicates
 from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
 from mppsoc.simulator import SimMachine, load_program, run
 from mppsoc.topology import (
+    _CHUNK_LANES,
     LANE_BITS,
     WORD_MASK,
     build_topology,
@@ -59,6 +60,51 @@ def test_the_codec_writes_and_reads_no_guard_bit(n, seed):
         assert unpack(column | guard, n, signed) == unpack(column, n, signed)
 
 
+# The word ranges that ``pack`` takes by a different path: int32 and
+# uint32 words pack as they are, the others reduced to their low 32 bits.
+WORD_RANGES = {
+    "int32": (-(1 << 31), 1 << 31),
+    "uint32": (0, 1 << 32),
+    "mixed-sign": (-(1 << 31), 1 << 32),
+    "int64": (-(1 << 63), 1 << 63),
+    "beyond int64": (-(1 << 70), 1 << 70),
+}
+EDGE_WORDS = (0, -1, -(1 << 31), (1 << 31) - 1, 1 << 31, WORD_MASK, 1 << 32,
+              -(1 << 63) - 1, -(1 << 63), (1 << 63) - 1, 1 << 63, 1 << 64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((1, _CHUNK_LANES - 1, _CHUNK_LANES, _CHUNK_LANES + 1,
+                          2 * _CHUNK_LANES + 3)),
+       kind=st.sampled_from(sorted(WORD_RANGES)), seed=st.integers(0, 2**32),
+       edge=st.none() | st.tuples(st.integers(0, 3 * _CHUNK_LANES),
+                                  st.sampled_from(EDGE_WORDS)))
+def test_pack_matches_a_sum_of_shifted_words(n, kind, seed, edge):
+    """Words of every range, at sizes around the chunk width, one of
+    them optionally an edge word of another range in any chunk, pack to
+    the sum of their low 32 bits shifted into their lanes, whichever
+    iterable holds them."""
+    words = random_words(seed, n, *WORD_RANGES[kind])
+    if edge is not None:
+        words[edge[0] % n] = edge[1]
+    want = sum((w & WORD_MASK) << LANE_BITS * i for i, w in enumerate(words))
+    assert pack(words) == want
+    assert pack(iter(words)) == pack(tuple(words)) == want
+
+
+@pytest.mark.parametrize("words", [[1.5], ["1"], [None], [0] * _CHUNK_LANES + [1.5]])
+def test_pack_refuses_a_word_that_is_not_an_int(words):
+    with pytest.raises(TypeError):
+        pack(words)
+
+
+def test_set_values_refuses_a_word_that_is_not_an_int():
+    machine = SimMachine(MppSoCConfig(rows=1, cols=1, acu_mem_bytes=64,
+                                      pe_mem_bytes=4))
+    with pytest.raises(TypeError):
+        machine.set_values([None])
+
+
 def test_a_lane_is_whole_bytes_and_holds_a_sum():
     """``pack`` and ``unpack`` move whole bytes per lane, and the sum of
     two 32-bit words (33 bits) stays inside its lane."""
@@ -90,8 +136,8 @@ words = st.one_of(st.integers(-(1 << 31), (1 << 32) - 1),
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(words, min_size=1, max_size=9))
 def test_set_values_wraps_every_word_to_32_bits(values):
-    """Negative words, words of 2^32 and more, and words beyond int64
-    (which ``pack`` refuses, so ``set_values`` wraps them first)."""
+    """Negative words, words of 2^32 and more, and words beyond int64,
+    which ``pack`` also reduces to their low 32 bits."""
     config = MppSoCConfig(rows=1, cols=len(values), acu_mem_bytes=64,
                           pe_mem_bytes=8)
     machine = SimMachine(config)
