@@ -22,8 +22,21 @@ of k identical MOVDs is one k-hop shift (a shift over a distance, as
 the MasPar X-Net issues it; Blank, COMPCON 1990), still charged and
 counted as k instructions.
 
+The ACU broadcasts every instruction and every operand, MASK
+predicates included, is an immediate, so no control decision depends
+on the data.  ``run`` therefore compiles a program once per machine key
+(configuration, cost model field values, and the active range the run
+starts under) into a plan of column steps, threaded code (Bell, CACM
+1973) with every mask, address check, MOVD run and static charge
+resolved, and keeps the last few plans on the ``SimProgram``.  A run
+replays the plan on the data; a NOCSEND step still has the router
+schedule its send on every run.
+
 Cycle accounting is additive per instruction: issue plus an op-specific
-charge from the CostModel.  Nothing else advances the clock.
+charge from the CostModel.  ``run`` adds every charge in one place: the
+static ones from the plan and, after each NOCSEND step, the
+``CostModel.noc_cycles`` of the passes its router took, which the step
+returns.  Nothing else advances the clock.
 """
 
 from __future__ import annotations
@@ -31,9 +44,10 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 from mppsoc.config import WORD_BYTES, CostModel, MppSoCConfig
 from mppsoc.errors import MppSocError, content_lines, decimal_int, int_text
@@ -174,8 +188,8 @@ class SimProgram:
                 runs[-1][1] += 1
             else:
                 runs.append([instr, 1])
-        return tuple((replace(instr, args=(*instr.args, count)) if count > 1
-                      else instr, count) for instr, count in runs)
+        return tuple((Instruction(instr.op, (*instr.args, count), instr.line)
+                      if count > 1 else instr, count) for instr, count in runs)
 
     @cached_property
     def store_addresses(self) -> frozenset[int]:
@@ -183,6 +197,18 @@ class SimProgram:
         memory column once stored to."""
         return frozenset(instr.args[1] for instr in self.instructions
                          if instr.op == "ST")
+
+    @cached_property
+    def _plans(self) -> dict:
+        """The last ``_PLAN_MEMO`` plans that ``run`` compiled, by
+        machine key."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # A plan's steps are closures, which do not pickle; an unpickled
+        # program compiles its own.
+        return {key: value for key, value in vars(self).items()
+                if key != "_plans"}
 
 
 _REG_RE = re.compile(r"^r([0-7])$", re.IGNORECASE)
@@ -323,6 +349,13 @@ def _range_lanes(count: int, step: int, start: int) -> int:
     return spread(WORD_MASK, count, step) << LANE_BITS * start
 
 
+@lru_cache(maxsize=4)
+def _fill_lanes(n: int, word: int) -> int:
+    """The 32-bit ``word`` in each of n lanes: a MOVD's boundary column,
+    built once for the last 4 (PE count, boundary value) pairs."""
+    return _all_lanes(n)[0] * word
+
+
 class SimMachine:
     """Mutable machine state, stored as one packed column per register
     and per memory word, plus the configured networks.
@@ -332,9 +365,10 @@ class SimMachine:
     word per PE.  ``mem[addr]`` is the word at byte address ``addr`` of
     every PE's local memory; a column is created by the first store to
     its address and absent words read 0, so memory costs nothing until
-    it is used.  ``active`` is the range of PE indices that the last
-    MASK made active, ``lanes`` its lane mask and ``partial`` whether
-    any PE is idle; instructions write only the active lanes.
+    it is used.  ``active`` is the range of PE indices that were active
+    where the last run stopped, at its HALT or at the line that failed;
+    the next run starts under it.  A MOVD's boundary value and every
+    charge come from ``cost`` as it is when a run starts.
     """
 
     def __init__(self, config: MppSoCConfig, cost: CostModel | None = None):
@@ -350,33 +384,15 @@ class SimMachine:
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
         self.ones, self.full = _all_lanes(self.n_pes)
-        self.boundary = self.ones * _wrap(self.cost.boundary_value)
         self.reset()
 
     def reset(self):
         self.regs = [0] * _REGISTER_COUNT
         self.mem: dict[int, int] = {}
-        self.set_mask(_ALL)
+        self.active = range(self.n_pes)
         self.acu_mailbox: list[int] = []
         self.device_sink: list[int] = []
         self.cycles = 0
-
-    def set_mask(self, pred: tuple):
-        """Make the slice of the PEs that a loaded MASK predicate selects
-        active; slicing clamps its bounds to the N PEs.  The full mask
-        (UNMASK and its like) is not ``partial``, which a MOVD run reads;
-        any other range takes its lanes from ``_range_lanes``."""
-        active = self.active = range(self.n_pes)[slice(*pred)]
-        self.partial = len(active) != self.n_pes
-        self.lanes = (_range_lanes(len(active), active.step, active.start)
-                      if self.partial else self.full)
-
-    def masked(self, old: int, new: int) -> int:
-        """``new``'s 32-bit words in the active lanes, ``old``'s in the
-        others; under the full mask ``old`` is not read."""
-        if self.partial:
-            return old ^ (old ^ new) & self.lanes
-        return new & self.lanes
 
     def column(self, reg: int) -> list[int]:
         """Register ``reg`` of every PE, in PE order."""
@@ -407,15 +423,6 @@ class SimMachine:
     def _check_addr(self, pe: int, addr: int):
         if not _legal_address(addr, self.config.pe_mem_bytes):
             raise MemoryOutOfBounds(pe, addr)
-
-    def _word_access(self, addr: int) -> bool:
-        """Whether the active PEs access the word at ``addr``: False when
-        no PE is active; an illegal address raises for the first active
-        PE."""
-        if not self.active:
-            return False
-        self._check_addr(self.active[0], addr)
-        return True
 
     def set_values(self, values):
         """Preload r0 and local word 0 of each PE, one value per PE."""
@@ -501,62 +508,165 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-# -- one whole-column body per opcode ------------------------------------
+# -- the compiler: a program becomes a plan of column steps ----------------
 
 
-def _op_mask(machine: SimMachine, pred: tuple = _ALL):
-    machine.set_mask(pred)
+class _Raise:
+    """A step that fails the same way on every run: it raises a new
+    ``error(*args)`` each time, never a stored one."""
+
+    __slots__ = ("error", "args")
+
+    def __init__(self, error, *args):
+        self.error, self.args = error, args
+
+    def __call__(self, machine: SimMachine):
+        raise self.error(*self.args)
 
 
-def _op_ldi(machine: SimMachine, reg: int, imm: int):
-    machine.regs[reg] = machine.masked(machine.regs[reg],
-                                       machine.ones * _wrap(imm))
+_HALT = object()  # no step: the plan ends at this line
 
 
-def _op_ld(machine: SimMachine, reg: int, addr: int):
-    machine.cycles += machine.cost.op_cycles
-    if machine._word_access(addr):
-        machine.regs[reg] = machine.masked(machine.regs[reg],
-                                           machine.mem.get(addr, 0))
+class _Plan(NamedTuple):
+    """A program compiled for one machine key.  ``entries`` holds one
+    ``(charge, step, line, active)`` per line that acts on the machine
+    (a fused MOVD run is one): its static charge, which takes in the
+    issue of the MASK, UNMASK and no-op lines before it, the step that
+    applies it, its source line and the active range it runs under.
+    ``tail`` is the charge of the lines after the last step, the HALT's
+    issue among them, ``executed`` the instructions run to the HALT and
+    ``final`` the active range there.  A plan holds no column: a step
+    takes its lane masks from the bounded ``_range_lanes`` and
+    ``_fill_lanes`` when it runs."""
+
+    entries: tuple
+    tail: int
+    executed: int
+    final: range
 
 
-def _op_st(machine: SimMachine, reg: int, addr: int):
-    machine.cycles += machine.cost.op_cycles
-    if machine._word_access(addr):
-        machine.mem[addr] = machine.masked(machine.mem.get(addr, 0),
-                                           machine.regs[reg])
+class _Context:
+    """What a line compiles against: the machine, its cost model and the
+    two terms of its ``noc_cycles`` (None with no router), and the
+    active range that the MASKs before the line leave, with its
+    ``_merger``."""
+
+    def __init__(self, machine: SimMachine):
+        self.machine, self.cost, self.n = machine, machine.cost, machine.n_pes
+        net = machine.mpnoc
+        self.noc = net and (self.cost.noc_pass_cycles(net),
+                            self.cost.noc_config_cycles)
+        self.set_active(machine.active)
+
+    def set_active(self, active: range):
+        self.active, self.merge = active, _merger(active, self.n)
 
 
-def _op_add(machine: SimMachine, dst: int, a: int, b: int):
-    machine.cycles += machine.cost.op_cycles
-    regs = machine.regs
-    regs[dst] = machine.masked(regs[dst], regs[a] + regs[b])
+def _merger(active: range, n: int):
+    """``merge(machine, old, new)``: ``new``'s 32-bit words in the lanes
+    of ``active`` and ``old``'s in the others; under the full mask
+    ``old`` is not read."""
+    if len(active) == n:
+        return lambda machine, old, new: new & machine.full
+    count, step, start = len(active), active.step, active.start
+    return lambda machine, old, new: old ^ (old ^ new) & _range_lanes(
+        count, step, start)
 
 
-def _op_movd(machine: SimMachine, reg: int, direction: str, hops: int = 1):
+# One compiler per mnemonic: ``compile(context, *operands)`` returns the
+# line's charge beyond its issue and its step; no step (None) when the
+# line leaves every column as it is, ``_HALT`` at the HALT and a
+# ``_Raise`` when the line cannot execute.  A step charges nothing: it
+# returns None, or a NOCSEND's router cycles for ``run`` to add.
+
+
+def _compile_halt(ctx: _Context):
+    return 0, _HALT
+
+
+def _compile_mask(ctx: _Context, pred: tuple = _ALL):
+    ctx.set_active(range(ctx.n)[slice(*pred)])  # slicing clamps to the N PEs
+    return 0, None
+
+
+def _compile_ldi(ctx: _Context, reg: int, imm: int):
+    merge, word = ctx.merge, _wrap(imm)
+
+    def ldi(m: SimMachine):
+        m.regs[reg] = merge(m, m.regs[reg], m.ones * word)
+    return 0, ldi if ctx.active else None
+
+
+def _compile_add(ctx: _Context, dst: int, a: int, b: int):
+    merge = ctx.merge
+
+    def add(m: SimMachine):
+        regs = m.regs
+        regs[dst] = merge(m, regs[dst], regs[a] + regs[b])
+    return ctx.cost.op_cycles, add if ctx.active else None
+
+
+def _word_access(ctx: _Context, addr: int, step):
+    """LD's or ST's charge and step: the op is charged before the
+    address is checked, no step runs when no PE is active, and an
+    illegal address fails for the first active PE."""
+    if ctx.active and not _legal_address(addr, ctx.machine.config.pe_mem_bytes):
+        step = _Raise(MemoryOutOfBounds, ctx.active[0], addr)
+    return ctx.cost.op_cycles, step if ctx.active else None
+
+
+def _compile_ld(ctx: _Context, reg: int, addr: int):
+    merge = ctx.merge
+
+    def ld(m: SimMachine):
+        m.regs[reg] = merge(m, m.regs[reg], m.mem.get(addr, 0))
+    return _word_access(ctx, addr, ld)
+
+
+def _compile_st(ctx: _Context, reg: int, addr: int):
+    merge = ctx.merge
+
+    def st(m: SimMachine):
+        m.mem[addr] = merge(m, m.mem.get(addr, 0), m.regs[reg])
+    return _word_access(ctx, addr, st)
+
+
+def _compile_movd(ctx: _Context, reg: int, direction: str, hops: int = 1):
     """Active PEs take their sender's word, or the boundary value when
     the sender is missing or inactive; inactive PEs keep their own.
-    ``hops`` > 1 executes a run of that many identical MOVDs: one
-    ``hops``-hop shift under the full mask.  Under any other mask an
-    inactive PE sends the boundary value between hops, so the hops go
-    one at a time."""
-    graph = machine.topology
+    ``hops`` > 1 is a run of that many identical MOVDs, charged as that
+    many: one ``hops``-hop shift under the full mask.  Under any other
+    mask an inactive PE sends the boundary value between hops, so the
+    hops go one at a time.  A run that cannot execute fails on its first
+    line with only that line's issue charged."""
+    graph = ctx.machine.topology
     if graph is None or direction not in graph.directions:
         kind = graph.kind.value if graph else "a machine with no neighbourhood"
-        raise DirectionUnavailable(direction, kind)
-    machine.cycles += hops * machine.cost.hop_cycles
-    fill, column = machine.boundary, machine.regs[reg]
-    if not machine.partial:  # every sender active, every lane written
-        machine.regs[reg] = graph.shift(column, direction, fill, hops)
-        return
-    for _ in range(hops):
-        # An inactive sender sends the boundary value.
-        source = machine.masked(fill, column)
-        column = machine.masked(column, graph.shift(source, direction, fill))
-    machine.regs[reg] = column
+        return 0, _Raise(DirectionUnavailable, direction, kind)
+    cost, n, active = ctx.cost, ctx.n, ctx.active
+    charge = (hops - 1) * cost.issue_cycles + hops * cost.hop_cycles
+    word = _wrap(cost.boundary_value)
+    if not active:
+        return charge, None
+    if len(active) == n:  # every sender active, every lane written
+        def movd(m: SimMachine):
+            m.regs[reg] = m.topology.shift(m.regs[reg], direction,
+                                           _fill_lanes(n, word), hops)
+        return charge, movd
+    count, step, start = len(active), active.step, active.start
+
+    def masked_movd(m: SimMachine):
+        shift, fill = m.topology.shift, _fill_lanes(n, word)
+        lanes, column = _range_lanes(count, step, start), m.regs[reg]
+        for _ in range(hops):
+            # An inactive sender sends the boundary value.
+            source = fill ^ (fill ^ column) & lanes
+            column ^= (column ^ shift(source, direction, fill)) & lanes
+        m.regs[reg] = column
+    return charge, masked_movd
 
 
-def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst: tuple, reg: int):
+def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
     """Send every active PE's word over the router and charge its
     passes through ``CostModel.noc_cycles``.  The router gets the
     senders and destinations as columns of ports: the active range and,
@@ -568,51 +678,98 @@ def _op_nocsend(machine: SimMachine, mode: MpNocMode, dst: tuple, reg: int):
     the word of the highest active sender aimed at it; the ACU mailbox
     and the device sink take the words in PE order.  (The router puts
     messages to one port in successive passes, lowest source first, so
-    this is their arrival order.)"""
-    net = machine.mpnoc
-    if net is None:
-        raise NocUnavailable()
-    senders, column = machine.active, machine.regs[reg]
+    this is their arrival order.)
+
+    The step schedules the send anew on every run through ``transfer``
+    and returns the cycles of its passes for ``run`` to charge; nothing
+    is built from a destination before ``transfer`` has accepted it."""
+    if ctx.noc is None:
+        return 0, _Raise(NocUnavailable)
+    senders, (per_pass, config) = ctx.active, ctx.noc
+
+    def route(m: SimMachine, destinations) -> int:
+        return transfer(m.mpnoc, senders,
+                        destinations).passes * per_pass + config
+
     kind, number = dst
     if mode is not MpNocMode.PE_TO_PE:
-        destinations = [0] * len(senders)
-    elif kind == "idx":
+        sink = "acu_mailbox" if mode is MpNocMode.ACU_TO_PE else "device_sink"
+        span = senders[-1] - senders.start + 1 if senders else 0
+
+        def send_out(m: SimMachine) -> int:
+            cycles = route(m, [0] * len(senders))
+            if span:  # unpack only the lanes from the first sender to the last
+                lanes = (m.regs[reg] >> LANE_BITS * senders.start
+                         & (1 << LANE_BITS * span) - 1)
+                getattr(m, sink).extend(unpack(lanes, span)[::senders.step])
+            return cycles
+        return 0, send_out
+    if kind == "idx":
         destinations = range(senders.start + number, senders.stop + number,
                              senders.step)
-    else:
-        destinations = [number] * len(senders)
-    result = transfer(net, senders, destinations)
-    machine.cycles += machine.cost.noc_cycles(net, result.passes)
-    if mode is not MpNocMode.PE_TO_PE:
-        sink = (machine.acu_mailbox if mode is MpNocMode.ACU_TO_PE
-                else machine.device_sink)
-        if senders:  # unpack only the lanes from the first sender to the last
-            span = senders[-1] - senders.start + 1
-            lanes = column >> LANE_BITS * senders.start & (1 << LANE_BITS * span) - 1
-            sink.extend(unpack(lanes, span)[::senders.step])
-    elif isinstance(destinations, range):
-        # Distinct destinations: each active one gets exactly one word,
-        # from the lane K = ``number`` below it.  The router has checked
-        # that every destination is a PE, so the shift is under N lanes.
-        if senders:
-            receivers = machine.lanes & shift_lanes(machine.lanes, number)
-            machine.regs[reg] = column ^ (
-                column ^ shift_lanes(column, number)) & receivers
-    elif number in senders:
-        word = column >> LANE_BITS * senders[-1] ^ column >> LANE_BITS * number
-        machine.regs[reg] = column ^ (word & WORD_MASK) << LANE_BITS * number
+        full = len(senders) == ctx.n
+        count, step, start = len(senders), senders.step, senders.start
+
+        def shift_send(m: SimMachine) -> int:
+            cycles = route(m, destinations)
+            if count:
+                # Distinct destinations: each active one gets exactly one
+                # word, from the lane K = ``number`` below it.  The router
+                # has checked that every destination is a PE, so the
+                # shift is under N lanes.
+                lanes = m.full if full else _range_lanes(count, step, start)
+                receivers = lanes & shift_lanes(lanes, number)
+                column = m.regs[reg]
+                m.regs[reg] = column ^ (
+                    column ^ shift_lanes(column, number)) & receivers
+            return cycles
+        return 0, shift_send
+    hit = number in senders
+    if hit:
+        high, low = LANE_BITS * senders[-1], LANE_BITS * number
+
+    def send_to_one(m: SimMachine) -> int:
+        cycles = route(m, [number] * len(senders))
+        if hit:  # the highest active sender's word
+            column = m.regs[reg]
+            word = column >> high ^ column >> low
+            m.regs[reg] = column ^ (word & WORD_MASK) << low
+        return cycles
+    return 0, send_to_one
 
 
-_EXECUTE = {
-    "MASK": _op_mask,
-    "UNMASK": _op_mask,
-    "LDI": _op_ldi,
-    "LD": _op_ld,
-    "ST": _op_st,
-    "ADD": _op_add,
-    "MOVD": _op_movd,
-    "NOCSEND": _op_nocsend,
+_COMPILERS = {
+    "HALT": _compile_halt,
+    "MASK": _compile_mask,
+    "UNMASK": _compile_mask,
+    "LDI": _compile_ldi,
+    "LD": _compile_ld,
+    "ST": _compile_st,
+    "ADD": _compile_add,
+    "MOVD": _compile_movd,
+    "NOCSEND": _compile_nocsend,
 }
+_PLAN_MEMO = 8  # plans kept per program
+
+
+def _compile(program: SimProgram, machine: SimMachine) -> _Plan:
+    """The plan of ``program`` on ``machine`` from its current mask on,
+    up to its first HALT or its first line that cannot execute."""
+    ctx = _Context(machine)
+    issue = ctx.cost.issue_cycles
+    entries, charge, executed = [], 0, 0
+    for instr, count in program.runs:
+        extra, step = _COMPILERS[instr.op](ctx, *instr.args)
+        charge += issue + extra
+        executed += count
+        if step is _HALT:
+            break
+        if step is not None:
+            entries.append((charge, step, instr.line, ctx.active))
+            charge = 0
+            if isinstance(step, _Raise):
+                break
+    return _Plan(tuple(entries), charge, executed, ctx.active)
 
 
 def run(machine: SimMachine, program: SimProgram,
@@ -622,34 +779,50 @@ def run(machine: SimMachine, program: SimProgram,
     Every instruction applies simultaneously to all active PEs; inactive
     PEs keep their state, including dropped router deliveries.  An error
     raised while an instruction executes is a ``SimulationError`` whose
-    ``line`` is that instruction's source line.  ``snapshot_memory``
-    adds every whole word of each PE's local memory to the report.
-    The report holds the final register and memory columns and unpacks
-    none of them: ``SimReport.registers`` and ``memory_words`` unpack a
-    lane as it is read.
+    ``line`` is that instruction's source line; the machine then holds
+    the state and the mask that line found, and the cycles charged up
+    to it.  ``snapshot_memory`` adds every whole word of each PE's local
+    memory to the report.  The report holds the final register and
+    memory columns and unpacks none of them: ``SimReport.registers`` and
+    ``memory_words`` unpack a lane as it is read.
+
+    No line's effect on the control depends on the data, so the program
+    is compiled into a plan of column steps (threaded code; Bell, CACM
+    1973) once per machine key: the configuration, the cost model's
+    field values and the active range the run starts under.  The
+    program keeps its last ``_PLAN_MEMO`` plans.  A run adds each
+    step's static charge, calls the step, then charges the tail, all
+    here.  A NOCSEND step still has the router schedule its send on
+    every run, and returns ``CostModel.noc_cycles`` of its passes, which
+    is charged here too.
 
     A run of identical MOVDs (``SimProgram.runs``) executes as one MOVD
     of that many hops.  It is charged and counted as that many
     instructions, and a run that cannot execute fails on its first line
     with only that line's issue charged, as one line at a time would.
     """
-    cost = machine.cost
-    executed = 0
-    for instr, count in program.runs:
-        machine.cycles += cost.issue_cycles
-        executed += 1
-        if instr.op == "HALT":
-            break
-        try:
-            _EXECUTE[instr.op](machine, *instr.args)
-        except SimulationError as err:
-            err.line = instr.line
-            raise
-        except PortOutOfRange as err:
-            raise SimulationError(str(err), instr.line) from err
-        if count > 1:  # the issue of the run's other lines
-            machine.cycles += (count - 1) * cost.issue_cycles
-            executed += count - 1
+    key = machine.config, tuple(vars(machine.cost).values()), machine.active
+    plans = program._plans
+    plan = plans.get(key)
+    if plan is None:
+        if len(plans) >= _PLAN_MEMO:
+            del plans[next(iter(plans))]
+        plan = plans[key] = _compile(program, machine)
+    try:
+        for charge, step, line, active in plan.entries:
+            machine.cycles += charge
+            routed = step(machine)  # a NOCSEND's router cycles, else None
+            if routed is not None:
+                machine.cycles += routed
+    except Exception as err:
+        machine.active = active
+        if isinstance(err, PortOutOfRange):
+            raise SimulationError(str(err), line) from err
+        if isinstance(err, SimulationError):
+            err.line = line
+        raise
+    machine.cycles += plan.tail
+    machine.active = plan.final
     n = machine.n_pes
     memory_words = None
     if snapshot_memory:
@@ -659,7 +832,7 @@ def run(machine: SimMachine, program: SimProgram,
             n, signed=False)
     return SimReport(
         cycles=machine.cycles,
-        instructions=executed,
+        instructions=plan.executed,
         registers=_LaneRows(tuple(machine.regs), n, signed=True),
         memory_words=memory_words,
     )

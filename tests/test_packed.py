@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sampling import predicates
 
 from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
-from mppsoc.simulator import SimMachine, load_program, run
+from mppsoc.simulator import SimMachine, _merger, load_program, run
 from mppsoc.topology import (
     _CHUNK_LANES,
     LANE_BITS,
@@ -177,12 +177,12 @@ def test_mask_lanes_match_the_active_range(n, data):
     active = [satisfies(pred, pe) for pe in range(n)]
     assert list(machine.active) == [pe for pe in range(n) if active[pe]]
     want = [WORD_MASK if a else 0 for a in active]
-    assert list(unpack(machine.lanes, n)) == want
-    # A masked write takes the active lanes' words from the new column
-    # and keeps the others' from the old one.
+    # A masked write under that range takes the active lanes' words from
+    # the new column and keeps the others' from the old one.
+    merge = _merger(machine.active, n)
     full = spread(WORD_MASK, n)
-    assert machine.masked(0, full) == machine.lanes
-    assert list(unpack(machine.masked(full, 0), n)) == [WORD_MASK - w for w in want]
+    assert list(unpack(merge(machine, 0, full), n)) == want
+    assert list(unpack(merge(machine, full, 0), n)) == [WORD_MASK - w for w in want]
 
 
 @settings(max_examples=30, deadline=None)

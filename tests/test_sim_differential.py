@@ -10,7 +10,14 @@ from sampling import predicates
 
 from mppsoc.config import CostModel, MpNocKind, MppSoCConfig, Neighborhood
 from mppsoc.mpnoc import PortOutOfRange
-from mppsoc.simulator import SimMachine, SimulationError, load_program, run
+from mppsoc.simulator import (
+    _COMPILERS,
+    _OPERAND_PARSERS,
+    SimMachine,
+    SimulationError,
+    load_program,
+    run,
+)
 
 # (rows, cols, neighbourhood, router): every neighbourhood and every
 # router appears, each also without the other network.  The last six
@@ -130,10 +137,37 @@ def error_of(err):
     return type(err), str(err)
 
 
-@settings(max_examples=100, deadline=None)
-@given(shape=st.sampled_from(SHAPES), pe_mem_bytes=st.sampled_from(PE_MEM_BYTES),
-       cost=costs, data=st.data())
-def test_run_matches_per_pe_reference(shape, pe_mem_bytes, cost, data):
+def check_run(machine, oracle, program):
+    """Run one program on the machine and on its oracle, and compare the
+    reports, or the errors and the state they leave."""
+    config = machine.config
+    try:
+        want = ref.run(oracle, program)
+    except Exception as err:  # noqa: BLE001 - compared below
+        expected = error_of(err)
+        try:
+            run(machine, program, snapshot_memory=True)
+        except SimulationError as got:
+            assert error_of(got) == expected
+            assert got.line is not None
+        else:
+            raise AssertionError(f"run did not raise {expected}")
+        registers = tuple(zip(*map(machine.column, range(8))))
+        assert (state(machine, config, registers) ==
+                state(oracle, config, tuple(map(tuple, oracle.pe_regs))))
+        return
+    got = run(machine, program, snapshot_memory=True)
+    assert dataclasses.replace(got, memory_words=None) == want
+    assert got.memory_words == memory_words(oracle, config)
+    assert (state(machine, config, got.registers) ==
+            state(oracle, config, want.registers))
+
+
+def machine_pair(shape, pe_mem_bytes, cost, data):
+    """A machine and its oracle of one shape and cost, the same three
+    random register columns in each, and r0 and word 0 preloaded on
+    both when ``set_values`` draws values both accept; None when the two
+    refuse the values alike."""
     rows, cols, neighborhood, router = shape
     config = MppSoCConfig(rows=rows, cols=cols, acu_mem_bytes=64,
                           pe_mem_bytes=pe_mem_bytes,
@@ -156,30 +190,59 @@ def test_run_matches_per_pe_reference(shape, pe_mem_bytes, cost, data):
                 machine.set_values(values)
             except Exception as got:  # noqa: BLE001
                 assert error_of(got) == expected
-                return
+                return None
             raise AssertionError(f"set_values did not raise {expected}")
         machine.set_values(values)
+    return machine, oracle
 
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SHAPES), pe_mem_bytes=st.sampled_from(PE_MEM_BYTES),
+       cost=costs, data=st.data())
+def test_run_matches_per_pe_reference(shape, pe_mem_bytes, cost, data):
+    pair = machine_pair(shape, pe_mem_bytes, cost, data)
+    if pair is None:
+        return
+    machine, oracle = pair
     # Programs in a row on one machine: the mask and all state carry
     # over, also past a program that stopped on an error.
     for program in data.draw(st.lists(programs(machine), min_size=2, max_size=4)):
-        try:
-            want = ref.run(oracle, program)
-        except Exception as err:  # noqa: BLE001 - compared below
-            expected = error_of(err)
-            try:
-                run(machine, program, snapshot_memory=True)
-            except SimulationError as got:
-                assert error_of(got) == expected
-                assert got.line is not None
-            else:
-                raise AssertionError(f"run did not raise {expected}")
-            registers = tuple(zip(*map(machine.column, range(8))))
-            assert (state(machine, config, registers) ==
-                    state(oracle, config, tuple(map(tuple, oracle.pe_regs))))
-            continue
-        got = run(machine, program, snapshot_memory=True)
-        assert dataclasses.replace(got, memory_words=None) == want
-        assert got.memory_words == memory_words(oracle, config)
-        assert (state(machine, config, got.registers) ==
-                state(oracle, config, want.registers))
+        check_run(machine, oracle, program)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SHAPES),
+       pe_mem_bytes=st.tuples(*2 * [st.sampled_from(PE_MEM_BYTES)]),
+       cost=costs, other_cost=st.none() | costs, data=st.data())
+def test_a_program_reruns_right_on_other_machines_masks_and_costs(
+        shape, pe_mem_bytes, cost, other_cost, data):
+    """``run`` keeps the plans it compiles on the program object, by
+    configuration, cost values and entry mask.  Each program object,
+    after its first run, runs again as the reference does: on a second
+    machine of another shape (often of as many PEs, so that only the
+    configuration tells the two apart), with another cost model or
+    (None) the same one, on the first machine after its mask changed,
+    and after every field of the first machine's cost model changed in
+    place."""
+    n = shape[0] * shape[1]
+    alike = [other for other in SHAPES if other[0] * other[1] == n]
+    other_shape = data.draw(st.sampled_from(alike) | st.sampled_from(SHAPES))
+    pairs = [machine_pair(s, mem, c, data) for s, mem, c in zip(
+        (shape, other_shape), pe_mem_bytes, (cost, other_cost or cost))]
+    if None in pairs:
+        return
+    (machine, oracle), (other, other_oracle) = pairs
+    for program in data.draw(st.lists(programs(machine), min_size=1, max_size=3)):
+        check_run(machine, oracle, program)
+        check_run(other, other_oracle, program)
+        mask = load_program(f"MASK {data.draw(predicates(n))}\nHALT")
+        check_run(machine, oracle, mask)
+        check_run(machine, oracle, program)
+        for field in dataclasses.fields(CostModel):
+            setattr(cost, field.name, data.draw(
+                words if field.name == "boundary_value" else st.integers(0, 3)))
+        check_run(machine, oracle, program)
+
+
+def test_every_mnemonic_has_a_compiler():
+    assert set(_COMPILERS) == set(_OPERAND_PARSERS)

@@ -1,6 +1,8 @@
 import inspect
+import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,7 @@ from mppsoc.simulator import (
     reduce_sum,
     run,
 )
+from mppsoc.topology import LANE_BITS
 
 
 def machine_for(rows, cols, neighborhood=None, mpnoc=None, cost=None,
@@ -637,3 +640,80 @@ def test_omega_translations_read_no_source_tag_and_no_resource(monkeypatch):
                              + len(sends) * (cost.noc_pass_cycles(machine.mpnoc)
                                              + cost.noc_config_cycles
                                              + cost.op_cycles))
+
+
+# Programs that stop on their fifth line, after two MASKs, an LDI and an
+# ST, with the cycles the fifth line adds in units of (issue, op): LD
+# and ST charge their op before the address check, MOVD and NOCSEND
+# raise before any charge beyond the issue, and a MOVD run that cannot
+# execute is charged its first line's issue only.
+FAILURES = [
+    (True, "LD r2, 64", MemoryOutOfBounds, (1, 1)),
+    (True, "ST r1, 2", MemoryOutOfBounds, (1, 1)),
+    (True, "MOVD r1, NE", DirectionUnavailable, (1, 0)),
+    (True, "MOVD r1, NE\n" * 3, DirectionUnavailable, (1, 0)),
+    (True, "NOCSEND pe, idx+2, r1", SimulationError, (1, 0)),
+    (False, "NOCSEND pe, idx, r1", NocUnavailable, (1, 0)),
+]
+
+
+@pytest.mark.parametrize("router, line, error, units", FAILURES)
+def test_a_failing_line_keeps_its_charge_state_and_mask(router, line, error,
+                                                        units):
+    """The machine after an error holds the cycles charged up to the
+    failing line, the words written before it and the mask it ran
+    under; each run of the program raises an error object of its own."""
+    cost = CostModel(issue_cycles=2, op_cycles=3, hop_cycles=5,
+                     noc_config_cycles=7)
+    machine = machine_for(1, 8, neighborhood=Neighborhood.LINEAR,
+                          mpnoc=MpNocKind.CROSSBAR if router else None,
+                          cost=cost, pe_mem_bytes=16)
+    program = load_program("MASK lt:3\nLDI r1, 5\nST r1, 4\nMASK even\n"
+                           f"{line}\nLDI r1, 9\nHALT")
+    errors = []
+    for _ in range(2):
+        machine.reset()
+        with pytest.raises(error) as caught:
+            run(machine, program)
+        errors.append(caught.value)
+        assert caught.value.line == 5
+        issues, ops = units
+        assert machine.cycles == 4 * 2 + 3 + issues * 2 + ops * 3
+        assert machine.column(1) == [5, 5, 5, 0, 0, 0, 0, 0]
+        assert [machine.read_word(pe, 4) for pe in range(8)] == machine.column(1)
+        assert machine.active == range(0, 8, 2)
+    assert errors[0] is not errors[1]
+
+
+def test_a_cached_plan_holds_no_column():
+    """A plan names each MASK by its range and takes lane masks from the
+    bounded caches when it runs, so a program of 300 distinct MASKs, each
+    with an ADD and a router send, keeps at most 20 masks' worth of 2^16
+    PEs alive after its run, plus 1 MiB."""
+    config = MppSoCConfig(rows=256, cols=256, acu_mem_bytes=64, pe_mem_bytes=4,
+                          mpnoc=MpNocKind.DELTA_OMEGA)
+    n = config.n_pes
+    program = load_program("".join(
+        f"MASK lt:{n - 1 - k}\nADD r1, r1, r0\nNOCSEND pe, idx+1, r0\n"
+        for k in range(300)) + "HALT")
+    tracemalloc.start()
+    try:
+        report = run(SimMachine(config), program)
+        del report
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(program._plans) == 1
+    assert retained <= 20 * n * LANE_BITS // 8 + (1 << 20)
+
+
+def test_a_program_that_has_run_pickles_and_reruns():
+    """The plans a program keeps hold closures; the program still
+    pickles after a run, and its copy compiles its own plan and runs
+    alike."""
+    program = load_program("LDI r0, 3\nMASK odd\nMOVD r0, E\nMOVD r0, E\nHALT")
+    machine = machine_for(1, 4, neighborhood=Neighborhood.RING)
+    want = run(machine, program)
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy == program and copy.runs == program.runs
+    assert run(machine_for(1, 4, neighborhood=Neighborhood.RING), copy) == want
