@@ -30,7 +30,9 @@ starts under) into a plan of column steps, threaded code (Bell, CACM
 1973) with every mask, address check, MOVD run and static charge
 resolved, and keeps the last few plans on the ``SimProgram``.  A run
 replays the plan on the data; a NOCSEND step still has the router
-schedule its send on every run.
+schedule its send on every run.  The compiler knows which registers
+hold zero (constant propagation; Kildall, POPL 1973), so the ISA's copy
+idiom, ``LDI r, 0`` then ``ADD d, r, x``, compiles to a move.
 
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  ``run`` adds every charge in one place: the
@@ -65,7 +67,7 @@ from mppsoc.topology import (
 )
 
 _REGISTER_COUNT = 8
-MAX_PES = 1 << 20  # eight register columns of 2^20 40-bit lanes: ~40 MiB
+MAX_PES = 1 << 20  # eight register columns of 2^20 40-bit lanes: ~43 MiB
 MAX_COLUMN_BYTES = 1 << 28  # 256 MiB of packed lanes, registers and memory
 
 
@@ -135,12 +137,13 @@ def check_columns(config: MppSoCConfig, program: SimProgram,
     """Refuse, before anything is allocated, a run whose register and
     memory columns could take over ``MAX_COLUMN_BYTES``: the 8 registers
     and one column per legal address that the program stores to, with
-    address 0 among them when ``set_values`` preloads it.  A column
-    holds one ``LANE_BITS`` lane per PE."""
+    address 0 among them when ``set_values`` preloads it.  A column is
+    an int of one ``LANE_BITS`` lane per PE, which CPython stores in
+    4-byte digits of 30 bits each."""
     addresses = program.store_addresses | ({0} if preloaded else set())
     columns = _REGISTER_COUNT + sum(
         _legal_address(addr, config.pe_mem_bytes) for addr in addresses)
-    need = columns * config.n_pes * (LANE_BITS // 8)
+    need = columns * 4 * -(-LANE_BITS * config.n_pes // 30)
     if need > MAX_COLUMN_BYTES:
         raise SimulationError(
             f"{columns} columns of {config.n_pes} PEs take {need} bytes, over "
@@ -547,19 +550,29 @@ class _Plan(NamedTuple):
 
 class _Context:
     """What a line compiles against: the machine, its cost model and the
-    two terms of its ``noc_cycles`` (None with no router), and the
-    active range that the MASKs before the line leave, with its
-    ``_merger``."""
+    two terms of its ``noc_cycles`` (None with no router), the active
+    range that the MASKs before the line leave, with its ``_merger``,
+    and ``zero``, the registers that the lines before it leave holding
+    0 in every lane.  ``zero`` starts empty: a plan is keyed by the
+    machine, not by the data it holds."""
 
     def __init__(self, machine: SimMachine):
         self.machine, self.cost, self.n = machine, machine.cost, machine.n_pes
         net = machine.mpnoc
         self.noc = net and (self.cost.noc_pass_cycles(net),
                             self.cost.noc_config_cycles)
+        self.zero: set[int] = set()
         self.set_active(machine.active)
 
     def set_active(self, active: range):
         self.active, self.merge = active, _merger(active, self.n)
+        self.full = len(active) == self.n
+
+    def write(self, reg: int):
+        """The line writes ``reg`` in the active lanes: no longer known
+        zero, unless no lane is active."""
+        if self.active:
+            self.zero.discard(reg)
 
 
 def _merger(active: range, n: int):
@@ -591,6 +604,10 @@ def _compile_mask(ctx: _Context, pred: tuple = _ALL):
 
 def _compile_ldi(ctx: _Context, reg: int, imm: int):
     merge, word = ctx.merge, _wrap(imm)
+    if word:
+        ctx.write(reg)
+    elif ctx.full:  # under a partial mask, zero only if it was
+        ctx.zero.add(reg)
 
     def ldi(m: SimMachine):
         m.regs[reg] = merge(m, m.regs[reg], m.ones * word)
@@ -598,12 +615,39 @@ def _compile_ldi(ctx: _Context, reg: int, imm: int):
 
 
 def _compile_add(ctx: _Context, dst: int, a: int, b: int):
-    merge = ctx.merge
+    """A source known zero makes the ADD a move, which under the full
+    mask shares the other source's int: columns are normalised between
+    lines.  ``ADD d, d, x`` under a partial mask adds x's active lanes
+    to d, one op fewer than the merge."""
+    charge, merge, full = ctx.cost.op_cycles, ctx.merge, ctx.full
+    if not ctx.active:
+        return charge, None
+    src = b if a in ctx.zero else a if b in ctx.zero else None
+    ctx.write(dst)
+    if src is not None and full:
+        def move(m: SimMachine):
+            m.regs[dst] = m.regs[src]
+        return charge, move
+    if src is not None:
+        def masked_move(m: SimMachine):
+            regs = m.regs
+            regs[dst] = merge(m, regs[dst], regs[src])
+        return charge, masked_move
+    if dst in (a, b) and not full:
+        x = b if a == dst else a
+        active = ctx.active
+        count, step, start = len(active), active.step, active.start
+
+        def accumulate(m: SimMachine):
+            regs = m.regs
+            regs[dst] = (regs[dst] + (regs[x] & _range_lanes(
+                count, step, start))) & m.full
+        return charge, accumulate
 
     def add(m: SimMachine):
         regs = m.regs
         regs[dst] = merge(m, regs[dst], regs[a] + regs[b])
-    return ctx.cost.op_cycles, add if ctx.active else None
+    return charge, add
 
 
 def _word_access(ctx: _Context, addr: int, step):
@@ -617,6 +661,7 @@ def _word_access(ctx: _Context, addr: int, step):
 
 def _compile_ld(ctx: _Context, reg: int, addr: int):
     merge = ctx.merge
+    ctx.write(reg)
 
     def ld(m: SimMachine):
         m.regs[reg] = merge(m, m.regs[reg], m.mem.get(addr, 0))
@@ -648,7 +693,8 @@ def _compile_movd(ctx: _Context, reg: int, direction: str, hops: int = 1):
     word = _wrap(cost.boundary_value)
     if not active:
         return charge, None
-    if len(active) == n:  # every sender active, every lane written
+    ctx.write(reg)
+    if ctx.full:  # every sender active, every lane written
         def movd(m: SimMachine):
             m.regs[reg] = m.topology.shift(m.regs[reg], direction,
                                            _fill_lanes(n, word), hops)
@@ -692,7 +738,9 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
                         destinations).passes * per_pass + config
 
     kind, number = dst
-    if mode is not MpNocMode.PE_TO_PE:
+    if mode is MpNocMode.PE_TO_PE:
+        ctx.write(reg)
+    else:
         sink = "acu_mailbox" if mode is MpNocMode.ACU_TO_PE else "device_sink"
         span = senders[-1] - senders.start + 1 if senders else 0
 
@@ -707,7 +755,7 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
     if kind == "idx":
         destinations = range(senders.start + number, senders.stop + number,
                              senders.step)
-        full = len(senders) == ctx.n
+        full = ctx.full
         count, step, start = len(senders), senders.step, senders.start
 
         def shift_send(m: SimMachine) -> int:
@@ -795,6 +843,19 @@ def run(machine: SimMachine, program: SimProgram,
     here.  A NOCSEND step still has the router schedule its send on
     every run, and returns ``CostModel.noc_cycles`` of its passes, which
     is charged here too.
+
+    The compiler also tracks the registers known to hold 0 in every
+    lane, from an empty set at the plan's entry, since the key holds no
+    data.  ``LDI r, 0`` (any immediate that wraps to 0) under the full
+    mask puts r in the set, and under a partial mask keeps it there
+    only if it was; any other write to r by a line with an active PE
+    takes it out.  The ISA has no MOV, so ``LDI r, 0`` then
+    ``ADD d, r, x`` is its copy: an ADD with a source known zero is a
+    move, ``regs[d] = regs[x]`` under the full mask (columns are
+    normalised between lines, so no op runs) and a masked write of x
+    under a partial one.  ``ADD d, d, x`` under a partial mask adds x's
+    active lanes to d, three whole-column ops where the masked write
+    takes four.
 
     A run of identical MOVDs (``SimProgram.runs``) executes as one MOVD
     of that many hops.  It is charged and counted as that many

@@ -24,6 +24,7 @@ from mppsoc.simulator import (
     check_columns,
     load_program,
 )
+from mppsoc.topology import WORD_MASK, spread
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -609,6 +610,9 @@ def test_pe_count_too_long_to_print_is_reported(tmp_path, capsys):
         f"{MAX_PES} PEs")
 
 
+# A column of 65536 40-bit lanes is an int of ceil(40 * 65536 / 30)
+# 30-bit digits, 4 bytes each.
+COLUMN_BYTES = 4 * 87382
 BUDGET_CFG = ("rows = 256\ncols = 256\nacu_mem_bytes = 64\n"
               "pe_mem_bytes = 65536\nneighborhood = mesh2d\n")
 
@@ -635,31 +639,33 @@ def test_simulate_refuses_a_run_over_the_column_budget(tmp_path):
         text=True, env=env, cwd=tmp_path, timeout=60, preexec_fn=limit)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
-        f"error: 3008 columns of 65536 PEs take {3008 * 65536 * 5} bytes, "
+        f"error: 3008 columns of 65536 PEs take {3008 * COLUMN_BYTES} bytes, "
         f"over the simulator's budget of {MAX_COLUMN_BYTES} bytes\n")
 
 
 def test_the_column_budget_counts_registers_and_legal_stores():
-    """On 65536 PEs 819 columns of 5-byte lanes fit the budget and 820
+    """On 65536 PEs 767 columns of 40-bit lanes fit the budget and 768
     do not: 8 registers, each distinct legal ST address once, and
     address 0 once more unless a ST already counts it.  An illegal
     address never makes a column."""
     config = parse_config(BUDGET_CFG)
-    assert 819 * 65536 * 5 <= MAX_COLUMN_BYTES < 820 * 65536 * 5
+    assert 767 * COLUMN_BYTES <= MAX_COLUMN_BYTES < 768 * COLUMN_BYTES
+    # The count is the int's digits; its header is the rest.
+    assert 0 < sys.getsizeof(spread(WORD_MASK, 65536)) - COLUMN_BYTES <= 32
     illegal = ["ST r0, -4", "ST r0, 2", "ST r0, 65536", "ST r1, 2"]
 
     def program(addresses):
         return load_program("\n".join(
             [*(f"ST r0, {a}" for a in addresses), *illegal, "HALT"]))
 
-    fits = program(range(4, 4 * 812, 4))  # 811 columns
+    fits = program(range(4, 4 * 760, 4))  # 759 columns
     check_columns(config, fits)
-    check_columns(config, program([*range(4, 4 * 812, 4), 4]), preloaded=False)
-    with pytest.raises(SimulationError, match="^820 columns of 65536 PEs"):
+    check_columns(config, program([*range(4, 4 * 760, 4), 4]), preloaded=False)
+    with pytest.raises(SimulationError, match="^768 columns of 65536 PEs"):
         check_columns(config, fits, preloaded=True)
-    check_columns(config, program(range(0, 4 * 811, 4)), preloaded=True)
-    with pytest.raises(SimulationError, match="^820 columns"):
-        check_columns(config, program(range(4, 4 * 813, 4)))
+    check_columns(config, program(range(0, 4 * 759, 4)), preloaded=True)
+    with pytest.raises(SimulationError, match="^768 columns"):
+        check_columns(config, program(range(4, 4 * 761, 4)))
 
 
 def test_simulate_cost_past_32_bits_is_refused(tmp_path, capsys):

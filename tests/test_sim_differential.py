@@ -47,6 +47,8 @@ DIRECTIONS = ("E", "W", "N", "S", "NE", "NW", "SE", "SW")
 
 regs = st.integers(0, 3).map("r{}".format)
 words = st.integers(-(1 << 33), 1 << 33)
+# LDI immediates that wrap to 0: ``LDI r, 0`` is half of the ISA's copy.
+zeros = st.sampled_from((0, 1 << 32, -(1 << 32)))
 
 
 costs = st.builds(CostModel, *(st.integers(0, 3) for _ in range(6)),
@@ -61,14 +63,25 @@ def programs(machine):
     under the full mask, with legal and with any directions, and the
     router branch also sends to ``idx+k`` under a mask that keeps the
     senders in range while the receivers past it are inactive, and to
-    ``idx`` and to ``idx+K``/``idx-K`` (K up to N) under any mask."""
+    ``idx`` and to ``idx+K``/``idx-K`` (K up to N) under any mask.
+    LDIs also load immediates that wrap to 0, and ADDs also write one
+    of their sources or read a register just loaded with 0, often under
+    a new mask, so that ``run`` meets its moves and masked accumulates
+    (``ADD r, r, r`` among them) under full and partial masks."""
     config, n = machine.config, machine.n_pes
     addresses = st.sampled_from(range(0, config.pe_mem_bytes - 3, 4) or [0])
+    masks = (st.sampled_from(("", "UNMASK\n"))
+             | predicates(n).map("MASK {}\n".format))
     legal = [
-        st.builds("LDI {}, {}".format, regs, words),
+        st.builds("LDI {}, {}".format, regs, words | zeros),
         st.builds("LD {}, {}".format, regs, addresses),
         st.builds("ST {}, {}".format, regs, addresses),
         st.builds("ADD {}, {}, {}".format, regs, regs, regs),
+        st.builds(lambda mask, dst, x, first: f"{mask}ADD {dst}, {dst}, {x}"
+                  if first else f"{mask}ADD {dst}, {x}, {dst}",
+                  masks, regs, regs, st.booleans()),
+        st.builds("LDI {0}, {1}\n{4}ADD {2}, {0}, {3}".format,
+                  regs, zeros, regs, regs, masks),
         st.builds("MASK {}".format, predicates(n)),
         st.just("UNMASK"),
         st.just("HALT"),
@@ -139,7 +152,15 @@ def error_of(err):
 
 def check_run(machine, oracle, program):
     """Run one program on the machine and on its oracle, and compare the
-    reports, or the errors and the state they leave."""
+    reports, or the errors and the state they leave.  Every column the
+    run leaves is normalised, its guard bits 0: ``run`` moves a column
+    by sharing its int on that promise."""
+    compare_run(machine, oracle, program)
+    for column in (*machine.regs, *machine.mem.values()):
+        assert not column & ~machine.full
+
+
+def compare_run(machine, oracle, program):
     config = machine.config
     try:
         want = ref.run(oracle, program)

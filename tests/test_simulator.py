@@ -604,6 +604,24 @@ def test_run_unpacks_no_column(monkeypatch):
     assert report.registers[0][0] == (sum(values) + (1 << 31)) % (1 << 32) - (1 << 31)
 
 
+@pytest.mark.parametrize("text, moved", [
+    ("LDI r1, 0\nADD r1, r1, r0", True),
+    ("LDI r1, 4294967296\nADD r1, r0, r1", True),  # the immediate wraps to 0
+    ("MASK even\nLDI r1, 0\nUNMASK\nADD r1, r1, r0", False),
+])
+def test_a_copy_under_the_full_mask_shares_the_source_column(text, moved):
+    """``LDI r1, 0`` then ``ADD r1, r1, r0`` is the ISA's copy, and
+    under the full mask ``run`` moves r0's column into r1 rather than
+    adding it.  An LDI of 0 under a partial mask leaves r1 known zero
+    only where it was, so the ADD after it adds (r1 held 0, so the
+    words are the same)."""
+    machine = machine_for(4, 4)
+    machine.set_values([pe * 1_000_003 - 7 for pe in range(16)])
+    run(machine, load_program(f"{text}\nHALT"))
+    assert (machine.regs[1] is machine.regs[0]) is moved
+    assert machine.column(1) == machine.column(0)
+
+
 class Scheduled(Exception):
     pass
 
