@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -138,12 +139,14 @@ def check_columns(config: MppSoCConfig, program: SimProgram,
     memory columns could take over ``MAX_COLUMN_BYTES``: the 8 registers
     and one column per legal address that the program stores to, with
     address 0 among them when ``set_values`` preloads it.  A column is
-    an int of one ``LANE_BITS`` lane per PE, which CPython stores in
-    4-byte digits of 30 bits each."""
+    an int of one ``LANE_BITS`` lane per PE, counted in the digits that
+    this interpreter stores it in (``sys.int_info``)."""
     addresses = program.store_addresses | ({0} if preloaded else set())
     columns = _REGISTER_COUNT + sum(
         _legal_address(addr, config.pe_mem_bytes) for addr in addresses)
-    need = columns * 4 * -(-LANE_BITS * config.n_pes // 30)
+    digit = sys.int_info
+    need = columns * digit.sizeof_digit * -(
+        -LANE_BITS * config.n_pes // digit.bits_per_digit)
     if need > MAX_COLUMN_BYTES:
         raise SimulationError(
             f"{columns} columns of {config.n_pes} PEs take {need} bytes, over "
@@ -552,9 +555,7 @@ class _Context:
     """What a line compiles against: the machine, its cost model and the
     two terms of its ``noc_cycles`` (None with no router), the active
     range that the MASKs before the line leave, with its ``_merger``,
-    and ``zero``, the registers that the lines before it leave holding
-    0 in every lane.  ``zero`` starts empty: a plan is keyed by the
-    machine, not by the data it holds."""
+    and ``zero``, the registers known to hold 0 in every lane."""
 
     def __init__(self, machine: SimMachine):
         self.machine, self.cost, self.n = machine, machine.cost, machine.n_pes
@@ -615,10 +616,8 @@ def _compile_ldi(ctx: _Context, reg: int, imm: int):
 
 
 def _compile_add(ctx: _Context, dst: int, a: int, b: int):
-    """A source known zero makes the ADD a move, which under the full
-    mask shares the other source's int: columns are normalised between
-    lines.  ``ADD d, d, x`` under a partial mask adds x's active lanes
-    to d, one op fewer than the merge."""
+    """The move shares the source's int: columns are normalised between
+    lines."""
     charge, merge, full = ctx.cost.op_cycles, ctx.merge, ctx.full
     if not ctx.active:
         return charge, None
@@ -628,11 +627,6 @@ def _compile_add(ctx: _Context, dst: int, a: int, b: int):
         def move(m: SimMachine):
             m.regs[dst] = m.regs[src]
         return charge, move
-    if src is not None:
-        def masked_move(m: SimMachine):
-            regs = m.regs
-            regs[dst] = merge(m, regs[dst], regs[src])
-        return charge, masked_move
     if dst in (a, b) and not full:
         x = b if a == dst else a
         active = ctx.active
@@ -850,12 +844,11 @@ def run(machine: SimMachine, program: SimProgram,
     mask puts r in the set, and under a partial mask keeps it there
     only if it was; any other write to r by a line with an active PE
     takes it out.  The ISA has no MOV, so ``LDI r, 0`` then
-    ``ADD d, r, x`` is its copy: an ADD with a source known zero is a
-    move, ``regs[d] = regs[x]`` under the full mask (columns are
-    normalised between lines, so no op runs) and a masked write of x
-    under a partial one.  ``ADD d, d, x`` under a partial mask adds x's
-    active lanes to d, three whole-column ops where the masked write
-    takes four.
+    ``ADD d, r, x`` is its copy: under the full mask an ADD with a
+    source known zero is a move, ``regs[d] = regs[x]`` (columns are
+    normalised between lines, so no op runs).  Under a partial mask,
+    ``ADD d, d, x`` adds x's active lanes to d, three whole-column ops
+    where the masked write takes four.
 
     A run of identical MOVDs (``SimProgram.runs``) executes as one MOVD
     of that many hops.  It is charged and counted as that many

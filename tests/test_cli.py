@@ -610,9 +610,10 @@ def test_pe_count_too_long_to_print_is_reported(tmp_path, capsys):
         f"{MAX_PES} PEs")
 
 
-# A column of 65536 40-bit lanes is an int of ceil(40 * 65536 / 30)
-# 30-bit digits, 4 bytes each.
-COLUMN_BYTES = 4 * 87382
+# A column of 65536 40-bit lanes is an int of ceil(40 * 65536 / bits)
+# digits of ``bits`` bits each.
+COLUMN_BYTES = sys.int_info.sizeof_digit * -(
+    -40 * 65536 // sys.int_info.bits_per_digit)
 BUDGET_CFG = ("rows = 256\ncols = 256\nacu_mem_bytes = 64\n"
               "pe_mem_bytes = 65536\nneighborhood = mesh2d\n")
 
