@@ -100,6 +100,11 @@ class TransferResult:
     conflicts: int = 0
 
 
+# Shared by every empty set and every omega translation.
+_NO_PASS = TransferResult(passes=0)
+_ONE_PASS = TransferResult(passes=1)
+
+
 class MpNocNetwork:
     """Immutable description of one built router network."""
 
@@ -235,14 +240,14 @@ def transfer(net: MpNocNetwork, srcs, dsts) -> TransferResult:
     if len(srcs) != len(dsts):
         raise ValueError(f"{len(srcs)} sources for {len(dsts)} destinations")
     if not srcs:
-        return TransferResult(passes=0)
+        return _NO_PASS
     ports = net.ports
     if (net.kind is MpNocKind.DELTA_OMEGA
             and isinstance(srcs, range) and isinstance(dsts, range)
             and srcs.step == dsts.step > 0
             and min(srcs.start, dsts.start) >= 0
             and max(srcs[-1], dsts[-1]) < ports):
-        return TransferResult(passes=1)
+        return _ONE_PASS
     if min(min(srcs), min(dsts)) < 0 or max(max(srcs), max(dsts)) >= ports:
         src, dst = next((src, dst) for src, dst in zip(srcs, dsts)
                         if not (0 <= src < ports and 0 <= dst < ports))

@@ -722,7 +722,16 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
 
     The step schedules the send anew on every run through ``transfer``
     and returns the cycles of its passes for ``run`` to charge; nothing
-    is built from a destination before ``transfer`` has accepted it."""
+    is built from a destination before ``transfer`` has accepted it.
+
+    An ``idx±K`` send's receivers are the senders that are also
+    destinations, fixed here with integers only: none when K is 0 (each
+    word stays home), is not a multiple of the mask's step or spans more
+    than the senders do; else the senders from PE ``start+K`` up (K > 0)
+    or up to PE ``last+K`` (K < 0).  With none, the step only routes.
+    Otherwise it cuts the receivers from the senders' own lane mask at
+    that edge PE, with a mask of the lanes below the edge and one
+    whole-column XOR, and shifts the data column once."""
     if ctx.noc is None:
         return 0, _Raise(NocUnavailable)
     senders, (per_pass, config) = ctx.active, ctx.noc
@@ -747,23 +756,29 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
             return cycles
         return 0, send_out
     if kind == "idx":
-        destinations = range(senders.start + number, senders.stop + number,
-                             senders.step)
-        full = ctx.full
         count, step, start = len(senders), senders.step, senders.start
+        last = senders[-1] if count else start
+        destinations = range(start + number, senders.stop + number, step)
+        # The receivers are the senders from the edge PE up (K > 0) or
+        # below it (K < 0).
+        edge = start + number if number > 0 else last + number + 1
+        if not (count and number and number % step == 0
+                and start < edge <= last):
+            def send(m: SimMachine) -> int:
+                return route(m, destinations)
+            return 0, send
+        full, cut, up = ctx.full, LANE_BITS * edge, number > 0
 
         def shift_send(m: SimMachine) -> int:
             cycles = route(m, destinations)
-            if count:
-                # Distinct destinations: each active one gets exactly one
-                # word, from the lane K = ``number`` below it.  The router
-                # has checked that every destination is a PE, so the
-                # shift is under N lanes.
-                lanes = m.full if full else _range_lanes(count, step, start)
-                receivers = lanes & shift_lanes(lanes, number)
-                column = m.regs[reg]
-                m.regs[reg] = column ^ (
-                    column ^ shift_lanes(column, number)) & receivers
+            # The router has checked that every destination is a PE, so
+            # the shift is under N lanes.  Each receiver gets the word
+            # from the lane K = ``number`` below it.
+            lanes = m.full if full else _range_lanes(count, step, start)
+            low = lanes & (1 << cut) - 1
+            column = m.regs[reg]
+            m.regs[reg] = column ^ (column ^ shift_lanes(column, number)) & (
+                lanes ^ low if up else low)
             return cycles
         return 0, shift_send
     hit = number in senders

@@ -231,6 +231,32 @@ def test_run_matches_per_pe_reference(shape, pe_mem_bytes, cost, data):
         check_run(machine, oracle, program)
 
 
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(MpNocKind), n=st.sampled_from((4, 8, 16)),
+       data=st.data())
+def test_a_shifted_send_matches_the_reference_from_any_range(kind, n, data):
+    """``NOCSEND pe, idx±K`` from every range of senders a run can start
+    under (``SimMachine.active``), with K up to N either way, on and off
+    the range's step: the receivers ``run`` cuts from the senders' mask
+    are the reference's.  The ranges include strided ones that end more
+    than a step before the last PE, which no MASK gives, so that an
+    aligned strided send delivers.  Every PE holds its own word, so a
+    word delivered to a wrong PE shows."""
+    config = MppSoCConfig(rows=1, cols=n, acu_mem_bytes=64, pe_mem_bytes=4,
+                          mpnoc=kind)
+    machine, oracle = SimMachine(config), ref.SimMachine(config)
+    for sim in (machine, oracle):
+        sim.set_values(range(1, n + 1))
+    start, step = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n))
+    entry = range(n)[start::step][:data.draw(st.integers(0, n))]
+    offset = data.draw(st.integers(-n, n) | st.integers(-n, n).map(
+        lambda k: k * step))
+    machine.active = entry
+    oracle.pe_active = [pe in entry for pe in range(n)]
+    check_run(machine, oracle, load_program(
+        f"NOCSEND pe, idx{offset:+d}, r0\nHALT"))
+
+
 @settings(max_examples=100, deadline=None)
 @given(shape=st.sampled_from(SHAPES),
        pe_mem_bytes=st.tuples(*2 * [st.sampled_from(PE_MEM_BYTES)]),

@@ -660,6 +660,46 @@ def test_omega_translations_read_no_source_tag_and_no_resource(monkeypatch):
                                              + cost.op_cycles))
 
 
+def test_a_pe_send_shifts_only_its_data_column(monkeypatch):
+    """A noc-program-shaped program on a 1024-PE omega router: each
+    ``NOCSEND pe, idx±K`` whose K is a multiple of its mask's step, with
+    a receiver, shifts one column, the data; its receivers are cut from
+    the senders' mask without a shift.  A send off the stride, one whose
+    destinations are all idle and one to ``idx`` shift nothing.  The
+    words equal the reference's, and a second run on a fresh machine
+    builds no lane mask."""
+    config = MppSoCConfig(rows=32, cols=32, acu_mem_bytes=1024,
+                          pe_mem_bytes=64, mpnoc=MpNocKind.DELTA_OMEGA)
+    sends = [(f"lt:{1024 - k}", f"+{k}") for k in (1, 2, 4, 8, 16, 32, 64, 128)]
+    sends += [("ge:5", "-5"), ("ge:1", "-1"), ("even", "+1"), ("mod:4:3", "-1"),
+              ("lt:3", "+3"), ("even", "+0")]
+    lines = ["LD r0, 0", "LDI r1, 0"]
+    for pred, offset in sends:
+        lines += [f"MASK {pred}", f"NOCSEND pe, idx{offset}, r0",
+                  "ADD r1, r1, r0"]
+    program = load_program("\n".join(lines + ["UNMASK", "ST r1, 4", "HALT"]))
+    values = [pe * 7919 % 65537 - 30000 for pe in range(1024)]
+    oracle = ref.SimMachine(config)
+    oracle.set_values(values)
+    want = ref.run(oracle, program)
+    shifts = []
+
+    def counted(column, lanes):
+        shifts.append(lanes)
+        return topology.shift_lanes(column, lanes)
+
+    monkeypatch.setattr(simulator, "shift_lanes", counted)
+    aligned = [1, 2, 4, 8, 16, 32, 64, 128, -5, -1]
+    for _ in range(2):
+        misses = simulator._range_lanes.cache_info().misses
+        machine = SimMachine(config)
+        machine.set_values(values)
+        assert run(machine, program) == want
+        assert shifts == aligned
+        shifts.clear()
+    assert simulator._range_lanes.cache_info().misses == misses
+
+
 # Programs that stop on their fifth line, after two MASKs, an LDI and an
 # ST, with the cycles the fifth line adds in units of (issue, op): LD
 # and ST charge their op before the address check, MOVD and NOCSEND
