@@ -29,7 +29,8 @@ def main():
         print(f"  {action.anchor}{target} {action.delimiter} {action.new_value}")
 
     report = generate(config, out_dir)
-    print(f"\n{report.to_text()} into {out_dir}")
+    summary = "\n".join(report.lines())
+    print(f"\n{summary} into {out_dir}")
     print(f"generation took {report.elapsed_seconds * 1000:.1f} ms",
           file=sys.stderr)
 

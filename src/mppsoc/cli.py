@@ -5,7 +5,8 @@ problem), 2 I/O or template trouble, or a configuration whose generated
 VHDL would hold an ``integer`` over 2^31-1, 3 simulation runtime errors
 or a neighbourhood that cannot be built on the grid.
 Diagnostics, including timings, go to stderr; everything printed to
-stdout is reproducible across identical runs.
+stdout is reproducible across identical runs.  A report is written a PE
+at a time as it renders, to stdout and then its kv file, never whole.
 """
 
 from __future__ import annotations
@@ -90,8 +91,14 @@ def _parse_values(spec: str, count: int) -> list[int]:
     return list(values)
 
 
-def _emit(args, text_form: str, kv_form: str):
-    print(kv_form if args.report == "kv" else text_form)
+def _write_report(args, report, path: Path, note: str = "") -> None:
+    """Print ``report`` in the ``--report`` form, then ``note`` on stderr,
+    then save the kv form at ``path``, each a piece at a time."""
+    sys.stdout.writelines(f"{p}\n" for p in report.lines(args.report == "kv"))
+    sys.stderr.write(note)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as file:
+        file.writelines(f"{p}\n" for p in report.lines(kv=True))
 
 
 def _cmd_validate(args) -> int:
@@ -123,9 +130,8 @@ def _cmd_generate(args) -> int:
         check_dimensions(config.neighborhood, config.rows, config.cols)
     out_dir = Path(args.out)
     gen_report = generate(config, out_dir, template_dir, search_dir)
-    _emit(args, gen_report.to_text(), gen_report.to_kv().rstrip("\n"))
-    print(f"generation took {gen_report.elapsed_seconds:.3f}s", file=sys.stderr)
-    (out_dir / _GEN_REPORT_NAME).write_text(gen_report.to_kv(), encoding="utf-8")
+    _write_report(args, gen_report, out_dir / _GEN_REPORT_NAME,
+                  f"generation took {gen_report.elapsed_seconds:.3f}s\n")
     if args.manifest:
         manifest = "".join(f"{out_dir / name}\n" for name in TEMPLATE_FILES)
         Path(args.manifest).write_text(manifest, encoding="utf-8")
@@ -155,12 +161,7 @@ def _cmd_simulate(args) -> int:
         outcome = run(machine, program)
     else:
         raise SimulationError(f"unknown app {args.app!r} (reduce or asm:FILE)")
-    kv = outcome.to_kv()
-    _emit(args, outcome.to_text(), kv.rstrip("\n"))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / _SIM_REPORT_NAME).write_text(kv, encoding="utf-8")
+    _write_report(args, outcome, Path(args.out) / _SIM_REPORT_NAME)
     return 0
 
 

@@ -175,15 +175,15 @@ class GenReport:
     lines_rewritten: int
     elapsed_seconds: float
 
-    def to_kv(self) -> str:
-        return (f"files_written={self.files_written}\n"
-                f"lines_generated={self.lines_generated}\n"
-                f"lines_rewritten={self.lines_rewritten}\n")
-
-    def to_text(self) -> str:
+    def lines(self, kv: bool = False) -> tuple[str, ...]:
+        """The text form, or with ``kv`` the kv form, a line per piece."""
+        if kv:
+            return (f"files_written={self.files_written}",
+                    f"lines_generated={self.lines_generated}",
+                    f"lines_rewritten={self.lines_rewritten}")
         return (f"{self.files_written} files written, "
                 f"{self.lines_generated} lines generated, "
-                f"{self.lines_rewritten} lines rewritten")
+                f"{self.lines_rewritten} lines rewritten",)
 
 
 def rewrite_line(line: str, action: RewriteAction) -> tuple[str, bool]:

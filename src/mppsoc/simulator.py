@@ -46,7 +46,7 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -499,19 +499,18 @@ class SimReport:
     registers: Sequence[tuple[int, ...]]
     memory_words: Sequence[tuple[int, ...]] | None = None
 
-    def to_text(self) -> str:
-        lines = [f"cycles={self.cycles} instructions={self.instructions}"]
+    def lines(self, kv: bool = False) -> Iterator[str]:
+        """The text form, or with ``kv`` the kv form, in pieces joined by
+        newlines: the header, then one per PE (a line, or eight kv lines)."""
+        fields = range(_REGISTER_COUNT)
+        if kv:
+            yield f"cycles={self.cycles}\ninstructions={self.instructions}"
+            row = "\n".join(f"pe{{0}}.r{i}={{{i + 1}}}" for i in fields)
+        else:
+            yield f"cycles={self.cycles} instructions={self.instructions}"
+            row = "pe{0}: " + " ".join(f"r{i}={{{i + 1}}}" for i in fields)
         for pe, regs in enumerate(self.registers):
-            rendered = " ".join(f"r{i}={v}" for i, v in enumerate(regs))
-            lines.append(f"pe{pe}: {rendered}")
-        return "\n".join(lines)
-
-    def to_kv(self) -> str:
-        lines = [f"cycles={self.cycles}", f"instructions={self.instructions}"]
-        for pe, regs in enumerate(self.registers):
-            for i, v in enumerate(regs):
-                lines.append(f"pe{pe}.r{i}={v}")
-        return "\n".join(lines) + "\n"
+            yield row.format(pe, *regs)
 
 
 # -- the compiler: a program becomes a plan of column steps ----------------
@@ -922,15 +921,14 @@ class ReductionReport:
     total_cycles: int
     per_step_hop_counts: tuple[int, ...]
 
-    def to_text(self) -> str:
+    def lines(self, kv: bool = False) -> tuple[str, ...]:
+        """The text form, or with ``kv`` the kv form, a line per piece."""
         hops = ",".join(str(h) for h in self.per_step_hop_counts)
+        if kv:
+            return (f"sum={self.result}", f"steps={self.transfer_add_steps}",
+                    f"cycles={self.total_cycles}", f"hops_per_step={hops}")
         return (f"sum={self.result} steps={self.transfer_add_steps} "
-                f"cycles={self.total_cycles}\nhops_per_step={hops or '-'}")
-
-    def to_kv(self) -> str:
-        hops = ",".join(str(h) for h in self.per_step_hop_counts)
-        return (f"sum={self.result}\nsteps={self.transfer_add_steps}\n"
-                f"cycles={self.total_cycles}\nhops_per_step={hops}\n")
+                f"cycles={self.total_cycles}", f"hops_per_step={hops or '-'}")
 
 
 def reduce_sum(config: MppSoCConfig, values,

@@ -644,6 +644,38 @@ def test_simulate_refuses_a_run_over_the_column_budget(tmp_path):
         f"over the simulator's budget of {MAX_COLUMN_BYTES} bytes\n")
 
 
+def test_simulate_writes_its_reports_without_building_them_whole(tmp_path):
+    """On 512x512 PEs the report forms hold 2^18 text lines and 2^21 kv
+    lines.  The CLI writes them a PE at a time, so a child limited to
+    128 MiB of address space finishes the run; rendering either form
+    whole peaks at ~224 MiB RSS."""
+    resource = pytest.importorskip("resource")
+    (tmp_path / "big.cfg").write_text(
+        "rows = 512\ncols = 512\nacu_mem_bytes = 64\n"
+        "pe_mem_bytes = 8\nneighborhood = mesh2d\n")
+    (tmp_path / "prog.asm").write_text("LDI r0, 1\nHALT\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "mppsoc.cli", "simulate", "big.cfg",
+         "--app", "asm:prog.asm", "-o", "out"], capture_output=True,
+        text=True, env=env, cwd=tmp_path, timeout=60, preexec_fn=limit)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count("\n") == 1 + (1 << 18)
+    assert done.stdout.endswith("\npe262143: r0=1 r1=0 r2=0 r3=0 r4=0 r5=0 "
+                                "r6=0 r7=0\n")
+    kv = (tmp_path / "out" / "simulation-report.kv").read_bytes()
+    assert kv.count(b"\n") == 2 + 8 * (1 << 18)
+    assert kv.endswith(b"\npe262143.r0=1\npe262143.r1=0\npe262143.r2=0\n"
+                       b"pe262143.r3=0\npe262143.r4=0\npe262143.r5=0\n"
+                       b"pe262143.r6=0\npe262143.r7=0\n")
+
+
 def test_the_column_budget_counts_registers_and_legal_stores():
     """On 65536 PEs 767 columns of 40-bit lanes fit the budget and 768
     do not: 8 registers, each distinct legal ST address once, and

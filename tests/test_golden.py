@@ -1,10 +1,12 @@
-"""Behaviour lock: the demos' stdout and the files `generate` writes must
-match goldens byte for byte.
+"""Behaviour lock: the demos' stdout, the files `generate` writes and what
+`simulate` prints and saves must match goldens byte for byte.
 
 The goldens were captured from the code before the one-definition
 refactor.  Demo 02 takes its output directory as an argument, so the test
 gives it a temporary one and replaces that path with ``<OUT>``; its
-timing goes to stderr and is not compared.
+timing goes to stderr and is not compared.  The simulate goldens were
+captured from the code that rendered each report whole, before reports
+were written a piece at a time.
 """
 
 import os
@@ -65,3 +67,26 @@ def test_generate_matches_golden(config, tmp_path, capsys):
         encoding="utf-8")
     for name in TEMPLATE_FILES:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+SIMULATE_RUNS = {
+    "asm": ["--app", f"asm:{GOLDEN / 'simulate' / 'asm' / 'prog.asm'}"],
+    "reduce": ["--app", "reduce", "--values", "0..15"],
+}
+
+
+@pytest.mark.parametrize("form", ["text", "kv"])
+@pytest.mark.parametrize("run", sorted(SIMULATE_RUNS))
+def test_simulate_matches_golden(run, form, tmp_path, capsys):
+    """Both ``--report`` forms print their golden stdout, and both save
+    the same kv file, which ``report`` prints back unchanged."""
+    out = tmp_path / "out"
+    assert main(["simulate", str(DEMOS / "mesh16.cfg"), *SIMULATE_RUNS[run],
+                 "-o", str(out), "--report", form]) == 0
+    expected = GOLDEN / "simulate" / run
+    assert capsys.readouterr().out.encode() == (
+        expected / f"{form}.stdout").read_bytes()
+    saved = (out / "simulation-report.kv").read_bytes()
+    assert saved == (expected / "simulation-report.kv").read_bytes()
+    assert main(["report", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == saved
