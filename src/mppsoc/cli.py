@@ -17,7 +17,13 @@ import sys
 from pathlib import Path
 
 from mppsoc.config import ConfigError, CostModel, parse_config
-from mppsoc.errors import MppSocError, content_lines, int_text, read_text
+from mppsoc.errors import (
+    MppSocError,
+    content_lines,
+    int_text,
+    read_blocks,
+    read_text,
+)
 from mppsoc.rewrite import (
     TEMPLATE_FILES,
     RewriteError,
@@ -165,6 +171,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _print_saved(path: Path, block: int = 1 << 16) -> None:
+    """Print the text of ``path``, its trailing newlines cut to one, a
+    block at a time: a block that does not decode fails after the blocks
+    before it are printed."""
+    tail = ""  # the newlines read last, printed only before more text
+    for piece in read_blocks(path, OSError, block):
+        piece = tail + piece
+        text = piece.rstrip("\n")
+        sys.stdout.write(text)
+        tail = piece[len(text):]
+    sys.stdout.write("\n")
+
+
 def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     found = False
@@ -172,7 +191,7 @@ def _cmd_report(args) -> int:
         path = out_dir / name
         if path.is_file():
             found = True
-            print(read_text(path, OSError).rstrip("\n"))
+            _print_saved(path)
     if not found:
         print(f"error: no reports in {out_dir}", file=sys.stderr)
         return 2

@@ -40,10 +40,17 @@ def decimal_int(token: str) -> int:
 
 
 def read_text(path: Path, error: type[Exception]) -> str:
-    """The UTF-8 text of ``path``; ``error`` saying ``PATH: cannot
-    read: …`` when it cannot be opened or does not decode."""
+    """The UTF-8 text of ``path``, read whole by ``read_blocks``."""
+    return "".join(read_blocks(path, error, -1))
+
+
+def read_blocks(path: Path, error: type[Exception], size: int):
+    """The UTF-8 text of ``path`` in blocks of ``size`` characters, or
+    whole if ``size`` is negative; ``error`` saying ``PATH: cannot read:
+    …`` when it cannot be opened or a block does not decode."""
     try:
-        return path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8") as file:
+            yield from iter(lambda: file.read(size), "")
     except (OSError, UnicodeError) as err:
         raise error(f"{path}: cannot read: {err}") from err
 

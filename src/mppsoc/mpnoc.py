@@ -226,35 +226,43 @@ def transfer(net: MpNocNetwork, srcs, dsts) -> TransferResult:
     port ``srcs[i]`` to port ``dsts[i]``, both in 0..N-1.  ``srcs`` and
     ``dsts`` are sized sequences of one length (ranges or lists); the
     first message with an end outside the ports raises
-    ``PortOutOfRange``.
+    ``PortOutOfRange``, found from each column's ends (O(1) for a range).
 
     Messages that claim a common resource go in successive passes,
     lowest source first, whether or not they share a source: messages
-    to one port reach it one pass after another.  An empty set takes no
-    pass.
+    to one port reach it one pass after another, scheduled on that one
+    column.  An empty set takes no pass.
 
-    On omega, two ranges with one positive step whose ends lie inside
-    the ports are a translation (see the module docstring): one pass,
-    found in O(1) without looking at a message.
+    On omega, two ranges with one positive step are a translation (see
+    the module docstring): one pass, found in O(1) without looking at a
+    message.
     """
     if len(srcs) != len(dsts):
         raise ValueError(f"{len(srcs)} sources for {len(dsts)} destinations")
     if not srcs:
         return _NO_PASS
     ports = net.ports
-    if (net.kind is MpNocKind.DELTA_OMEGA
-            and isinstance(srcs, range) and isinstance(dsts, range)
-            and srcs.step == dsts.step > 0
-            and min(srcs.start, dsts.start) >= 0
-            and max(srcs[-1], dsts[-1]) < ports):
-        return _ONE_PASS
-    if min(min(srcs), min(dsts)) < 0 or max(max(srcs), max(dsts)) >= ports:
+    src_low, src_high = _ends(srcs)
+    dst_low, dst_high = _ends(dsts)
+    if src_low < 0 or dst_low < 0 or src_high >= ports or dst_high >= ports:
         src, dst = next((src, dst) for src, dst in zip(srcs, dsts)
                         if not (0 <= src < ports and 0 <= dst < ports))
         raise PortOutOfRange(src, dst, ports)
-    # Lowest source port first, then lowest destination port.  Strictly
-    # increasing sources are in that order already.
-    if not all(map(lt, srcs, srcs[1:])):
-        srcs, dsts = zip(*sorted(zip(srcs, dsts)))
-    passes, conflicts = _greedy_passes(net.resource_columns(srcs, dsts), ports)
+    if (net.kind is MpNocKind.DELTA_OMEGA and isinstance(srcs, range)
+            and isinstance(dsts, range) and srcs.step == dsts.step > 0):
+        return _ONE_PASS
+    if dst_low == dst_high:
+        columns = [dsts]
+    else:  # lowest source port first, then lowest destination port
+        if not all(map(lt, srcs, srcs[1:])):
+            srcs, dsts = zip(*sorted(zip(srcs, dsts)))
+        columns = net.resource_columns(srcs, dsts)
+    passes, conflicts = _greedy_passes(columns, ports)
     return TransferResult(passes=len(passes), conflicts=conflicts)
+
+
+def _ends(ports) -> tuple[int, int]:
+    """The lowest and the highest of a non-empty column of ports."""
+    if isinstance(ports, range) and ports.step > 0:
+        return ports[0], ports[-1]
+    return min(ports), max(ports)

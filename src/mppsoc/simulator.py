@@ -341,25 +341,12 @@ def load_program(text: str) -> SimProgram:
     return SimProgram(instructions=tuple(instructions))
 
 
-@lru_cache(maxsize=8)
-def _all_lanes(n: int) -> tuple[int, int]:
-    """1, and 0xFFFFFFFF, in each of n lanes."""
-    ones = spread(1, n)
-    return ones, ones * WORD_MASK
-
-
-@lru_cache(maxsize=16)
-def _range_lanes(count: int, step: int, start: int) -> int:
-    """The lane mask of ``count`` PEs ``step`` apart from ``start`` on:
-    one MASK range, built once for the last 16 ranges used."""
-    return spread(WORD_MASK, count, step) << LANE_BITS * start
-
-
-@lru_cache(maxsize=4)
-def _fill_lanes(n: int, word: int) -> int:
-    """The 32-bit ``word`` in each of n lanes: a MOVD's boundary column,
-    built once for the last 4 (PE count, boundary value) pairs."""
-    return _all_lanes(n)[0] * word
+@lru_cache(maxsize=20)
+def _lanes(pes: range, word: int = WORD_MASK) -> int:
+    """``word`` in the lanes of the PEs in ``pes``, 0 in the others: a
+    MASK range's lane mask, the full mask, the ones or a MOVD's boundary
+    column, kept for the last 20 (range, word) pairs."""
+    return spread(word, len(pes), pes.step) << LANE_BITS * pes.start
 
 
 class SimMachine:
@@ -389,7 +376,8 @@ class SimMachine:
         self.mpnoc: MpNocNetwork | None = None
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
-        self.ones, self.full = _all_lanes(self.n_pes)
+        pes = range(self.n_pes)
+        self.ones, self.full = _lanes(pes, 1), _lanes(pes)
         self.reset()
 
     def reset(self):
@@ -541,8 +529,7 @@ class _Plan(NamedTuple):
     ``tail`` is the charge of the lines after the last step, the HALT's
     issue among them, ``executed`` the instructions run to the HALT and
     ``final`` the active range there.  A plan holds no column: a step
-    takes its lane masks from the bounded ``_range_lanes`` and
-    ``_fill_lanes`` when it runs."""
+    takes its lane masks from the bounded ``_lanes`` when it runs."""
 
     entries: tuple
     tail: int
@@ -581,9 +568,7 @@ def _merger(active: range, n: int):
     ``old`` is not read."""
     if len(active) == n:
         return lambda machine, old, new: new & machine.full
-    count, step, start = len(active), active.step, active.start
-    return lambda machine, old, new: old ^ (old ^ new) & _range_lanes(
-        count, step, start)
+    return lambda machine, old, new: old ^ (old ^ new) & _lanes(active)
 
 
 # One compiler per mnemonic: ``compile(context, *operands)`` returns the
@@ -627,14 +612,11 @@ def _compile_add(ctx: _Context, dst: int, a: int, b: int):
             m.regs[dst] = m.regs[src]
         return charge, move
     if dst in (a, b) and not full:
-        x = b if a == dst else a
-        active = ctx.active
-        count, step, start = len(active), active.step, active.start
+        x, active = b if a == dst else a, ctx.active
 
         def accumulate(m: SimMachine):
             regs = m.regs
-            regs[dst] = (regs[dst] + (regs[x] & _range_lanes(
-                count, step, start))) & m.full
+            regs[dst] = (regs[dst] + (regs[x] & _lanes(active))) & m.full
         return charge, accumulate
 
     def add(m: SimMachine):
@@ -690,13 +672,12 @@ def _compile_movd(ctx: _Context, reg: int, direction: str, hops: int = 1):
     if ctx.full:  # every sender active, every lane written
         def movd(m: SimMachine):
             m.regs[reg] = m.topology.shift(m.regs[reg], direction,
-                                           _fill_lanes(n, word), hops)
+                                           _lanes(range(n), word), hops)
         return charge, movd
-    count, step, start = len(active), active.step, active.start
 
     def masked_movd(m: SimMachine):
-        shift, fill = m.topology.shift, _fill_lanes(n, word)
-        lanes, column = _range_lanes(count, step, start), m.regs[reg]
+        shift, fill = m.topology.shift, _lanes(range(n), word)
+        lanes, column = _lanes(active), m.regs[reg]
         for _ in range(hops):
             # An inactive sender sends the boundary value.
             source = fill ^ (fill ^ column) & lanes
@@ -755,25 +736,25 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
             return cycles
         return 0, send_out
     if kind == "idx":
-        count, step, start = len(senders), senders.step, senders.start
-        last = senders[-1] if count else start
+        start, step = senders.start, senders.step
+        last = senders[-1] if senders else start
         destinations = range(start + number, senders.stop + number, step)
         # The receivers are the senders from the edge PE up (K > 0) or
         # below it (K < 0).
         edge = start + number if number > 0 else last + number + 1
-        if not (count and number and number % step == 0
+        if not (senders and number and number % step == 0
                 and start < edge <= last):
             def send(m: SimMachine) -> int:
                 return route(m, destinations)
             return 0, send
-        full, cut, up = ctx.full, LANE_BITS * edge, number > 0
+        cut, up = LANE_BITS * edge, number > 0
 
         def shift_send(m: SimMachine) -> int:
             cycles = route(m, destinations)
             # The router has checked that every destination is a PE, so
             # the shift is under N lanes.  Each receiver gets the word
             # from the lane K = ``number`` below it.
-            lanes = m.full if full else _range_lanes(count, step, start)
+            lanes = _lanes(senders)
             low = lanes & (1 << cut) - 1
             column = m.regs[reg]
             m.regs[reg] = column ^ (column ^ shift_lanes(column, number)) & (

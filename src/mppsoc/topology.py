@@ -24,9 +24,8 @@ columns where the arrays build each int as it is read.
 A graph stores only its kind and shape.  ``TopologyGraph.shift`` moves
 a packed column one or more hops (MOVD) with one bit shift and a few
 masks per binary digit of the hop count, and ``adjacency`` is a lazy
-view: that shift of the packed PE indices, on first use.
-``build_topology`` reuses the graphs of the last few shapes, so
-machines of one shape share their masks.
+view: that shift of the packed PE indices, on first use.  The masks of
+the last 32 moves, over every graph, are kept in ``_move_masks``.
 """
 
 from __future__ import annotations
@@ -185,7 +184,6 @@ class TopologyGraph:
         self.cols = cols
         self.directions = frozenset(_DIRECTIONS_BY_KIND[kind])
         self._wraps = kind in _WRAPPING_KINDS
-        self._hops: dict = {}  # (direction, 2^j hops) -> its masks and shifts
 
     @property
     def n_pes(self) -> int:
@@ -217,8 +215,8 @@ class TopologyGraph:
         mask clears the other lanes, the ones the move vacates: they take
         ``fill`` on a linear array, mesh or xnet, and on a ring or torus
         (no diagonals, so they form one band along an edge) the band at
-        the opposite edge, moved by one more shift.  The masks are built
-        once per direction and power-of-two hop count.
+        the opposite edge, moved by one more shift.  ``_move_masks`` keeps
+        the masks of the last 32 moves.
         """
         if hops < 0:
             raise ValueError(f"hops must be >= 0, got {hops}")
@@ -230,27 +228,13 @@ class TopologyGraph:
         while hops:
             move = hops & -hops
             hops ^= move
-            if (direction, move) not in self._hops:
-                self._hops[direction, move] = self._hop(dr, dc, move)
-            step, keep, edge, seam = self._hops[direction, move]
+            step, keep, edge, seam = _move_masks(self, dr, dc, move)
             out = shift_lanes(column, step) & keep
             if edge:
                 column = out | shift_lanes(column & edge, seam)
             else:
                 column = out | fill & ~keep if fill else out
         return column
-
-    def _hop(self, dr: int, dc: int, hops: int) -> tuple:
-        rows, cols, n = self.rows, self.cols, self.n_pes
-        kept_row = (spread(WORD_MASK, cols - hops * abs(dc))
-                    << LANE_BITS * max(hops * dc, 0))
-        keep = (spread(kept_row, rows - hops * abs(dr), cols)
-                << LANE_BITS * cols * max(hops * dr, 0))
-        step = hops * (dr * cols + dc)
-        if not self._wraps:
-            return step, keep, 0, 0
-        seam = step - dr * n - dc * cols  # |dr| + |dc| == 1 on a ring or torus
-        return step, keep, shift_lanes(spread(WORD_MASK, n) ^ keep, -seam), seam
 
     @cached_property
     def adjacency(self) -> tuple[dict, ...]:
@@ -282,6 +266,23 @@ class TopologyGraph:
         return "\n".join(f"{u} {v} {label}" for u, v, label in self.edges()) + "\n"
 
 
+@lru_cache(maxsize=32)
+def _move_masks(graph: TopologyGraph, dr: int, dc: int, hops: int) -> tuple:
+    """``(step, keep, edge, seam)`` of a move of ``hops`` hops along
+    ``(dr, dc)`` on ``graph``, as ``TopologyGraph.shift`` applies it:
+    ``edge`` and ``seam`` are 0 but on a ring or torus."""
+    rows, cols, n = graph.rows, graph.cols, graph.n_pes
+    kept_row = (spread(WORD_MASK, cols - hops * abs(dc))
+                << LANE_BITS * max(hops * dc, 0))
+    keep = (spread(kept_row, rows - hops * abs(dr), cols)
+            << LANE_BITS * cols * max(hops * dr, 0))
+    step = hops * (dr * cols + dc)
+    if not graph._wraps:
+        return step, keep, 0, 0
+    seam = step - dr * n - dc * cols  # |dr| + |dc| == 1 on a ring or torus
+    return step, keep, shift_lanes(spread(WORD_MASK, n) ^ keep, -seam), seam
+
+
 def check_dimensions(kind: Neighborhood, rows: int, cols: int) -> None:
     """Raise DimensionMismatch unless ``kind`` can be built on a
     rows x cols grid, without building it.
@@ -306,9 +307,8 @@ def check_dimensions(kind: Neighborhood, rows: int, cols: int) -> None:
 def build_topology(kind: Neighborhood, rows: int, cols: int) -> TopologyGraph:
     """The graph of one topology; raises DimensionMismatch where
     ``check_dimensions`` does.  Nothing per PE is built here.  The graphs
-    of the last 8 shapes are reused, with the masks their shifts have
-    built; a graph changes only through those caches, so sharing one is
-    safe."""
+    of the last 8 shapes are reused; a graph holds no mask and changes
+    only through its lazy ``adjacency``, so sharing one is safe."""
     check_dimensions(kind, rows, cols)
     return TopologyGraph(kind, rows, cols)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import shutil
@@ -15,7 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mppsoc.cli as cli_module
 from mppsoc.cli import _build_parser, main
-from mppsoc.config import ConfigError, CostModel, parse_config
+from mppsoc.config import ConfigError, CostModel, MpNocKind, parse_config
+from mppsoc.mpnoc import build_network
 from mppsoc.rewrite import TEMPLATE_FILES, VHDL_INTEGER_MAX, bundled_template_dir
 from mppsoc.simulator import (
     MAX_COLUMN_BYTES,
@@ -674,6 +676,84 @@ def test_simulate_writes_its_reports_without_building_them_whole(tmp_path):
     assert kv.endswith(b"\npe262143.r0=1\npe262143.r1=0\npe262143.r2=0\n"
                        b"pe262143.r3=0\npe262143.r4=0\npe262143.r5=0\n"
                        b"pe262143.r6=0\npe262143.r7=0\n")
+
+
+def _child_cli(resource, cwd, *args, stdout):
+    """``python -m mppsoc.cli ARGS`` in a child limited to 128 MiB of
+    address space, its stdout to the binary file ``stdout``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    with stdout.open("wb") as out:
+        return subprocess.run(
+            [sys.executable, "-m", "mppsoc.cli", *args], stdout=out,
+            stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=60,
+            preexec_fn=limit)
+
+
+def test_a_send_to_one_port_fits_the_budget(tmp_path):
+    """``NOCSEND acu, 0, r0`` on 512x512 PEs is 2^18 messages to port 0.
+    The router schedules them on that one column, one pass each, so a
+    child limited to 128 MiB of address space finishes the run; building
+    the 18 stage columns of a delta network for them peaks at ~226 MiB."""
+    resource = pytest.importorskip("resource")
+    (tmp_path / "big.cfg").write_text(
+        "rows = 512\ncols = 512\nacu_mem_bytes = 64\n"
+        "pe_mem_bytes = 8\nmpnoc = delta-omega\n")
+    (tmp_path / "prog.asm").write_text("NOCSEND acu, 0, r0\nHALT\n")
+    stdout = tmp_path / "stdout"
+    done = _child_cli(resource, tmp_path, "simulate", "big.cfg",
+                      "--app", "asm:prog.asm", "-o", "out", stdout=stdout)
+    assert (done.returncode, done.stderr) == (0, "")
+    cost, n = CostModel(), 1 << 18
+    cycles = 2 * cost.issue_cycles + cost.noc_cycles(
+        build_network(MpNocKind.DELTA_OMEGA, n), n)
+    with stdout.open() as text:
+        assert next(text) == f"cycles={cycles} instructions=2\n"
+
+
+def test_report_prints_a_saved_file_a_block_at_a_time(tmp_path):
+    """``report`` prints a ~96 MiB saved kv file back unchanged, a block
+    at a time, in a child limited to 128 MiB of address space; reading
+    it whole holds its bytes and its text at once."""
+    resource = pytest.importorskip("resource")
+    saved = tmp_path / "simulation-report.kv"
+    chunk = "".join(f"pe{pe}.r{pe % 8}={pe * 2654435761 % (1 << 32)}\n"
+                    for pe in range(1 << 15)).encode()
+    with saved.open("wb") as file:
+        file.write(b"cycles=1\ninstructions=2\n")
+        while file.tell() < 96 << 20:
+            file.write(chunk)
+    stdout = tmp_path / "stdout"
+    done = _child_cli(resource, tmp_path, "report", "-o", ".", stdout=stdout)
+    assert (done.returncode, done.stderr) == (0, "")
+
+    def digest(path):
+        sha = hashlib.sha256()
+        with path.open("rb") as file:
+            for block in iter(lambda: file.read(1 << 20), b""):
+                sha.update(block)
+        return sha.hexdigest()
+    assert digest(stdout) == digest(saved)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"\n\n", b"a", b"a\n", b"a\n\n\n", b"\n\na\n\n\nbc\n\n",
+    b"a\r\nb\r\n\r\n", b"x\ry\r\r", b"\xc3\xa9t\xc3\xa9\n\n"])
+def test_report_prints_the_text_with_one_final_newline(tmp_path, capsys,
+                                                        block, data):
+    """Whatever the block size, a saved file prints as its text with its
+    trailing newlines cut to one."""
+    path = tmp_path / "generation-report.kv"
+    path.write_bytes(data)
+    cli_module._print_saved(path, block)
+    want = path.read_text(encoding="utf-8").rstrip("\n") + "\n"
+    assert capsys.readouterr().out == want
 
 
 def test_the_column_budget_counts_registers_and_legal_stores():

@@ -691,13 +691,13 @@ def test_a_pe_send_shifts_only_its_data_column(monkeypatch):
     monkeypatch.setattr(simulator, "shift_lanes", counted)
     aligned = [1, 2, 4, 8, 16, 32, 64, 128, -5, -1]
     for _ in range(2):
-        misses = simulator._range_lanes.cache_info().misses
+        misses = simulator._lanes.cache_info().misses
         machine = SimMachine(config)
         machine.set_values(values)
         assert run(machine, program) == want
         assert shifts == aligned
         shifts.clear()
-    assert simulator._range_lanes.cache_info().misses == misses
+    assert simulator._lanes.cache_info().misses == misses
 
 
 # Programs that stop on their fifth line, after two MASKs, an LDI and an
@@ -763,6 +763,40 @@ def test_a_cached_plan_holds_no_column():
         tracemalloc.stop()
     assert len(program._plans) == 1
     assert retained <= 20 * n * LANE_BITS // 8 + (1 << 20)
+
+
+def test_the_mask_caches_keep_a_bounded_number_of_columns():
+    """255-hop MOVD runs in all eight directions of a 256x256 xnet are 64
+    distinct moves of 2^j hops, each with a keep mask of up to a column.
+    After the run at most the last 32 moves' masks and 20 lane masks
+    are kept, plus 1 MiB."""
+    config = MppSoCConfig(rows=256, cols=256, acu_mem_bytes=64, pe_mem_bytes=4,
+                          neighborhood=Neighborhood.XNET)
+    n = config.n_pes
+    program = load_program("".join(
+        f"MOVD r0, {direction}\n" * 255 for direction in topology.OPPOSITE)
+        + "HALT")
+    tracemalloc.start()
+    try:
+        report = run(SimMachine(config), program)
+        del report
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= (32 + 20) * n * LANE_BITS // 8 + (1 << 20)
+
+
+def test_a_program_keeps_its_last_eight_plans():
+    """Nine runs under nine entry masks compile nine plans; the program
+    keeps the last eight, oldest first."""
+    machine = machine_for(1, 16, neighborhood=Neighborhood.LINEAR)
+    program = load_program("LDI r0, 1\nHALT")
+    entries = [range(k) for k in range(1, 10)]
+    for active in entries:
+        machine.active = active
+        run(machine, program)
+    assert len(program._plans) == 8
+    assert [key[-1] for key in program._plans] == entries[1:]
 
 
 def test_a_program_that_has_run_pickles_and_reruns():
