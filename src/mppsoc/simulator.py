@@ -28,7 +28,8 @@ on the data.  ``run`` therefore compiles a program once per machine key
 (configuration, cost model field values, and the active range the run
 starts under) into a plan of column steps, threaded code (Bell, CACM
 1973) with every mask, address check, MOVD run and static charge
-resolved, and keeps the last few plans on the ``SimProgram``.  A run
+resolved, and keeps the last few plans on the ``SimProgram``: a MOVD
+step holds the graph's moves, small ints, and applies them.  A run
 replays the plan on the data; a NOCSEND step still has the router
 schedule its send on every run.  The compiler knows which registers
 hold zero (constant propagation; Kildall, POPL 1973), so the ISA's copy
@@ -342,10 +343,11 @@ def load_program(text: str) -> SimProgram:
 
 
 @lru_cache(maxsize=20)
-def _lanes(pes: range, word: int = WORD_MASK) -> int:
+def _lanes(pes: range, word: int) -> int:
     """``word`` in the lanes of the PEs in ``pes``, 0 in the others: a
     MASK range's lane mask, the full mask, the ones or a MOVD's boundary
-    column, kept for the last 20 (range, word) pairs."""
+    column, kept for the last 20 (range, word) pairs.  Every caller
+    names ``word``, so each mask has one key."""
     return spread(word, len(pes), pes.step) << LANE_BITS * pes.start
 
 
@@ -377,7 +379,7 @@ class SimMachine:
         if config.mpnoc is not None:
             self.mpnoc = build_network(config.mpnoc, self.n_pes)
         pes = range(self.n_pes)
-        self.ones, self.full = _lanes(pes, 1), _lanes(pes)
+        self.ones, self.full = _lanes(pes, 1), _lanes(pes, WORD_MASK)
         self.reset()
 
     def reset(self):
@@ -397,7 +399,8 @@ class SimMachine:
         self.regs[reg] = self._pack(words)
 
     def _pack(self, words) -> int:
-        words = list(words)
+        if not isinstance(words, Sequence):  # a sequence is read, not copied
+            words = list(words)
         if len(words) != self.n_pes:
             raise ValueError(f"expected {self.n_pes} values, got {len(words)}")
         return pack(words)
@@ -568,7 +571,7 @@ def _merger(active: range, n: int):
     ``old`` is not read."""
     if len(active) == n:
         return lambda machine, old, new: new & machine.full
-    return lambda machine, old, new: old ^ (old ^ new) & _lanes(active)
+    return lambda machine, old, new: old ^ (old ^ new) & _lanes(active, WORD_MASK)
 
 
 # One compiler per mnemonic: ``compile(context, *operands)`` returns the
@@ -588,14 +591,17 @@ def _compile_mask(ctx: _Context, pred: tuple = _ALL):
 
 
 def _compile_ldi(ctx: _Context, reg: int, imm: int):
-    merge, word = ctx.merge, _wrap(imm)
+    """Under the full mask the step stores ``ones * word``, which is
+    normalised already, with no merge."""
+    merge, word, full = ctx.merge, _wrap(imm), ctx.full
     if word:
         ctx.write(reg)
-    elif ctx.full:  # under a partial mask, zero only if it was
+    elif full:  # under a partial mask, zero only if it was
         ctx.zero.add(reg)
 
     def ldi(m: SimMachine):
-        m.regs[reg] = merge(m, m.regs[reg], m.ones * word)
+        m.regs[reg] = (m.ones * word if full
+                       else merge(m, m.regs[reg], m.ones * word))
     return 0, ldi if ctx.active else None
 
 
@@ -616,7 +622,7 @@ def _compile_add(ctx: _Context, dst: int, a: int, b: int):
 
         def accumulate(m: SimMachine):
             regs = m.regs
-            regs[dst] = (regs[dst] + (regs[x] & _lanes(active))) & m.full
+            regs[dst] = (regs[dst] + (regs[x] & _lanes(active, WORD_MASK))) & m.full
         return charge, accumulate
 
     def add(m: SimMachine):
@@ -658,7 +664,10 @@ def _compile_movd(ctx: _Context, reg: int, direction: str, hops: int = 1):
     many: one ``hops``-hop shift under the full mask.  Under any other
     mask an inactive PE sends the boundary value between hops, so the
     hops go one at a time.  A run that cannot execute fails on its first
-    line with only that line's issue charged."""
+    line with only that line's issue charged.
+
+    The graph's ``moves`` are fixed here, once: a step only applies them,
+    and with a boundary word of 0 it looks up no fill column."""
     graph = ctx.machine.topology
     if graph is None or direction not in graph.directions:
         kind = graph.kind.value if graph else "a machine with no neighbourhood"
@@ -670,18 +679,21 @@ def _compile_movd(ctx: _Context, reg: int, direction: str, hops: int = 1):
         return charge, None
     ctx.write(reg)
     if ctx.full:  # every sender active, every lane written
+        moves = graph.moves(direction, hops)
+
         def movd(m: SimMachine):
-            m.regs[reg] = m.topology.shift(m.regs[reg], direction,
-                                           _lanes(range(n), word), hops)
+            m.regs[reg] = m.topology.apply(
+                m.regs[reg], moves, word and _lanes(range(n), word))
         return charge, movd
+    moves = graph.moves(direction)
 
     def masked_movd(m: SimMachine):
-        shift, fill = m.topology.shift, _lanes(range(n), word)
-        lanes, column = _lanes(active), m.regs[reg]
+        apply, fill = m.topology.apply, word and _lanes(range(n), word)
+        lanes, column = _lanes(active, WORD_MASK), m.regs[reg]
         for _ in range(hops):
             # An inactive sender sends the boundary value.
             source = fill ^ (fill ^ column) & lanes
-            column ^= (column ^ shift(source, direction, fill)) & lanes
+            column ^= (column ^ apply(source, moves, fill)) & lanes
         m.regs[reg] = column
     return charge, masked_movd
 
@@ -754,7 +766,7 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
             # The router has checked that every destination is a PE, so
             # the shift is under N lanes.  Each receiver gets the word
             # from the lane K = ``number`` below it.
-            lanes = _lanes(senders)
+            lanes = _lanes(senders, WORD_MASK)
             low = lanes & (1 << cut) - 1
             column = m.regs[reg]
             m.regs[reg] = column ^ (column ^ shift_lanes(column, number)) & (
@@ -832,6 +844,15 @@ def run(machine: SimMachine, program: SimProgram,
     here.  A NOCSEND step still has the router schedule its send on
     every run, and returns ``CostModel.noc_cycles`` of its passes, which
     is charged here too.
+
+    The compile fixes everything that is integers only: each line's
+    active range and charge, each address check, each send's endpoints
+    and receivers, and each MOVD entry's ``TopologyGraph.moves``, its
+    direction, extent and one move per binary digit of its run, so a
+    MOVD step only applies them.  A step with a boundary word of 0
+    passes no fill column, and a full-mask LDI stores ``ones * word``,
+    normalised already, with no merge.  A plan holds no column: a step
+    takes its masks from the bounded ``_lanes`` and ``_move_masks``.
 
     The compiler also tracks the registers known to hold 0 in every
     lane, from an empty set at the plan's entry, since the key holds no

@@ -23,9 +23,14 @@ columns where the arrays build each int as it is read.
 
 A graph stores only its kind and shape.  ``TopologyGraph.shift`` moves
 a packed column one or more hops (MOVD) with one bit shift and a few
-masks per binary digit of the hop count, and ``adjacency`` is a lazy
-view: that shift of the packed PE indices, on first use.  The masks of
-the last 32 moves, over every graph, are kept in ``_move_masks``.
+masks per binary digit of the hop count, in two parts: ``moves`` does
+the integer work once, the direction, the axis extent and one
+``(dr, dc, 2^j)`` move per binary digit of the hops, and ``apply``
+moves a column by those moves, so a caller that moves many columns the
+same way, such as a compiled MOVD, keeps the moves and calls only
+``apply``.  ``adjacency`` is a lazy view: that shift of the packed PE
+indices, on first use.  The masks of the last 32 moves, over every
+graph, are kept in ``_move_masks``.
 """
 
 from __future__ import annotations
@@ -102,10 +107,10 @@ def pack(words) -> int:
 
     Each chunk of ``_CHUNK_LANES`` words packs as signed 32-bit words,
     else as unsigned ones, else reduced to their low 32 bits first.
-    ``SimMachine.set_values`` of 4096 words so takes ~92 us for int32
-    or uint32 words, where an int64 array took ~190 us, but ~305 us for
-    mixed-sign and ~320 us for int64 words (~200 and ~250 us), which no
-    workload holds.  TypeError for a word that is not an int."""
+    A pack of 4096 words so takes ~92 us for int32 or uint32 words,
+    where an int64 array took ~190 us, but ~305 us for mixed-sign and
+    ~320 us for int64 words (~200 and ~250 us), which no workload
+    holds.  TypeError for a word that is not an int."""
     if not isinstance(words, Sequence):
         words = list(words)
     if len(words) <= _CHUNK_LANES:
@@ -174,8 +179,9 @@ class TopologyGraph:
     ``adjacency[i]`` maps direction label -> neighbour linear index for
     PE ``i``; it is derived from ``shift`` on first access.  Graphs are
     undirected: every edge appears from both ends with opposite labels.
-    A graph holds nothing of a machine: ``shift`` takes the boundary
-    value from its caller, so machines of one shape share one graph.
+    A graph holds nothing of a machine: ``shift`` and ``apply`` take the
+    boundary value from their caller, so machines of one shape share one
+    graph.
     """
 
     def __init__(self, kind: Neighborhood, rows: int, cols: int):
@@ -205,19 +211,17 @@ class TopologyGraph:
         """The packed ``column`` after ``hops`` hops towards ``direction``:
         each PE takes the word of the PE ``hops`` hops back, or its lane
         of the packed column ``fill`` when the walk back leaves the grid.
+        It is ``apply(column, moves(direction, hops), fill)``."""
+        return self.apply(column, self.moves(direction, hops), fill)
 
-        Hops compose, so the shift applies ``hops`` as its binary digits:
-        one move of 2^j hops per set bit, after ``hops`` is reduced modulo
-        the axis extent on a ring or torus and clamped to it on the other
-        kinds (where every PE past it takes ``fill``).  A move of k hops
-        shifts every lane ``k * (dr * cols + dc)`` lanes, which is right
-        for each PE whose sender is on the grid without wrapping.  A keep
-        mask clears the other lanes, the ones the move vacates: they take
-        ``fill`` on a linear array, mesh or xnet, and on a ring or torus
-        (no diagonals, so they form one band along an edge) the band at
-        the opposite edge, moved by one more shift.  ``_move_masks`` keeps
-        the masks of the last 32 moves.
-        """
+    def moves(self, direction: str, hops: int = 1) -> tuple:
+        """The moves of ``hops`` hops towards ``direction``, one
+        ``(dr, dc, 2^j)`` per binary digit, lowest first, for ``apply``.
+
+        Hops compose, so ``hops`` goes as its binary digits after it is
+        reduced modulo the axis extent on a ring or torus and clamped to
+        it on the other kinds (where every PE past it takes the fill).
+        They are small ints, no column; ValueError for ``hops`` < 0."""
         if hops < 0:
             raise ValueError(f"hops must be >= 0, got {hops}")
         dr, dc = DIRECTION_DELTAS[direction]
@@ -225,10 +229,24 @@ class TopologyGraph:
         # PE's sender is itself again on a ring or torus.
         extent = min(self.rows if dr else self.cols, self.cols if dc else self.rows)
         hops = hops % extent if self._wraps else min(hops, extent)
-        while hops:
-            move = hops & -hops
-            hops ^= move
-            step, keep, edge, seam = _move_masks(self, dr, dc, move)
+        return tuple((dr, dc, 1 << j) for j in range(hops.bit_length())
+                     if hops >> j & 1)
+
+    def apply(self, column: int, moves: tuple, fill: int = 0) -> int:
+        """The packed ``column`` moved by ``moves``, a tuple that
+        ``moves()`` returned: each lane whose sender is off the grid
+        takes its lane of the packed column ``fill``.
+
+        A move of k hops shifts every lane ``k * (dr * cols + dc)``
+        lanes, which is right for each PE whose sender is on the grid
+        without wrapping.  A keep mask clears the other lanes, the ones
+        the move vacates: they take ``fill`` on a linear array, mesh or
+        xnet, and on a ring or torus (no diagonals, so they form one
+        band along an edge) the band at the opposite edge, moved by one
+        more shift.  ``_move_masks`` keeps the masks of the last 32
+        moves."""
+        for dr, dc, hops in moves:
+            step, keep, edge, seam = _move_masks(self, dr, dc, hops)
             out = shift_lanes(column, step) & keep
             if edge:
                 column = out | shift_lanes(column & edge, seam)
@@ -269,7 +287,7 @@ class TopologyGraph:
 @lru_cache(maxsize=32)
 def _move_masks(graph: TopologyGraph, dr: int, dc: int, hops: int) -> tuple:
     """``(step, keep, edge, seam)`` of a move of ``hops`` hops along
-    ``(dr, dc)`` on ``graph``, as ``TopologyGraph.shift`` applies it:
+    ``(dr, dc)`` on ``graph``, as ``TopologyGraph.apply`` applies it:
     ``edge`` and ``seam`` are 0 but on a ring or torus."""
     rows, cols, n = graph.rows, graph.cols, graph.n_pes
     kept_row = (spread(WORD_MASK, cols - hops * abs(dc))

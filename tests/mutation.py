@@ -81,11 +81,12 @@ MUTANTS = (
            ("tests/test_rules.py", "tests/test_config.py"),
            "0 counts as a power of two, but every config has rows, cols >= 1, "
            "so no config has 0 PEs", equivalent=True),
-    Mutant(SIM, "regs[dst] = (regs[dst] + (regs[x] & _lanes(active))) & m.full",
-           "regs[dst] = regs[dst] + (regs[x] & _lanes(active))",
+    Mutant(SIM,
+           "regs[dst] = (regs[dst] + (regs[x] & _lanes(active, WORD_MASK))) & m.full",
+           "regs[dst] = regs[dst] + (regs[x] & _lanes(active, WORD_MASK))",
            ("tests/test_sim_differential.py",),
            "a masked accumulate leaves a carry in the guard bits"),
-    Mutant(SIM, "elif ctx.full:  # under a partial mask, zero only if it was",
+    Mutant(SIM, "elif full:  # under a partial mask, zero only if it was",
            "else:  # under a partial mask, zero only if it was",
            ("tests/test_sim_differential.py", "tests/test_simulator.py"),
            "LDI r, 0 under a partial mask marks r zero in every lane"),
@@ -111,6 +112,27 @@ MUTANTS = (
     Mutant("src/mppsoc/mpnoc.py", "columns = [dsts]", "columns = [srcs]",
            ("tests/test_mpnoc.py", "tests/test_simulator.py"),
            "m messages to one port take one pass"),
+    Mutant("src/mppsoc/topology.py",
+           "hops = hops % extent if self._wraps else min(hops, extent)",
+           "hops = hops % extent if self._wraps else hops",
+           ("tests/test_topology.py",),
+           "moves past the axis of a grid that does not wrap are not clamped"),
+    Mutant(SIM, "m.regs[reg], moves, word and _lanes(range(n), word))",
+           "m.regs[reg], moves, 0)", SIM_TESTS,
+           "a full-mask MOVD fills with 0 whatever the boundary word"),
+    Mutant(SIM, "apply, fill = m.topology.apply, word and _lanes(range(n), word)",
+           "apply, fill = m.topology.apply, 0", SIM_TESTS,
+           "a masked MOVD fills with 0 whatever the boundary word"),
+    Mutant(SIM, "m.regs[reg], moves, word and",
+           "m.regs[reg], m.topology.moves(direction, hops), word and",
+           ("tests/test_simulator.py",),
+           "a full-mask MOVD asks the graph for its moves on every run"),
+    Mutant(SIM, "merge, word, full = ctx.merge, _wrap(imm), ctx.full",
+           "merge, word, full = ctx.merge, _wrap(imm), bool(ctx.active)",
+           SIM_TESTS, "an LDI under a partial mask stores with no merge"),
+    Mutant(SIM, "if not isinstance(words, Sequence):  # a sequence is read",
+           "if True:  # a sequence is read", ("tests/test_simulator.py",),
+           "set_values copies a list before it packs it"),
 )
 
 

@@ -169,6 +169,99 @@ def test_movd_run_under_the_full_mask_is_one_packed_shift(monkeypatch):
                                  for pe in range(4096)]
 
 
+# Each kind on a small grid whose axes are no power of two.
+MOVE_SHAPES = ((Neighborhood.LINEAR, 1, 7), (Neighborhood.RING, 1, 7),
+               (Neighborhood.MESH2D, 3, 5), (Neighborhood.TORUS2D, 3, 5),
+               (Neighborhood.XNET, 5, 3))
+
+
+@pytest.mark.parametrize("kind, rows, cols", MOVE_SHAPES)
+@pytest.mark.parametrize("boundary", [0, 7, -1])
+def test_movd_moves_are_fixed_when_the_plan_compiles(monkeypatch, kind, rows,
+                                                     cols, boundary):
+    """The compiler asks the graph for a MOVD entry's moves once: for a
+    full-mask run past the axis, a one-hop run under a partial mask and
+    a full-mask single hop, in every direction.  An empty mask's MOVD
+    asks for none, and a second run of the cached plan asks for none,
+    on a fresh machine too.  The words equal the reference's."""
+    calls = []
+    real = topology.TopologyGraph.moves
+    monkeypatch.setattr(topology.TopologyGraph, "moves",
+                        lambda graph, *args: calls.append(args)
+                        or real(graph, *args))
+    config = MppSoCConfig(rows=rows, cols=cols, acu_mem_bytes=64,
+                          pe_mem_bytes=4, neighborhood=kind)
+    cost = CostModel(boundary_value=boundary)
+    directions = sorted(topology.build_topology(kind, rows, cols).directions)
+    lines = ["LDI r1, 3", "ADD r1, r1, r0"]
+    for direction in directions:
+        lines += [f"MOVD r0, {direction}"] * (rows + cols + 1)
+        lines += ["MASK mod:3:1"] + [f"MOVD r1, {direction}"] * 2
+        lines += ["MASK none", f"MOVD r1, {direction}", "UNMASK",
+                  f"MOVD r1, {direction}", "ADD r0, r0, r1"]
+    program = load_program("\n".join(lines + ["HALT"]))
+    values = [pe * 2654435761 % (1 << 32) for pe in range(rows * cols)]
+    for expected_calls in (3 * len(directions), 0):
+        calls.clear()
+        machine, oracle = SimMachine(config, cost), ref.SimMachine(config, cost)
+        for target in (machine, oracle):
+            target.set_values(values)
+        assert run(machine, program) == ref.run(oracle, program)
+        assert len(calls) == expected_calls
+
+
+def test_each_lane_mask_has_one_cache_key():
+    """A boundary value that wraps to 0xFFFFFFFF fills with the full
+    mask's own entry: after a cleared cache, a MOVD under it leaves two
+    lane masks, the ones and the full mask."""
+    simulator._lanes.cache_clear()
+    machine = machine_for(4, 4, neighborhood=Neighborhood.MESH2D,
+                          cost=CostModel(boundary_value=-1))
+    run(machine, load_program("MOVD r0, E\nHALT"))
+    assert simulator._lanes.cache_info().currsize == 2
+
+
+def test_a_full_mask_ldi_stores_its_words_with_no_merge(monkeypatch):
+    """Only the LDI under a partial mask merges its words into the old
+    column; the full-mask LDIs store theirs as they are."""
+    merged = []
+    real = simulator._merger
+
+    def counted(active, n):
+        merge = real(active, n)
+        return lambda *args: merged.append(active) or merge(*args)
+    monkeypatch.setattr(simulator, "_merger", counted)
+    machine = machine_for(1, 8, neighborhood=Neighborhood.LINEAR)
+    machine.set_column(2, range(8))
+    run(machine, load_program("LDI r0, -3\nLDI r1, 0\nMASK odd\n"
+                              "LDI r2, 5\nHALT"))
+    assert merged == [range(1, 8, 2)]
+    assert machine.column(0) == [(1 << 32) - 3] * 8
+    assert machine.column(1) == [0] * 8
+    assert machine.column(2) == [5 if pe % 2 else pe for pe in range(8)]
+
+
+def test_set_values_reads_a_sequence_as_it_is(monkeypatch):
+    """A list, a tuple, a range and a generator of the same words load
+    the same column; ``pack`` gets each sequence itself, not a copy."""
+    packed = []
+    real = simulator.pack
+    monkeypatch.setattr(simulator, "pack",
+                        lambda words: packed.append(words) or real(words))
+    machine = machine_for(1, 6, neighborhood=Neighborhood.LINEAR)
+    values = [pe * 3 - 7 for pe in range(6)]
+    inputs = [values, tuple(values), range(-7, 11, 3), (v for v in values)]
+    columns = []
+    for words in inputs:
+        machine.set_values(words)
+        columns.append((machine.regs[0], machine.mem[0]))
+    assert columns == [columns[0]] * 4
+    assert machine.column(0) == [v & 0xFFFFFFFF for v in values]
+    assert [got is given for got, given in zip(packed, inputs)] == [
+        True, True, True, False]
+    assert packed[-1] == values
+
+
 def test_machines_sharing_a_graph_keep_their_own_boundary_values():
     """Two machines of one shape share one graph through the
     ``build_topology`` memo.  Full-mask MOVD runs and partial-mask MOVDs,

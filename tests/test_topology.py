@@ -11,6 +11,7 @@ from topology_reference import reference_adjacency
 from mppsoc.config import CostModel, MppSoCConfig, Neighborhood
 from mppsoc.simulator import SimMachine, _parse_predicate, load_program, run
 from mppsoc.topology import (
+    DIRECTION_DELTAS,
     OPPOSITE,
     WORD_MASK,
     DimensionMismatch,
@@ -270,3 +271,23 @@ def test_k_hop_shift_equals_k_single_hops(kind, rows, cols):
                     direction, word, k)
     with pytest.raises(ValueError):
         graph.shift(column, direction, hops=-1)
+
+
+@pytest.mark.parametrize("kind, rows, cols", K_HOP_SHAPES)
+def test_moves_are_the_binary_digits_of_the_reduced_hops(kind, rows, cols):
+    """``moves`` gives one ``(dr, dc, 2^j)`` per set bit of the hops,
+    lowest first, after they wrap modulo the axis on a ring or torus
+    and are clamped to it on the other kinds: a hop count past the axis
+    is one move of the whole axis there."""
+    graph = build_topology(kind, rows, cols)
+    wraps = kind in (N.RING, N.TORUS2D)
+    for direction in sorted(graph.directions):
+        dr, dc = DIRECTION_DELTAS[direction]
+        axis = cols if not dr else rows if not dc else min(rows, cols)
+        for hops in range(3 * axis + 2):
+            left = hops % axis if wraps else min(hops, axis)
+            assert graph.moves(direction, hops) == tuple(
+                (dr, dc, 1 << j) for j in range(left.bit_length())
+                if left >> j & 1), (direction, hops)
+    with pytest.raises(ValueError):
+        graph.moves(direction, -1)
