@@ -27,8 +27,8 @@ translation d - d' = sigma(s) - sigma(s') mod N, so the lowest bit in
 which d and d' differ is the lowest in which sigma(s) and sigma(s')
 differ, and no such k exists.  On omega, where sigma is the identity,
 two PE ranges with one positive step (``NOCSEND pe, idx±K``) are one,
-which ``transfer`` times in O(1); any other translation takes the
-scheduler's no-repeat exit below.
+which ``transfer`` times in O(1) before any other check; any other
+translation takes the scheduler's no-repeat exit below.
 
 Routing is multi-pass and first-fit in priority order (lowest source
 first): each message goes to the lowest pass in which no earlier
@@ -233,24 +233,28 @@ def transfer(net: MpNocNetwork, srcs, dsts) -> TransferResult:
     to one port reach it one pass after another, scheduled on that one
     column.  An empty set takes no pass.
 
-    On omega, two ranges with one positive step are a translation (see
-    the module docstring): one pass, found in O(1) without looking at a
-    message.
+    On omega, two non-empty ranges of one length and one positive step,
+    every port in 0..N-1, are a translation (see the module docstring):
+    one pass, answered before any other check, in O(1) without looking
+    at a message.  A range is final, so ``type(...) is range`` is exact.
     """
+    ports = net.ports
+    if (net.kind is MpNocKind.DELTA_OMEGA and type(srcs) is range
+            and type(dsts) is range and srcs.step == dsts.step > 0
+            and len(srcs) == len(dsts) and srcs
+            and 0 <= srcs.start and srcs[-1] < ports
+            and 0 <= dsts.start and dsts[-1] < ports):
+        return _ONE_PASS
     if len(srcs) != len(dsts):
         raise ValueError(f"{len(srcs)} sources for {len(dsts)} destinations")
     if not srcs:
         return _NO_PASS
-    ports = net.ports
     src_low, src_high = _ends(srcs)
     dst_low, dst_high = _ends(dsts)
     if src_low < 0 or dst_low < 0 or src_high >= ports or dst_high >= ports:
         src, dst = next((src, dst) for src, dst in zip(srcs, dsts)
                         if not (0 <= src < ports and 0 <= dst < ports))
         raise PortOutOfRange(src, dst, ports)
-    if (net.kind is MpNocKind.DELTA_OMEGA and isinstance(srcs, range)
-            and isinstance(dsts, range) and srcs.step == dsts.step > 0):
-        return _ONE_PASS
     if dst_low == dst_high:
         columns = [dsts]
     else:  # lowest source port first, then lowest destination port

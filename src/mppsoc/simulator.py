@@ -15,12 +15,18 @@ than a loop over PEs.  Every MASK predicate selects one slice of the PE
 indices and loads as that slice's ``(start, stop, step)``; slicing
 ``range(N)`` with it gives the active PEs, whose lane mask holds
 0xFFFFFFFF in each active lane and 0 in each idle one.  A masked write
-is ``old ^ (old ^ new) & lanes``, or ``new & lanes`` under the full
-mask; either truncates the new words to 32 bits.  MOVD is the
-topology's packed shift of one column, and under the full mask a run
-of k identical MOVDs is one k-hop shift (a shift over a distance, as
-the MasPar X-Net issues it; Blank, COMPCON 1990), still charged and
-counted as k instructions.
+is ``old ^ (old ^ new) & lanes``: the new words in the active lanes,
+the old guard bits in every lane; under the full mask a line stores
+its new column with no merge.  An add leaves its carry in the guard
+bits, and the compiler counts, per register, the carries they may
+hold: an add normalises an addend (``& full``) only when one more
+carry could overflow a lane, an ST stores its words normalised, and
+``run`` normalises every register with carries when it stops, so
+columns are normalised between runs.  MOVD is the topology's packed
+shift of one column, and under the full mask a run of k identical
+MOVDs is one k-hop shift (a shift over a distance, as the MasPar X-Net
+issues it; Blank, COMPCON 1990), still charged and counted as k
+instructions.
 
 The ACU broadcasts every instruction and every operand, MASK
 predicates included, is an immediate, so no control decision depends
@@ -33,7 +39,8 @@ step holds the graph's moves, small ints, and applies them.  A run
 replays the plan on the data; a NOCSEND step still has the router
 schedule its send on every run.  The compiler knows which registers
 hold zero (constant propagation; Kildall, POPL 1973), so the ISA's copy
-idiom, ``LDI r, 0`` then ``ADD d, r, x``, compiles to a move.
+idiom, ``LDI r, 0`` then ``ADD d, r, x``, compiles to a move, and how
+many carries each register's guard bits may hold.
 
 Cycle accounting is additive per instruction: issue plus an op-specific
 charge from the CostModel.  ``run`` adds every charge in one place: the
@@ -530,21 +537,26 @@ class _Plan(NamedTuple):
     issue of the MASK, UNMASK and no-op lines before it, the step that
     applies it, its source line and the active range it runs under.
     ``tail`` is the charge of the lines after the last step, the HALT's
-    issue among them, ``executed`` the instructions run to the HALT and
-    ``final`` the active range there.  A plan holds no column: a step
-    takes its lane masks from the bounded ``_lanes`` when it runs."""
+    issue among them, ``executed`` the instructions run to the HALT,
+    ``final`` the active range there and ``unsettled`` the registers
+    that may hold carries there.  A plan holds no column: a step takes
+    its lane masks from the bounded ``_lanes`` when it runs."""
 
     entries: tuple
     tail: int
     executed: int
     final: range
+    unsettled: tuple
 
 
 class _Context:
     """What a line compiles against: the machine, its cost model and the
     two terms of its ``noc_cycles`` (None with no router), the active
     range that the MASKs before the line leave, with its ``_merger``,
-    and ``zero``, the registers known to hold 0 in every lane."""
+    ``zero``, the registers known to hold 0 in every lane, and
+    ``carries``, per register the carries its guard bits may hold: a
+    column of c carries has every lane below (c+1)*2^32, and one of 0
+    is normalised.  Every register is normalised at the plan's entry."""
 
     def __init__(self, machine: SimMachine):
         self.machine, self.cost, self.n = machine, machine.cost, machine.n_pes
@@ -552,25 +564,52 @@ class _Context:
         self.noc = net and (self.cost.noc_pass_cycles(net),
                             self.cost.noc_config_cycles)
         self.zero: set[int] = set()
+        self.carries = [0] * _REGISTER_COUNT
         self.set_active(machine.active)
 
     def set_active(self, active: range):
-        self.active, self.merge = active, _merger(active, self.n)
+        self.active, self.merge = active, _merger(active)
         self.full = len(active) == self.n
 
-    def write(self, reg: int):
+    def write(self, reg: int, carries: int | None = None):
         """The line writes ``reg`` in the active lanes: no longer known
-        zero, unless no lane is active."""
+        zero, unless no lane is active, and holding ``carries`` carries,
+        or (None) as many as before, as a merge keeps the old guard
+        bits."""
         if self.active:
             self.zero.discard(reg)
+            if carries is not None:
+                self.carries[reg] = carries
 
 
-def _merger(active: range, n: int):
+_CARRY_ROOM = 255  # carries a lane's 8 guard bits hold: it stays below 2^40
+
+
+def _addends(a_carries: int, b_carries: int) -> tuple[bool, bool, int]:
+    """Whether an add normalises its first and its second addend, of
+    ``a_carries`` and ``b_carries`` carries, before it adds them, and
+    the carries of the sum.  A sum holds one carry more than its two
+    addends together; while that stays at most ``_CARRY_ROOM``, no lane
+    carries into the next and nothing is normalised.  Past it the add
+    normalises the addend with more carries, and then, if the sum would
+    still overflow, the other one too."""
+    settle_a = settle_b = False
+    if a_carries + b_carries + 1 > _CARRY_ROOM:
+        if a_carries >= b_carries:
+            settle_a, a_carries = True, 0
+        else:
+            settle_b, b_carries = True, 0
+        if a_carries + b_carries + 1 > _CARRY_ROOM:
+            settle_a = settle_b = True
+            a_carries = b_carries = 0
+    return settle_a, settle_b, a_carries + b_carries + 1
+
+
+def _merger(active: range):
     """``merge(machine, old, new)``: ``new``'s 32-bit words in the lanes
-    of ``active`` and ``old``'s in the others; under the full mask
-    ``old`` is not read."""
-    if len(active) == n:
-        return lambda machine, old, new: new & machine.full
+    of ``active``, ``old``'s words in the others and ``old``'s guard
+    bits in every lane, so the merge holds as many carries as ``old``.
+    Only a line under a partial mask merges."""
     return lambda machine, old, new: old ^ (old ^ new) & _lanes(active, WORD_MASK)
 
 
@@ -595,9 +634,10 @@ def _compile_ldi(ctx: _Context, reg: int, imm: int):
     normalised already, with no merge."""
     merge, word, full = ctx.merge, _wrap(imm), ctx.full
     if word:
-        ctx.write(reg)
+        ctx.write(reg, 0 if full else None)
     elif full:  # under a partial mask, zero only if it was
         ctx.zero.add(reg)
+        ctx.carries[reg] = 0
 
     def ldi(m: SimMachine):
         m.regs[reg] = (m.ones * word if full
@@ -606,28 +646,40 @@ def _compile_ldi(ctx: _Context, reg: int, imm: int):
 
 
 def _compile_add(ctx: _Context, dst: int, a: int, b: int):
-    """The move shares the source's int: columns are normalised between
-    lines."""
-    charge, merge, full = ctx.cost.op_cycles, ctx.merge, ctx.full
+    """The move shares the source's int, and its carries.  An add leaves
+    its carries in the guard bits until ``_addends`` finds that the
+    next one could overflow a lane: columns are normalised between
+    runs only."""
+    charge, merge, full, carries = (ctx.cost.op_cycles, ctx.merge, ctx.full,
+                                    ctx.carries)
     if not ctx.active:
         return charge, None
     src = b if a in ctx.zero else a if b in ctx.zero else None
-    ctx.write(dst)
     if src is not None and full:
+        ctx.write(dst, carries[src])
+
         def move(m: SimMachine):
             m.regs[dst] = m.regs[src]
         return charge, move
     if dst in (a, b) and not full:
         x, active = b if a == dst else a, ctx.active
+        settle, _, count = _addends(carries[dst], 0)  # x's active words
+        ctx.write(dst, count)
 
         def accumulate(m: SimMachine):
             regs = m.regs
-            regs[dst] = (regs[dst] + (regs[x] & _lanes(active, WORD_MASK))) & m.full
+            total = regs[dst] & m.full if settle else regs[dst]
+            regs[dst] = total + (regs[x] & _lanes(active, WORD_MASK))
         return charge, accumulate
+    settle_a, settle_b, count = _addends(carries[a], carries[b])
+    # Under a partial mask the sum is merged: d keeps its guard bits.
+    ctx.write(dst, count if full else None)
 
     def add(m: SimMachine):
         regs = m.regs
-        regs[dst] = merge(m, regs[dst], regs[a] + regs[b])
+        total = ((regs[a] & m.full if settle_a else regs[a])
+                 + (regs[b] & m.full if settle_b else regs[b]))
+        regs[dst] = total if full else merge(m, regs[dst], total)
     return charge, add
 
 
@@ -641,19 +693,33 @@ def _word_access(ctx: _Context, addr: int, step):
 
 
 def _compile_ld(ctx: _Context, reg: int, addr: int):
-    merge = ctx.merge
-    ctx.write(reg)
+    """Memory is normalised, so under the full mask the step stores the
+    memory column itself, with no merge."""
+    merge, full = ctx.merge, ctx.full
+    ctx.write(reg, 0 if full else None)
 
     def ld(m: SimMachine):
-        m.regs[reg] = merge(m, m.regs[reg], m.mem.get(addr, 0))
+        m.regs[reg] = (m.mem.get(addr, 0) if full
+                       else merge(m, m.regs[reg], m.mem.get(addr, 0)))
     return _word_access(ctx, addr, ld)
 
 
 def _compile_st(ctx: _Context, reg: int, addr: int):
-    merge = ctx.merge
+    """Memory stays normalised.  Under the full mask the step stores the
+    register column with no merge; a column that holds carries is
+    normalised first, in the register too, which then holds none.  A
+    merge takes only the register's words."""
+    merge, full, settle = ctx.merge, ctx.full, ctx.carries[reg] > 0
+    if full:
+        ctx.carries[reg] = 0
 
     def st(m: SimMachine):
-        m.mem[addr] = merge(m, m.mem.get(addr, 0), m.regs[reg])
+        if not full:
+            m.mem[addr] = merge(m, m.mem.get(addr, 0), m.regs[reg])
+        elif settle:
+            m.regs[reg] = m.mem[addr] = m.regs[reg] & m.full
+        else:
+            m.mem[addr] = m.regs[reg]
     return _word_access(ctx, addr, st)
 
 
@@ -677,14 +743,16 @@ def _compile_movd(ctx: _Context, reg: int, direction: str, hops: int = 1):
     word = _wrap(cost.boundary_value)
     if not active:
         return charge, None
-    ctx.write(reg)
     if ctx.full:  # every sender active, every lane written
         moves = graph.moves(direction, hops)
+        # ``apply`` moves words only, and no move leaves the column.
+        ctx.write(reg, 0 if moves else None)
 
         def movd(m: SimMachine):
             m.regs[reg] = m.topology.apply(
                 m.regs[reg], moves, word and _lanes(range(n), word))
         return charge, movd
+    ctx.write(reg)  # the merge keeps the old guard bits
     moves = graph.moves(direction)
 
     def masked_movd(m: SimMachine):
@@ -715,6 +783,10 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
     The step schedules the send anew on every run through ``transfer``
     and returns the cycles of its passes for ``run`` to charge; nothing
     is built from a destination before ``transfer`` has accepted it.
+    A step calls ``transfer`` itself, as this module's name, with the
+    destinations as its third argument, so that a tracer that wraps
+    that name sees every send.  A PE-mode send writes words only, so
+    the register keeps its guard bits and carries.
 
     An ``idx±K`` send's receivers are the senders that are also
     destinations, fixed here with integers only: none when K is 0 (each
@@ -727,11 +799,6 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
     if ctx.noc is None:
         return 0, _Raise(NocUnavailable)
     senders, (per_pass, config) = ctx.active, ctx.noc
-
-    def route(m: SimMachine, destinations) -> int:
-        return transfer(m.mpnoc, senders,
-                        destinations).passes * per_pass + config
-
     kind, number = dst
     if mode is MpNocMode.PE_TO_PE:
         ctx.write(reg)
@@ -740,7 +807,8 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
         span = senders[-1] - senders.start + 1 if senders else 0
 
         def send_out(m: SimMachine) -> int:
-            cycles = route(m, [0] * len(senders))
+            cycles = transfer(m.mpnoc, senders, [0] * len(senders)
+                              ).passes * per_pass + config
             if span:  # unpack only the lanes from the first sender to the last
                 lanes = (m.regs[reg] >> LANE_BITS * senders.start
                          & (1 << LANE_BITS * span) - 1)
@@ -757,12 +825,14 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
         if not (senders and number and number % step == 0
                 and start < edge <= last):
             def send(m: SimMachine) -> int:
-                return route(m, destinations)
+                return transfer(m.mpnoc, senders,
+                                destinations).passes * per_pass + config
             return 0, send
         cut, up = LANE_BITS * edge, number > 0
 
         def shift_send(m: SimMachine) -> int:
-            cycles = route(m, destinations)
+            cycles = transfer(m.mpnoc, senders,
+                              destinations).passes * per_pass + config
             # The router has checked that every destination is a PE, so
             # the shift is under N lanes.  Each receiver gets the word
             # from the lane K = ``number`` below it.
@@ -778,7 +848,8 @@ def _compile_nocsend(ctx: _Context, mode: MpNocMode, dst: tuple, reg: int):
         high, low = LANE_BITS * senders[-1], LANE_BITS * number
 
     def send_to_one(m: SimMachine) -> int:
-        cycles = route(m, [number] * len(senders))
+        cycles = transfer(m.mpnoc, senders, [number] * len(senders)
+                          ).passes * per_pass + config
         if hit:  # the highest active sender's word
             column = m.regs[reg]
             word = column >> high ^ column >> low
@@ -818,7 +889,8 @@ def _compile(program: SimProgram, machine: SimMachine) -> _Plan:
             charge = 0
             if isinstance(step, _Raise):
                 break
-    return _Plan(tuple(entries), charge, executed, ctx.active)
+    unsettled = tuple(reg for reg, count in enumerate(ctx.carries) if count)
+    return _Plan(tuple(entries), charge, executed, ctx.active, unsettled)
 
 
 def run(machine: SimMachine, program: SimProgram,
@@ -850,9 +922,10 @@ def run(machine: SimMachine, program: SimProgram,
     and receivers, and each MOVD entry's ``TopologyGraph.moves``, its
     direction, extent and one move per binary digit of its run, so a
     MOVD step only applies them.  A step with a boundary word of 0
-    passes no fill column, and a full-mask LDI stores ``ones * word``,
-    normalised already, with no merge.  A plan holds no column: a step
-    takes its masks from the bounded ``_lanes`` and ``_move_masks``.
+    passes no fill column.  Under the full mask an LDI stores ``ones *
+    word``, an LD the memory column and an ST the register column, each
+    with no merge.  A plan holds no column: a step takes its masks from
+    the bounded ``_lanes`` and ``_move_masks``.
 
     The compiler also tracks the registers known to hold 0 in every
     lane, from an empty set at the plan's entry, since the key holds no
@@ -861,10 +934,22 @@ def run(machine: SimMachine, program: SimProgram,
     only if it was; any other write to r by a line with an active PE
     takes it out.  The ISA has no MOV, so ``LDI r, 0`` then
     ``ADD d, r, x`` is its copy: under the full mask an ADD with a
-    source known zero is a move, ``regs[d] = regs[x]`` (columns are
-    normalised between lines, so no op runs).  Under a partial mask,
-    ``ADD d, d, x`` adds x's active lanes to d, three whole-column ops
-    where the masked write takes four.
+    source known zero is a move, ``regs[d] = regs[x]``, and no op runs.
+    Under a partial mask, ``ADD d, d, x`` adds x's active lanes to d,
+    two whole-column ops where the masked write takes four.
+
+    Carries wait in the guard bits (``_Context.carries``).  Every
+    register is normalised at the plan's entry; an add of columns of
+    c_a and c_b carries holds c_a + c_b + 1, and while that is at most
+    255 no lane reaches 2^40, so the add runs no ``& full``; past it,
+    ``_addends`` normalises an addend first.  A full-mask LDI, LD or
+    MOVD holds none, a merge, a masked MOVD and a PE send keep the old
+    guard bits and so their count, and a move copies its source's.  An
+    ST stores its words normalised, so memory always is, and under the
+    full mask it normalises the register it stores too.  At the HALT a
+    run normalises each register that may hold carries, and after an
+    error every register column, so columns are normalised between
+    runs, as the next plan's entry assumes.
 
     A run of identical MOVDs (``SimProgram.runs``) executes as one MOVD
     of that many hops.  It is charged and counted as that many
@@ -886,6 +971,8 @@ def run(machine: SimMachine, program: SimProgram,
                 machine.cycles += routed
     except Exception as err:
         machine.active = active
+        full = machine.full
+        machine.regs[:] = [column & full for column in machine.regs]
         if isinstance(err, PortOutOfRange):
             raise SimulationError(str(err), line) from err
         if isinstance(err, SimulationError):
@@ -893,6 +980,9 @@ def run(machine: SimMachine, program: SimProgram,
         raise
     machine.cycles += plan.tail
     machine.active = plan.final
+    regs, full = machine.regs, machine.full
+    for reg in plan.unsettled:
+        regs[reg] &= full
     n = machine.n_pes
     memory_words = None
     if snapshot_memory:

@@ -8,8 +8,9 @@ four diagonals for xnet.
 
 A column of per-PE words is packed into one non-negative int: PE i's
 32-bit word sits in lane i, bits ``40*i`` to ``40*i+31``, and the 8
-bits above it are guard bits that hold 0 between instructions (a carry
-out of an add lands there, never in the next lane).  ``pack`` and
+bits above it are guard bits: a carry out of an add lands there, never
+in the next lane, and the simulator lets up to 255 carries wait there
+within a run and clears them before it stops.  ``pack`` and
 ``unpack`` move only the 4 word bytes of each lane: ``pack`` leaves the
 guard byte 0 and ``unpack`` never reads it.  ``pack`` writes each
 word's bytes straight into its lane with one cached ``struct.Struct``

@@ -81,10 +81,8 @@ MUTANTS = (
            ("tests/test_rules.py", "tests/test_config.py"),
            "0 counts as a power of two, but every config has rows, cols >= 1, "
            "so no config has 0 PEs", equivalent=True),
-    Mutant(SIM,
-           "regs[dst] = (regs[dst] + (regs[x] & _lanes(active, WORD_MASK))) & m.full",
-           "regs[dst] = regs[dst] + (regs[x] & _lanes(active, WORD_MASK))",
-           ("tests/test_sim_differential.py",),
+    Mutant(SIM, "total = regs[dst] & m.full if settle else regs[dst]",
+           "total = regs[dst]", ("tests/test_sim_differential.py",),
            "a masked accumulate leaves a carry in the guard bits"),
     Mutant(SIM, "elif full:  # under a partial mask, zero only if it was",
            "else:  # under a partial mask, zero only if it was",
@@ -133,6 +131,40 @@ MUTANTS = (
     Mutant(SIM, "if not isinstance(words, Sequence):  # a sequence is read",
            "if True:  # a sequence is read", ("tests/test_simulator.py",),
            "set_values copies a list before it packs it"),
+    Mutant(SIM, "_CARRY_ROOM = 255", "_CARRY_ROOM = 256",
+           ("tests/test_sim_differential.py",),
+           "the guard bits are taken to hold 256 carries, one past a lane"),
+    Mutant(SIM, "settle_a, settle_b, count = _addends(carries[a], carries[b])",
+           "settle_a, settle_b, count = _addends(carries[a], carries[b]) "
+           "if full else (False, False, 0)",
+           ("tests/test_sim_differential.py",),
+           "a partial-mask add of two columns with carries overflows a lane"),
+    Mutant(SIM, "ctx.write(dst, carries[src])", "ctx.write(dst, 0)",
+           ("tests/test_sim_differential.py",),
+           "a move drops the carries of its source"),
+    Mutant(SIM, "ctx.write(reg)  # the merge keeps the old guard bits",
+           "ctx.write(reg, 0)", ("tests/test_sim_differential.py",),
+           "a masked MOVD drops the carries of its register"),
+    Mutant(SIM, "regs[reg] &= full", "regs[reg] = regs[reg]", SIM_TESTS,
+           "a run leaves carries in the guard bits at its HALT"),
+    Mutant(SIM,
+           "        machine.regs[:] = [column & full for column in machine.regs]\n",
+           "", ("tests/test_sim_differential.py",),
+           "a run that fails leaves carries in the guard bits"),
+    Mutant(SIM, "m.regs[reg] = (m.mem.get(addr, 0) if full",
+           "m.regs[reg] = (m.mem.get(addr, 0) if True", SIM_TESTS,
+           "an LD under a partial mask stores with no merge"),
+    Mutant(SIM, "        if not full:\n            m.mem[addr]",
+           "        if False:\n            m.mem[addr]", SIM_TESTS,
+           "an ST under a partial mask stores with no merge"),
+    Mutant(SIM, "m.regs[reg] = m.mem[addr] = m.regs[reg] & m.full",
+           "m.mem[addr] = m.regs[reg]", ("tests/test_sim_differential.py",),
+           "an ST of a column with carries stores them in memory"),
+    Mutant("src/mppsoc/mpnoc.py",
+           "\n            and 0 <= srcs.start and srcs[-1] < ports"
+           "\n            and 0 <= dsts.start and dsts[-1] < ports):",
+           "):", ("tests/test_mpnoc.py", "tests/test_router_differential.py"),
+           "the omega exit answers one pass for ports outside 0..N-1"),
 )
 
 

@@ -179,7 +179,7 @@ def test_mask_lanes_match_the_active_range(n, data):
     want = [WORD_MASK if a else 0 for a in active]
     # A masked write under that range takes the active lanes' words from
     # the new column and keeps the others' from the old one.
-    merge = _merger(machine.active, n)
+    merge = _merger(machine.active)
     full = spread(WORD_MASK, n)
     assert list(unpack(merge(machine, 0, full), n)) == want
     assert list(unpack(merge(machine, full, 0), n)) == [WORD_MASK - w for w in want]

@@ -331,3 +331,35 @@ def test_route_permutation_matches_per_message_reference(net, data):
         perm = perm[:-1] + [data.draw(st.integers(-1, ports))]
     got = outcome(lambda: route_permutation(build_network(kind, ports), perm))
     assert got == outcome(lambda: ref_route_permutation(kind, ports, perm))
+
+
+def answer(call):
+    """A call's result, or its exception's type and text."""
+    try:
+        return call()
+    except (PortOutOfRange, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("kind", list(MpNocKind))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_range_columns_answer_as_the_same_ports_in_lists(kind, data):
+    """``transfer`` of two ranges, the omega exit's input, against the
+    same ports given as lists, which take the general path: ranges of
+    any start, step, length and offset K, ends one past either side of
+    0..N-1, destinations of another length or step among them, give the
+    same ``TransferResult``, or the same exception and text."""
+    ports = data.draw(port_counts(kind))
+    start = data.draw(st.integers(-1, ports))
+    step = data.draw(st.integers(-ports, ports).filter(bool))
+    length = data.draw(st.integers(0, ports + 1))
+    offset = data.draw(st.integers(-ports, ports))
+    srcs = range(start, start + step * length, step)
+    dst_step = data.draw(st.sampled_from((step, step, -step, step + 1 or 2)))
+    dst_length = length + data.draw(st.sampled_from((0, 0, 0, -1, 1)))
+    first = start + offset
+    dsts = range(first, first + dst_step * dst_length, dst_step)
+    network = build_network(kind, ports)
+    assert answer(lambda: transfer(network, srcs, dsts)) == answer(
+        lambda: transfer(network, list(srcs), list(dsts)))

@@ -1,9 +1,12 @@
 """Differential test: the column-store ``run`` against the per-PE
 reference interpreter in ``reference_sim``, on random small programs
-over every opcode and predicate, every neighbourhood and every router."""
+over every opcode and predicate, every neighbourhood and every router,
+and on long runs of adds of saturated words, whose carries wait in the
+guard bits."""
 
 import dataclasses
 
+import pytest
 import reference_sim as ref
 from hypothesis import given, settings, strategies as st
 from sampling import predicates
@@ -18,6 +21,7 @@ from mppsoc.simulator import (
     load_program,
     run,
 )
+from mppsoc.topology import pack
 
 # (rows, cols, neighbourhood, router): every neighbourhood and every
 # router appears, each also without the other network.  The last six
@@ -293,3 +297,69 @@ def test_a_program_reruns_right_on_other_machines_masks_and_costs(
 
 def test_every_mnemonic_has_a_compiler():
     assert set(_COMPILERS) == set(_OPERAND_PARSERS)
+
+
+# -- carries held in the guard bits ------------------------------------------
+
+ALL_ONES = 0xFFFFFFFF
+ADDS = "ADD r1, r1, r0\n"
+
+
+def saturated_pair():
+    """A 1x8 machine with a router and its oracle, r0 to r3 and word 0
+    holding 0xFFFFFFFF in every PE: every add then carries, and a column
+    of c carries holds (c+1)*0xFFFFFFFF, the most it may."""
+    config = MppSoCConfig(rows=1, cols=8, acu_mem_bytes=64, pe_mem_bytes=16,
+                          neighborhood=Neighborhood.LINEAR,
+                          mpnoc=MpNocKind.DELTA_OMEGA)
+    machine, oracle = SimMachine(config), ref.SimMachine(config)
+    for sim in (machine, oracle):
+        sim.set_values([ALL_ONES] * 8)
+    for reg in range(1, 4):
+        machine.set_column(reg, [ALL_ONES] * 8)
+        for regs in oracle.pe_regs:
+            regs[reg] = ALL_ONES
+    return machine, oracle
+
+
+@pytest.mark.parametrize("text", [
+    "MASK even\n" + 300 * ADDS,
+    300 * ADDS,
+    12 * "ADD r2, r2, r2\n",
+    "MASK lt:7\n" + 12 * "ADD r2, r2, r2\n",
+    # Operands of ~200 carries each, added under a mask of adjacent
+    # lanes, where a carry out of one lane would land in an active one.
+    200 * ADDS + 200 * "ADD r2, r2, r0\n" + "MASK lt:6\nADD r3, r1, r2\n"
+    + "ADD r3, r3, r2\n",
+    # Carries kept by a move, a masked MOVD and a PE send, then added to.
+    200 * ADDS + "LDI r5, 0\nADD r5, r5, r1\n" + 100 * "ADD r5, r5, r0\n",
+    "MASK even\n" + 200 * ADDS + "MASK odd\nMOVD r1, E\nMASK lt:6\n"
+    "NOCSEND pe, idx+2, r1\nUNMASK\n" + 100 * ADDS,
+    # A store of a column with carries, loaded back and doubled: the
+    # loaded column must hold none.
+    "MASK even\n" + 20 * ADDS + "UNMASK\nST r1, 4\nLD r4, 4\n"
+    + 9 * "ADD r4, r4, r4\n" + "MASK odd\nST r1, 8\n",
+])
+def test_carries_never_reach_the_next_lane(text):
+    """Adds of saturated columns, full-mask and masked, leave carries in
+    the guard bits until one more could overflow a lane.  Each run
+    equals the reference, and leaves every register and memory column
+    normalised: ``regs[r]`` is the pack of its own words."""
+    machine, oracle = saturated_pair()
+    check_run(machine, oracle, load_program(text + "HALT"))
+    for reg in range(8):
+        assert machine.regs[reg] == pack(machine.column(reg))
+
+
+@pytest.mark.parametrize("failure", ["LD r0, 2",
+                                     "MASK lt:7\nNOCSEND pe, idx+2, r1"])
+def test_a_run_that_fails_leaves_its_columns_normalised(failure):
+    """A run that accumulates carries and then fails leaves the state,
+    the cycles and the error of the reference at the failing line, with
+    every register and memory column normalised."""
+    machine, oracle = saturated_pair()
+    program = load_program("MASK even\n" + 40 * ADDS + "UNMASK\n"
+                           "ADD r2, r1, r1\nST r2, 4\n" + failure + "\nHALT")
+    check_run(machine, oracle, program)
+    for reg in range(8):
+        assert machine.regs[reg] == pack(machine.column(reg))

@@ -227,8 +227,8 @@ def test_a_full_mask_ldi_stores_its_words_with_no_merge(monkeypatch):
     merged = []
     real = simulator._merger
 
-    def counted(active, n):
-        merge = real(active, n)
+    def counted(active):
+        merge = real(active)
         return lambda *args: merged.append(active) or merge(*args)
     monkeypatch.setattr(simulator, "_merger", counted)
     machine = machine_for(1, 8, neighborhood=Neighborhood.LINEAR)
@@ -239,6 +239,29 @@ def test_a_full_mask_ldi_stores_its_words_with_no_merge(monkeypatch):
     assert machine.column(0) == [(1 << 32) - 3] * 8
     assert machine.column(1) == [0] * 8
     assert machine.column(2) == [5 if pe % 2 else pe for pe in range(8)]
+
+
+def test_a_full_mask_ld_and_st_store_with_no_merge(monkeypatch):
+    """Under the full mask an LD stores the memory column and an ST the
+    register column, each with no merge; only the LD and the ST under
+    a partial mask merge."""
+    merged = []
+    real = simulator._merger
+
+    def counted(active):
+        merge = real(active)
+        return lambda *args: merged.append(active) or merge(*args)
+    monkeypatch.setattr(simulator, "_merger", counted)
+    machine = machine_for(1, 8, neighborhood=Neighborhood.LINEAR)
+    machine.set_values([pe * 11 - 40 for pe in range(8)])
+    run(machine, load_program("LD r1, 0\nST r1, 4\nMASK odd\nLDI r2, 7\n"
+                              "LD r1, 4\nST r2, 8\nHALT"))
+    assert merged == [range(1, 8, 2)] * 3
+    words = [(pe * 11 - 40) & 0xFFFFFFFF for pe in range(8)]
+    assert machine.column(1) == words
+    assert [machine.read_word(pe, 4) for pe in range(8)] == words
+    assert [machine.read_word(pe, 8) for pe in range(8)] == [
+        7 if pe % 2 else 0 for pe in range(8)]
 
 
 def test_set_values_reads_a_sequence_as_it_is(monkeypatch):
