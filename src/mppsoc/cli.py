@@ -73,8 +73,12 @@ def _parse_values(spec: str, count: int) -> list[int]:
     try:
         if spec.startswith("@"):
             text = read_text(Path(spec[1:]), OSError)
-            values = [_value(t) for _, line in content_lines(text)
-                      for t in line.split()]
+            # With no comment and no non-ASCII character, the lines'
+            # tokens are the whole text's, in the same order.
+            values = ([int(t, 0) for t in text.split()]
+                      if text.isascii() and "#" not in text else
+                      [_value(t) for _, line in content_lines(text)
+                       for t in line.split()])
         elif ".." in spec:
             lo, hi = spec.split("..", 1)
             values = range(_value(lo, 10), _value(hi, 10) + 1)
@@ -122,7 +126,9 @@ def _cmd_generate(args) -> int:
         if not args.force_report_only:
             return 1
     template_dir = Path(args.templates) if args.templates else None
-    search_dir = Path(args.config).resolve().parent
+    # Only a memory image is looked up next to the configuration.
+    search_dir = (Path(args.config).resolve().parent
+                  if config.mem_init is not None else None)
 
     if args.force_report_only:
         outputs, rewritten = generate_in_memory(config, template_dir, search_dir)

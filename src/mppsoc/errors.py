@@ -40,8 +40,14 @@ def decimal_int(token: str) -> int:
 
 
 def read_text(path: Path, error: type[Exception]) -> str:
-    """The UTF-8 text of ``path``, read whole by ``read_blocks``."""
-    return "".join(read_blocks(path, error, -1))
+    """The UTF-8 text of ``path``, read whole in one binary call, its
+    line breaks as the file holds them (``split_lines`` reads all three);
+    ``error`` saying ``PATH: cannot read: …`` when it cannot be read or
+    does not decode."""
+    try:
+        return path.read_bytes().decode()
+    except (OSError, UnicodeError) as err:
+        raise error(f"{path}: cannot read: {err}") from err
 
 
 def read_blocks(path: Path, error: type[Exception], size: int):

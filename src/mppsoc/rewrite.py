@@ -8,12 +8,13 @@ line's delimiter token (``:=``, ``=>``, or ``STD_LOGIC_VECTOR`` for the
 address port range).  Every byte outside the replaced value is
 preserved, so regenerating over generated output is a no-op.
 
-A file's plan is grouped by anchor once, and a template indexes its
-lines by first token once, so only lines an anchor starts are visited;
-their second token selects the actions that name a constant, and
-``rewrite_line`` tokenizes just the lines it rewrites.  A rewrite never
-changes a line's first token, so the grouping stays exact while a
-line's actions run one after another.
+A template compiles once into value slots: on first use of an (anchor,
+delimiter) pair it indexes the lines the anchor starts and keeps, for
+each, its second token and the text before and after the value core.
+The first action to select a line then writes it as head + value +
+tail, with no tokenizing; a later action on a line already changed runs
+``rewrite_line`` on it.  The bundled templates are read once per
+process, so a process compiles each of their slots once.
 """
 
 from __future__ import annotations
@@ -157,6 +158,25 @@ class TemplateFile:
                 index.setdefault(first.group(), []).append(number)
         return index
 
+    @functools.cached_property
+    def value_slots(self) -> dict[tuple[str, str], tuple]:
+        """(anchor, delimiter) -> a ``(line number, second token in lower
+        case, value slot)`` per line the anchor starts, in file order;
+        ``slots`` fills it on first use of a pair, so a cached template
+        works out each slot once."""
+        return {}
+
+    def slots(self, anchor: str, delimiter: str) -> tuple:
+        """The value slots of ``anchor``'s lines (see ``value_slots``); a
+        slot is None on a line with no value after ``delimiter``."""
+        slots = self.value_slots.get((anchor, delimiter))
+        if slots is None:
+            slots = self.value_slots[anchor, delimiter] = tuple(
+                (number, _second_token(self.lines[number]),
+                 _value_slot(self.lines[number], delimiter))
+                for number in self.lines_by_first_token.get(anchor, ()))
+        return slots
+
     @classmethod
     def from_text(cls, name: str, text: str) -> "TemplateFile":
         return cls(name=name, lines=tuple(split_lines(text)))
@@ -186,6 +206,30 @@ class GenReport:
                 f"{self.lines_rewritten} lines rewritten",)
 
 
+def _second_token(line: str) -> str | None:
+    """The second token of ``line`` in lower case, or None."""
+    tokens = _TOKEN_RE.finditer(line)
+    next(tokens, None)
+    second = next(tokens, None)
+    return second and second.group().lower()
+
+
+def _value_slot(line: str, delimiter: str) -> tuple[str, str] | None:
+    """The text of ``line`` before and after the value core of the token
+    after its first ``delimiter`` token, the paren prefix ending the
+    head and the ``;``/``,``/``)`` suffix starting the tail; None when
+    the line has no such token."""
+    tokens = _TOKEN_RE.finditer(line)
+    for token in tokens:
+        if token.group() == delimiter:
+            value = next(tokens, None)
+            if value is None:
+                return None
+            prefix, _core, suffix = _VALUE_TOKEN_RE.match(value.group()).groups()
+            return line[:value.start()] + prefix, suffix + line[value.end():]
+    return None
+
+
 def rewrite_line(line: str, action: RewriteAction) -> tuple[str, bool]:
     """Apply one action to one line.
 
@@ -196,26 +240,16 @@ def rewrite_line(line: str, action: RewriteAction) -> tuple[str, bool]:
     Raises DelimiterNotFound when the anchor matched but the line has no
     delimiter token or nothing after it.
     """
-    matches = list(_TOKEN_RE.finditer(line))
-    if not matches or matches[0].group() != action.anchor:
+    first = _TOKEN_RE.search(line)
+    if first is None or first.group() != action.anchor:
         return line, False
-    if action.target_name is not None:
-        if len(matches) < 2 or matches[1].group().lower() != action.target_name.lower():
-            return line, False
-
-    delimiter_at = None
-    for position, match in enumerate(matches):
-        if match.group() == action.delimiter:
-            delimiter_at = position
-            break
-    if delimiter_at is None or delimiter_at + 1 >= len(matches):
+    target = action.target_name
+    if target is not None and _second_token(line) != target.lower():
+        return line, False
+    slot = _value_slot(line, action.delimiter)
+    if slot is None:
         raise DelimiterNotFound(action, line)
-
-    value_match = matches[delimiter_at + 1]
-    prefix, _core, suffix = _VALUE_TOKEN_RE.match(value_match.group()).groups()
-    replacement = prefix + action.new_value + suffix
-    new_line = line[:value_match.start()] + replacement + line[value_match.end():]
-    return new_line, True
+    return slot[0] + action.new_value + slot[1], True
 
 
 def apply_to_file(template: TemplateFile,
@@ -229,32 +263,38 @@ def apply_to_file(template: TemplateFile,
     AnchorNeverMatched when an action applied zero times (the template
     and the plan disagree, which is fatal for generation).
     """
-    by_anchor: dict[str, list] = {}
+    targets = [None if action.target_name is None else action.target_name.lower()
+               for action in actions]
+    # line number -> (position, second token, slot) of the first action
+    # to select the line, which finds it as the template holds it.
+    first: dict[int, tuple] = {}
     for position, action in enumerate(actions):
-        target = action.target_name
-        by_anchor.setdefault(action.anchor, []).append(
-            (position, action, None if target is None else target.lower()))
-    index = template.lines_by_first_token
-    # Only lines an anchor starts can change; they are visited in file
-    # order, so the first failing line is the one a full scan meets first.
-    selected = sorted(number for anchor in by_anchor
-                      for number in index.get(anchor, ()))
+        target = targets[position]
+        for number, second, slot in template.slots(action.anchor, action.delimiter):
+            if number not in first and (target is None or second == target):
+                first[number] = position, second, slot
     counts = [0] * len(actions)
     new_lines = list(template.lines)
-    for number in selected:
-        line = new_lines[number]
-        first = _TOKEN_RE.search(line)
-        second = _TOKEN_RE.search(line, first.end())
-        for position, action, target in by_anchor[first.group()]:
-            if target is not None and (
-                    second is None or second.group().lower() != target):
-                continue
-            line, applied = rewrite_line(line, action)
-            if applied:
-                counts[position] += 1
-                # A value spliced right after the anchor (the anchor
-                # is also the delimiter) replaces the second token.
-                second = _TOKEN_RE.search(line, first.end())
+    # Lines are visited in file order, so the first failing line is the
+    # one a full scan meets first.
+    for number in sorted(first):
+        position, second, slot = first[number]
+        action = actions[position]
+        if slot is None:
+            raise DelimiterNotFound(action, new_lines[number])
+        line = slot[0] + action.new_value + slot[1]
+        counts[position] += 1
+        anchor = action.anchor
+        # A value spliced right after the anchor (the anchor is also the
+        # delimiter) replaces the second token.
+        if action.delimiter == anchor:
+            second = _second_token(line)
+        for later in range(position + 1, len(actions)):
+            other = actions[later]
+            if other.anchor == anchor and targets[later] in (None, second):
+                line = rewrite_line(line, other)[0]
+                counts[later] += 1
+                second = _second_token(line)
         new_lines[number] = line
     for action, count in zip(actions, counts):
         if count == 0:
@@ -419,7 +459,7 @@ def generate(config: MppSoCConfig, out_dir: Path,
     lines_generated = 0
     for name in TEMPLATE_FILES:
         text = outputs[name]
-        (out_path / name).write_text(text, encoding="utf-8", newline="\n")
+        (out_path / name).write_bytes(text.encode())
         lines_generated += text.count("\n")
     elapsed = time.perf_counter() - started
     return GenReport(files_written=len(TEMPLATE_FILES),

@@ -48,6 +48,8 @@ class Mutant(NamedTuple):
 
 
 SIM = "src/mppsoc/simulator.py"
+REWRITE = "src/mppsoc/rewrite.py"
+CLI = "src/mppsoc/cli.py"
 SIM_TESTS = ("tests/test_simulator.py", "tests/test_sim_differential.py")
 
 MUTANTS = (
@@ -165,6 +167,23 @@ MUTANTS = (
            "\n            and 0 <= dsts.start and dsts[-1] < ports):",
            "):", ("tests/test_mpnoc.py", "tests/test_router_differential.py"),
            "the omega exit answers one pass for ports outside 0..N-1"),
+    Mutant(REWRITE, "+ prefix, suffix + line[value.end():]",
+           "+ prefix, line[value.end():]", ("tests/test_rewrite.py",),
+           "a value slot drops the value's suffix"),
+    Mutant(REWRITE, "line = rewrite_line(line, other)[0]",
+           "line = slot[0] + other.new_value + slot[1]",
+           ("tests/test_rewrite.py",),
+           "a later action on a changed line reuses the stale slot"),
+    Mutant(REWRITE, "        if action.delimiter == anchor:\n"
+           "            second = _second_token(line)\n", "",
+           ("tests/test_rewrite.py",),
+           "a value spliced after the anchor leaves the second token stale"),
+    Mutant(CLI, 'if text.isascii() and "#" not in text else',
+           "if text.isascii() else", ("tests/test_text_inputs.py",),
+           "a --values file with a comment is split whole"),
+    Mutant(CLI, "search_dir = (Path(args.config).resolve().parent",
+           "search_dir = (Path(args.config).parent", ("tests/test_cli.py",),
+           "a memory image is looked up next to a symlink to the config"),
 )
 
 

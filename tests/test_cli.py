@@ -158,13 +158,28 @@ def test_generate_non_utf8_input_is_io_error(cfg, tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
-def test_generate_resolves_mem_init_next_to_config(tmp_path):
-    path = tmp_path / "machine.cfg"
-    path.write_text(VALID_CFG + "mem_init = data.hex\n")
-    (tmp_path / "data.hex").write_text("cafef00d\n1\n2\n")
+def test_generate_resolves_mem_init_next_to_config(tmp_path, capsys,
+                                                  monkeypatch):
+    """A configuration names its image relative to its own file, and
+    one reached through a symlink relative to the file the link
+    resolves to, not to the link or the working directory."""
+    real, links = tmp_path / "real", tmp_path / "links"
+    real.mkdir()
+    links.mkdir()
+    (real / "machine.cfg").write_text(VALID_CFG + "mem_init = data.hex\n")
+    (real / "data.hex").write_text("cafef00d\n1\n2\n")
+    (links / "machine.cfg").symlink_to(real / "machine.cfg")
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    assert main(["generate", str(path), "-o", str(out)]) == 0
-    assert 'init_file => "data.hex",' in (out / "mem_pe.vhd").read_text()
+    for config in (str(real / "machine.cfg"), str(links / "machine.cfg"),
+                   "links/machine.cfg"):
+        assert main(["generate", config, "-o", str(out)]) == 0
+        assert 'init_file => "data.hex",' in (out / "mem_pe.vhd").read_text()
+        assert main(["generate", config, "--force-report-only"]) == 0
+    (real / "data.hex").unlink()
+    (links / "data.hex").write_text("cafef00d\n")
+    assert main(["generate", "links/machine.cfg", "-o", str(out)]) == 2
+    assert f"memory image {real / 'data.hex'} does not exist" in capsys.readouterr().err
 
 
 def test_simulate_reduce(cfg, tmp_path, capsys):

@@ -455,6 +455,31 @@ def test_bundled_templates_are_read_once_per_process(monkeypatch):
     assert generate_in_memory(config) == first
 
 
+def _refuse_slot(line, delimiter):
+    raise AssertionError(f"slot worked out again: {line!r}")
+
+
+def test_a_second_generate_writes_each_line_through_its_slot(tmp_path,
+                                                             monkeypatch):
+    """The first generate from the bundled templates works out the value
+    slots its plan needs; a second finds them all and calls neither
+    ``rewrite_line`` nor the slot finder."""
+    (tmp_path / "image.hex").write_text("1\n")
+    config = mesh16(mem_init="image.hex")
+    generate(config, tmp_path / "first", mem_search_dir=tmp_path)
+    for name, actions in plan_actions_by_file(config).items():
+        slots = vars(rewrite_module._bundled_template(name)).get("value_slots", {})
+        assert {(a.anchor, a.delimiter) for a in actions} <= slots.keys(), name
+    calls = []
+    monkeypatch.setattr(rewrite_module, "rewrite_line",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(rewrite_module, "_value_slot", _refuse_slot)
+    report = generate(config, tmp_path / "second", mem_search_dir=tmp_path)
+    assert calls == []
+    assert report.lines_rewritten == 13
+    assert read_outputs(tmp_path / "first") == read_outputs(tmp_path / "second")
+
+
 def test_a_failed_bundled_read_is_not_cached(monkeypatch):
     expected = generate_in_memory(mesh16())
     rewrite_module._bundled_template.cache_clear()
